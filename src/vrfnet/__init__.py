@@ -2,15 +2,12 @@
 brute-force oracles, and cost profiling, on dense NCHW tensors."""
 
 from .tensor import Rng, ShapeError, Tensor, full, zeros, zeros_like
-from .tape import Node, Tape, finite_diff_check, tape_of, value_of
+from .tape import Node, OpCounter, Tape, finite_diff_check, tape_of, value_of
 from .eltwise import (
     add,
     concat_channels,
-    elementwise,
     hadamard,
-    mul,
     reduce_channel,
-    scale,
     slice_channels,
     spatial_mean,
     sum_all,
@@ -28,7 +25,7 @@ from .ops import (
     sigmoid,
     sigmoid_gate,
 )
-from .attention import ChannelAttention, SpatialAttention, channel_attention, spatial_attention
+from .attention import ChannelAttention, SpatialAttention
 from .config import (
     ConfigError,
     GconvConfig,
@@ -47,7 +44,7 @@ from .blocks import (
     block_gradient_errors,
     build_block,
 )
-from .oracle import OpCounter, OracleReport, compare, oracle_block, oracle_conv2d
+from .oracle import OracleReport, compare, oracle_block, oracle_conv2d
 from .profiler import CostReport, bench, cost_report, count_macs, count_params, ffn_cost
 from .vrft import FormatError, read_manifest, read_tensor, write_manifest, write_tensor
 
@@ -60,12 +57,11 @@ __all__ = [
     "Node", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
     "SpatialAttention", "Tape", "Tensor",
     "activation", "add", "batch_norm", "bench", "block_config",
-    "block_gradient_errors", "build_block", "channel_attention", "compare",
-    "concat_channels", "conv2d", "cost_report", "count_macs", "count_params",
-    "dropout", "elementwise", "ffn_cost", "finite_diff_check", "full",
-    "hadamard", "init_conv_params", "load_run_config", "mul", "oracle_block",
-    "oracle_conv2d", "read_manifest", "read_tensor", "reduce_channel", "relu",
-    "scale", "sigmoid", "sigmoid_gate", "slice_channels", "spatial_attention",
-    "spatial_mean", "sum_all", "tape_of", "value_of", "write_manifest",
-    "write_tensor", "zeros", "zeros_like",
+    "block_gradient_errors", "build_block", "compare", "concat_channels",
+    "conv2d", "cost_report", "count_macs", "count_params", "dropout",
+    "ffn_cost", "finite_diff_check", "full", "hadamard", "init_conv_params",
+    "load_run_config", "oracle_block", "oracle_conv2d", "read_manifest",
+    "read_tensor", "reduce_channel", "relu", "sigmoid", "sigmoid_gate",
+    "slice_channels", "spatial_mean", "sum_all", "tape_of", "value_of",
+    "write_manifest", "write_tensor", "zeros", "zeros_like",
 ]

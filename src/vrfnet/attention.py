@@ -53,12 +53,3 @@ class ChannelAttention(ParamBlock):
         squeezed = relu(self._conv(p, "reduce", spatial_mean(x)))
         return sigmoid(self._conv(p, "expand", squeezed))
 
-
-def spatial_attention(f_cat, params: SpatialAttention):
-    """Selection mask for a channel-concatenated feature stack."""
-    return params.forward(f_cat)
-
-
-def channel_attention(x, params: ChannelAttention):
-    """Per-channel gate weights; apply with a broadcast hadamard."""
-    return params.forward(x)

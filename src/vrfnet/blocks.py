@@ -36,7 +36,7 @@ from .ops import (
     relu,
     sigmoid_gate,
 )
-from .tape import value_of
+from .tape import fd_max_rel_err, value_of
 from .tensor import Rng, ShapeError, Tensor
 
 
@@ -223,7 +223,9 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
     tape's rounding rather than by cancellation between f(t+h) and
     f(t-h). Returns max relative error per name ('input' plus each
     parameter), denominator floored at 1e-8. Requires a deterministic
-    forward (dropout p must be 0).
+    forward (dropout p must be 0). In train mode batch norm normalizes
+    with batch statistics; the running statistics its forwards update
+    are put back afterwards, so the block is left as it was.
     """
     from .eltwise import sum_all
     from .tape import Tape
@@ -231,44 +233,28 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
     if x.dtype != np.float64:
         raise TypeError("gradient checks require float64 blocks and inputs")
     params = block.params()
+    buffers = block.buffers()
+    try:
+        tape = Tape()
+        xn = tape.leaf(x, "input")
+        pnodes = {k: tape.leaf(t, k) for k, t in params.items()}
+        loss = sum_all(block.forward(xn, pnodes, mode))
+        grads = tape.backward(loss)
 
-    tape = Tape()
-    xn = tape.leaf(x, "input")
-    pnodes = {k: tape.leaf(t, k) for k, t in params.items()}
-    loss = sum_all(block.forward(xn, pnodes, mode))
-    grads = tape.backward(loss)
+        fd_x = x.astype(fd_dtype)
+        fd_params = {k: t.astype(fd_dtype) for k, t in params.items()}
 
-    fd_x = x.astype(fd_dtype)
-    fd_params = {k: t.astype(fd_dtype) for k, t in params.items()}
+        errors: dict[str, float] = {}
+        errors["input"] = fd_max_rel_err(
+            lambda t: block.forward(t, fd_params, mode).data.sum(), fd_x, grads[xn.id], h
+        )
+        for name in params:
+            def loss_at(t, _name=name):
+                bound = dict(fd_params)
+                bound[_name] = t
+                return block.forward(fd_x, bound, mode).data.sum()
 
-    errors: dict[str, float] = {}
-    errors["input"] = _fd_max_rel_err(
-        lambda t: block.forward(t, fd_params, mode), fd_x, grads[xn.id], h
-    )
-    for name in params:
-        def f(t, _name=name):
-            bound = dict(fd_params)
-            bound[_name] = t
-            return block.forward(fd_x, bound, mode)
-
-        errors[name] = _fd_max_rel_err(f, fd_params[name], grads[pnodes[name].id], h)
-    return errors
-
-
-def _fd_max_rel_err(f, at: Tensor, grad: Tensor, h: float) -> float:
-    flat = at.data.reshape(-1)
-    g = grad.data.reshape(-1).astype(at.dtype)
-    step = at.dtype.type(h)
-    worst = 0.0
-    for i in range(flat.size):
-        arr = flat.copy()
-        arr[i] += step
-        fp = f(Tensor.wrap(arr.reshape(at.shape))).data.sum()
-        arr[i] -= 2 * step
-        fm = f(Tensor.wrap(arr.reshape(at.shape))).data.sum()
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError("non-finite loss during finite differencing")
-        fd = (fp - fm) / (2 * step)
-        rel = abs(fd - g[i]) / max(abs(g[i]), 1e-8)
-        worst = max(worst, float(rel))
-    return worst
+            errors[name] = fd_max_rel_err(loss_at, fd_params[name], grads[pnodes[name].id], h)
+        return errors
+    finally:
+        block.set_buffers(buffers)

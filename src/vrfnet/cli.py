@@ -278,10 +278,10 @@ def cmd_golden(args) -> int:
     if out_dir is None:
         raise ConfigError("golden needs --out <dir>")
     from .blocks import build_block
-    from .config import block_config
+    from .config import DTYPES, block_config
     from .oracle import compare, oracle_block
     from .tensor import Rng
-    from .vrft import read_manifest, read_tensor, write_manifest, write_tensor
+    from .vrft import read_golden_meta, read_manifest, read_tensor, write_manifest, write_tensor
 
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
 
@@ -313,10 +313,8 @@ def cmd_golden(args) -> int:
     # verify
     failures = []
     for case_dir in sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists()):
-        meta = json.loads((case_dir / GOLDEN_META).read_text())
+        meta = read_golden_meta(case_dir / GOLDEN_META)
         bcfg = block_config(meta["block"], meta["channels"], meta["module"])
-        from .config import DTYPES
-
         block = build_block(meta["block"], bcfg, None, DTYPES[meta["dtype"]])
         block.set_params(dict(read_manifest(case_dir / "params.manifest")))
         block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))

@@ -7,7 +7,7 @@ loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,8 @@ class MscfConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(self.dilations))
-        if self.c < 1:
-            raise ConfigError("mscf: channels must be >= 1")
+        if min(self.c, self.n_scales, self.dw_kernel, self.mask_kernel, self.ca_ratio) < 1:
+            raise ConfigError("mscf: channels, n_scales, kernels and ca_ratio must be >= 1")
         if len(self.dilations) != self.n_scales:
             raise ConfigError(
                 f"mscf: {len(self.dilations)} dilations given for n_scales={self.n_scales}"
@@ -65,8 +65,8 @@ class GconvConfig:
     activation: str = "sigmoid_gate"
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError("gconv: channels must be >= 1")
+        if self.c < 1 or self.dw_kernel < 1:
+            raise ConfigError("gconv: channels and dw_kernel must be >= 1")
         if self.hidden is None:
             object.__setattr__(self, "hidden", default_hidden(self.c))
         if self.hidden < 1:
@@ -116,91 +116,64 @@ class GmcfConfig:
 
     def at_width(self, width: int) -> "GmcfConfig":
         """Same hyperparameters re-targeted at a different channel width
-        (used for the bottlenecks inside the wrapper)."""
-        return GmcfConfig(
-            c=width,
-            mscf=MscfConfig(
-                c=width,
-                n_scales=self.mscf.n_scales,
-                dilations=self.mscf.dilations,
-                dw_kernel=self.mscf.dw_kernel,
-                mask_kernel=self.mscf.mask_kernel,
-                ca_ratio=self.mscf.ca_ratio,
-                use_ca=self.mscf.use_ca,
-            ),
-            gconv=GconvConfig(
-                c=width,
-                hidden=None,
-                dw_kernel=self.gconv.dw_kernel,
-                dropout=self.gconv.dropout,
-                activation=self.gconv.activation,
-            ),
-            bn_eps=self.bn_eps,
-            bn_momentum=self.bn_momentum,
-            dropout=self.dropout,
-            n_bottlenecks=self.n_bottlenecks,
-            e=self.e,
-        )
+        (used for the bottlenecks inside the wrapper); GConv's hidden
+        width is derived again for the new width."""
+        return replace(self, c=width, mscf=replace(self.mscf, c=width),
+                       gconv=replace(self.gconv, c=width, hidden=None))
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    unknown = set(d) - set(allowed)
+# JSON value types accepted for each field annotation
+_JSON_TYPES = {
+    "int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
+    "Path": str, "MscfConfig": dict, "GconvConfig": dict,
+}
+
+
+def _json_type_ok(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotated ``annotation``. Bools
+    never pass as numbers; a tuple is a sequence of integers."""
+    for kind in annotation.split(" | "):
+        if kind == "None":
+            ok = value is None
+        elif kind == "tuple":
+            ok = isinstance(value, (list, tuple)) and all(_json_type_ok(v, "int") for v in value)
+        else:
+            ok = isinstance(value, _JSON_TYPES[kind]) and (
+                kind == "bool" or not isinstance(value, bool))
+        if ok:
+            return True
+    return False
+
+
+def _take(cls, d, where: str) -> dict:
+    """Check a strict JSON object against the fields of dataclass ``cls``
+    (except ``c``): no unknown keys, every value of its field's type.
+    Omitted keys keep the dataclass defaults."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
+    types = {f.name: f.type for f in fields(cls) if f.name != "c"}
+    unknown = set(d) - set(types)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
-    out = dict(allowed)
-    out.update(d)
-    return out
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(types)}")
+    for name, value in d.items():
+        if not _json_type_ok(value, types[name]):
+            raise ConfigError(f"{where}: {name} must be {types[name]}, got {value!r}")
+    return dict(d)
 
 
 def mscf_config_from_dict(c: int, d: dict) -> MscfConfig:
-    vals = _take(
-        d,
-        {
-            "n_scales": 3,
-            "dilations": (3, 5, 7),
-            "dw_kernel": 3,
-            "mask_kernel": 7,
-            "ca_ratio": 4,
-            "use_ca": True,
-        },
-        "module(mscf)",
-    )
-    return MscfConfig(c=c, **vals)
+    return MscfConfig(c=c, **_take(MscfConfig, d, "module(mscf)"))
 
 
 def gconv_config_from_dict(c: int, d: dict) -> GconvConfig:
-    vals = _take(
-        d,
-        {"hidden": None, "dw_kernel": 3, "dropout": 0.0, "activation": "sigmoid_gate"},
-        "module(gconv)",
-    )
-    return GconvConfig(c=c, **vals)
+    return GconvConfig(c=c, **_take(GconvConfig, d, "module(gconv)"))
 
 
 def gmcf_config_from_dict(c: int, d: dict) -> GmcfConfig:
-    vals = _take(
-        d,
-        {
-            "mscf": {},
-            "gconv": {},
-            "bn_eps": 1e-5,
-            "bn_momentum": 0.1,
-            "dropout": 0.0,
-            "n_bottlenecks": 1,
-            "e": 0.5,
-        },
-        "module(gmcf)",
-    )
-    return GmcfConfig(
-        c=c,
-        mscf=mscf_config_from_dict(c, vals["mscf"]),
-        gconv=gconv_config_from_dict(c, vals["gconv"]),
-        bn_eps=vals["bn_eps"],
-        bn_momentum=vals["bn_momentum"],
-        dropout=vals["dropout"],
-        n_bottlenecks=vals["n_bottlenecks"],
-        e=vals["e"],
-    )
+    vals = _take(GmcfConfig, d, "module(gmcf)")
+    vals["mscf"] = mscf_config_from_dict(c, vals.get("mscf", {}))
+    vals["gconv"] = gconv_config_from_dict(c, vals.get("gconv", {}))
+    return GmcfConfig(c=c, **vals)
 
 
 def block_config(kind: str, c: int, module: dict | None = None):
@@ -248,34 +221,14 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    vals = _take(
-        raw,
-        {
-            "block": None,
-            "channels": 8,
-            "seed": 0,
-            "dtype": "f64",
-            "input_shape": None,
-            "tolerance": None,
-            "out_dir": None,
-            "module": {},
-        },
-        str(path),
-    )
-    cfg = RunConfig(
-        block=vals["block"],
-        channels=int(vals["channels"]),
-        seed=int(vals["seed"]),
-        dtype=vals["dtype"],
-        input_shape=tuple(vals["input_shape"]) if vals["input_shape"] is not None else None,
-        tolerance=vals["tolerance"],
-        out_dir=Path(vals["out_dir"]).resolve() if vals["out_dir"] is not None else None,
-        module=vals["module"],
-    )
+    vals = _take(RunConfig, raw, str(path))
+    if vals.get("input_shape") is not None:
+        vals["input_shape"] = tuple(vals["input_shape"])
+    if vals.get("out_dir") is not None:
+        vals["out_dir"] = Path(vals["out_dir"]).resolve()
+    cfg = RunConfig(**vals)
     validate_run_config(cfg)
     return cfg
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-from .tape import tape_of, value_of
+from .tape import tally, tape_of, value_of
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -33,6 +33,7 @@ def add(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
     out = Tensor.wrap(ta.data + tb.data)
+    tally(eltwise=out.size)
     tape = tape_of(a, b)
     if tape is None:
         return out
@@ -49,6 +50,7 @@ def hadamard(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
     out = Tensor.wrap(ta.data * tb.data)
+    tally(eltwise=out.size)
     tape = tape_of(a, b)
     if tape is None:
         return out
@@ -58,32 +60,6 @@ def hadamard(a, b):
         acc(b, _unbroadcast(g * ta.data, tb.shape))
 
     return tape.record(out, "hadamard", backward)
-
-
-mul = hadamard
-
-
-def elementwise(op: str, a, b):
-    """Dispatch form: op in {"add", "mul", "hadamard"}."""
-    if op == "add":
-        return add(a, b)
-    if op in ("mul", "hadamard"):
-        return hadamard(a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
-def scale(x, s: float):
-    """Multiply by a python scalar (dtype preserved)."""
-    tx = value_of(x)
-    out = Tensor.wrap(tx.data * tx.dtype.type(s))
-    tape = tape_of(x)
-    if tape is None:
-        return out
-
-    def backward(g, acc):
-        acc(x, g * tx.dtype.type(s))
-
-    return tape.record(out, "scale", backward)
 
 
 def sum_all(x):
@@ -114,6 +90,7 @@ def reduce_channel(kind: str, x):
         out = Tensor.wrap(tx.data.max(axis=1, keepdims=True))
     else:
         raise ValueError(f"unknown reduction {kind!r}")
+    tally(eltwise=tx.size)
     tape = tape_of(x)
     if tape is None:
         return out
@@ -139,6 +116,7 @@ def spatial_mean(x):
     """Global average pool over (h, w), out (n,c,1,1)."""
     tx = value_of(x)
     out = Tensor.wrap(tx.data.mean(axis=(2, 3), keepdims=True, dtype=tx.dtype))
+    tally(eltwise=tx.size)
     tape = tape_of(x)
     if tape is None:
         return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import Rng, ShapeError, Tensor
-from .tape import Node, tape_of, value_of
+from .tape import Node, tally, tape_of, value_of
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,7 @@ def conv2d(x, w, b, spec: ConvSpec):
     if tb is not None:
         out = out + tb.data
     res = Tensor.wrap(out)
+    tally(macs=out.size * m, eltwise=out.size if tb is not None else 0)
 
     tape = tape_of(x, w, b)
     if tape is None:
@@ -140,6 +141,7 @@ def _sigmoid(xd: np.ndarray) -> np.ndarray:
 def relu(x):
     tx = value_of(x)
     out = Tensor.wrap(np.maximum(tx.data, 0))
+    tally(eltwise=out.size)
     tape = tape_of(x)
     if tape is None:
         return out
@@ -154,6 +156,7 @@ def sigmoid(x):
     tx = value_of(x)
     sig = _sigmoid(tx.data)
     out = Tensor.wrap(sig)
+    tally(eltwise=out.size)
     tape = tape_of(x)
     if tape is None:
         return out
@@ -170,6 +173,7 @@ def sigmoid_gate(x):
     tx = value_of(x)
     sig = _sigmoid(1.702 * tx.data)
     out = Tensor.wrap(tx.data * sig)
+    tally(eltwise=3 * out.size)
     tape = tape_of(x)
     if tape is None:
         return out
@@ -240,6 +244,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "eval"):
     inv_std = 1.0 / np.sqrt(var + tx.dtype.type(state.eps))
     xhat = (tx.data - mean) * inv_std
     out = Tensor.wrap(tg.data * xhat + tb.data)
+    tally(eltwise=2 * out.size)
 
     tape = tape_of(x, gamma, beta)
     if tape is None:

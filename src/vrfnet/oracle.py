@@ -4,8 +4,8 @@ Everything here recomputes results from first principles: convolution is
 a direct scalar loop over every output element and kernel tap (no
 im2col, no blocking), and each block is restated as straight-line code
 over those primitive loops. The only things shared with the fast path
-are the Tensor container, the ConvSpec descriptor, and the parameter
-values under test. All arithmetic accumulates in float64 regardless of
+are the Tensor container, the ConvSpec descriptor, the OpCounter tally,
+and the parameter values under test. All arithmetic accumulates in float64 regardless of
 the input dtype, so the oracle is strictly more accurate than the fast
 path it checks.
 
@@ -25,21 +25,8 @@ import numpy as np
 
 from .config import GconvConfig, GmcfConfig, MscfConfig
 from .ops import ConvSpec
+from .tape import OpCounter
 from .tensor import Tensor
-
-
-@dataclass
-class OpCounter:
-    """Tally of multiply-accumulates and elementwise ops."""
-
-    macs: int = 0
-    eltwise: int = 0
-
-    def add_macs(self, n: int) -> None:
-        self.macs += n
-
-    def add_eltwise(self, n: int) -> None:
-        self.eltwise += n
 
 
 @dataclass

@@ -1,6 +1,8 @@
-"""Analytical cost accounting and wall-clock micro-benchmarks.
+"""Cost accounting and wall-clock micro-benchmarks.
 
-Conventions (also stated in every report):
+Counts are summed from what the ops of one eval forward report to
+:func:`vrfnet.tape.counting`, so the profiler restates no block
+structure. Conventions (also stated in every report):
 
 * MACs: one multiply-accumulate per kernel tap per output element,
   ``n * c_out * h_out * w_out * (c_in / groups) * k^2``. Zero-padding
@@ -23,23 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import ChannelAttention, SpatialAttention
-from .blocks import ConvLayer, GConvBlock, GmcfBlock, GmcfBottleneck, MscfBlock, ParamBlock
+from .layers import ParamBlock
 from .ops import ConvSpec
-from .tensor import Rng
+from .tape import OpCounter, counting
+from .tensor import Rng, zeros
 
 CONVENTION = "FLOPs = 2*MACs; padding taps counted; eval-mode elementwise costs"
-
-
-@dataclass
-class CostCounts:
-    macs: int = 0
-    eltwise: int = 0
-
-    def __iadd__(self, other: "CostCounts"):
-        self.macs += other.macs
-        self.eltwise += other.eltwise
-        return self
 
 
 @dataclass
@@ -79,87 +70,21 @@ def conv_macs(spec: ConvSpec, n: int, h: int, w: int) -> int:
     return n * spec.c_out * ho * wo * (spec.c_in // spec.groups) * spec.k * spec.k
 
 
-def _conv_cost(spec: ConvSpec, n: int, h: int, w: int) -> CostCounts:
-    ho, wo = spec.out_hw(h, w)
-    bias_elt = n * spec.c_out * ho * wo if spec.bias else 0
-    return CostCounts(conv_macs(spec, n, h, w), bias_elt)
+def _block_dtype(block: ParamBlock):
+    params = block.params()
+    return next(iter(params.values())).dtype if params else np.float64
 
 
-def _spatial_attention_cost(sa: SpatialAttention, n, c, h, w) -> CostCounts:
-    cost = CostCounts(0, 2 * n * c * h * w)  # avg and max pooling
-    cost += _conv_cost(sa.conv_specs()["conv"], n, h, w)
-    cost.eltwise += n * sa.mask_channels * h * w  # sigmoid
-    return cost
+def count_costs(block: ParamBlock, input_shape) -> OpCounter:
+    """MAC and elementwise counts of one eval forward, as its ops report them.
 
-
-def _channel_attention_cost(ca: ChannelAttention, n, c, h, w) -> CostCounts:
-    cost = CostCounts(0, n * c * h * w)  # global average pool
-    cost += _conv_cost(ca.conv_specs()["reduce"], n, 1, 1)
-    cost.eltwise += n * (c // ca.ratio)  # relu
-    cost += _conv_cost(ca.conv_specs()["expand"], n, 1, 1)
-    cost.eltwise += n * c  # sigmoid
-    return cost
-
-
-def _mscf_cost(block: MscfBlock, n, h, w) -> CostCounts:
-    cfg = block.cfg
-    size = n * cfg.c * h * w
-    cost = CostCounts()
-    for i in range(cfg.n_scales):
-        cost += _conv_cost(block.conv_specs()[f"scale{i}"], n, h, w)
-    cost += _spatial_attention_cost(block._children["sa"], n, cfg.n_scales * cfg.c, h, w)
-    cost.eltwise += cfg.n_scales * size  # mask * feature per scale
-    cost.eltwise += (cfg.n_scales - 1) * size  # scale accumulation
-    cost.eltwise += size  # gate against the input
-    if cfg.use_ca:
-        cost += _channel_attention_cost(block._children["ca"], n, cfg.c, h, w)
-        cost.eltwise += size  # channel weights applied
-    return cost
-
-
-def _gconv_cost(block: GConvBlock, n, h, w) -> CostCounts:
-    cfg = block.cfg
-    hid_size = n * cfg.hidden * h * w
-    cost = _conv_cost(block.conv_specs()["proj"], n, h, w)
-    cost += _conv_cost(block.conv_specs()["dw"], n, h, w)
-    cost.eltwise += (3 if cfg.activation == "sigmoid_gate" else 1) * hid_size
-    cost.eltwise += hid_size  # gate * value branch
-    cost += _conv_cost(block.conv_specs()["restore"], n, h, w)
-    cost.eltwise += n * cfg.c * h * w  # residual add
-    return cost
-
-
-def _gmcf_cost(block: GmcfBottleneck, n, h, w) -> CostCounts:
-    size = n * block.cfg.c * h * w
-    cost = _mscf_cost(block._children["mscf"], n, h, w)
-    cost.eltwise += 2 * size  # batch norm
-    cost.eltwise += size  # first shortcut add
-    cost += _gconv_cost(block._children["gconv"], n, h, w)
-    return cost
-
-
-def _gmcf_block_cost(block: GmcfBlock, n, h, w) -> CostCounts:
-    cost = _conv_cost(block.conv_specs()["cv1"], n, h, w)
-    for i in range(block.cfg.n_bottlenecks):
-        cost += _gmcf_cost(block._children[f"m{i}"], n, h, w)
-    cost += _conv_cost(block.conv_specs()["cv2"], n, h, w)
-    return cost
-
-
-def count_costs(block: ParamBlock, input_shape) -> CostCounts:
-    """Analytical MAC and elementwise counts for one forward pass."""
-    n, c, h, w = input_shape
-    if isinstance(block, ConvLayer):
-        return _conv_cost(block.cfg, n, h, w)
-    if isinstance(block, MscfBlock):
-        return _mscf_cost(block, n, h, w)
-    if isinstance(block, GConvBlock):
-        return _gconv_cost(block, n, h, w)
-    if isinstance(block, GmcfBottleneck):
-        return _gmcf_cost(block, n, h, w)
-    if isinstance(block, GmcfBlock):
-        return _gmcf_block_cost(block, n, h, w)
-    raise TypeError(f"no cost model for {type(block).__name__}")
+    Runs ``block.forward`` once on a zero input of the block's dtype; eval
+    mode leaves parameters, running statistics and dropout state untouched.
+    """
+    x = zeros(input_shape, _block_dtype(block))
+    with counting() as counter:
+        block.forward(x, mode="eval")
+    return counter
 
 
 def count_macs(block: ParamBlock, input_shape) -> int:
@@ -171,8 +96,7 @@ def bench(block: ParamBlock, input_shape, reps: int, warmup: int = 2,
     """Median/IQR wall time of eval-mode forward over ``reps`` runs."""
     if reps < 3:
         raise ValueError("bench needs reps >= 3")
-    dtype = next(iter(block.params().values())).dtype if block.params() else np.float64
-    x = Rng(seed).tensor(input_shape, dtype=dtype)
+    x = Rng(seed).tensor(input_shape, dtype=_block_dtype(block))
     for _ in range(warmup):
         block.forward(x)
     samples = []
@@ -212,18 +136,16 @@ def ffn_cost(c: int, input_shape) -> CostReport:
     n, _, h, w = input_shape
     up = ConvSpec(c, 2 * c, 1)
     down = ConvSpec(2 * c, c, 1)
-    cost = _conv_cost(up, n, h, w)
-    cost.eltwise += n * 2 * c * h * w  # relu
-    down_cost = _conv_cost(down, n, h, w)
-    cost += down_cost
-    params = up.param_count + down.param_count
+    macs = conv_macs(up, n, h, w) + conv_macs(down, n, h, w)
+    hidden = n * 2 * c * h * w
+    eltwise = 2 * hidden + n * c * h * w  # up bias, relu, down bias
     return CostReport(
         block="ffn-2c",
         input_shape=tuple(input_shape),
-        params=params,
-        macs=cost.macs,
-        flops=2 * cost.macs,
-        eltwise_ops=cost.eltwise,
+        params=up.param_count + down.param_count,
+        macs=macs,
+        flops=2 * macs,
+        eltwise_ops=eltwise,
     )
 
 

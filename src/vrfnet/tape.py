@@ -11,10 +11,16 @@ each record exactly once, in reverse.
 Adjoints are accumulated in the tensor's own dtype. The accumulation
 order is deterministic: reverse execution order across nodes, and for
 each op the input order as written in its adjoint rule.
+
+The ops that do work also report their cost to the :func:`counting`
+context, if one is open (see :mod:`vrfnet.profiler` for the cost table).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,6 +28,42 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 _SCALAR_SHAPE = (1, 1, 1, 1)
+
+
+@dataclass
+class OpCounter:
+    """Tally of multiply-accumulates and elementwise ops."""
+
+    macs: int = 0
+    eltwise: int = 0
+
+    def add_macs(self, n: int) -> None:
+        self.macs += n
+
+    def add_eltwise(self, n: int) -> None:
+        self.eltwise += n
+
+
+_COUNTER: "ContextVar[OpCounter | None]" = ContextVar("vrfnet_op_counter", default=None)
+
+
+@contextmanager
+def counting():
+    """Open a fresh :class:`OpCounter` that every op run inside tallies to."""
+    counter = OpCounter()
+    token = _COUNTER.set(counter)
+    try:
+        yield counter
+    finally:
+        _COUNTER.reset(token)
+
+
+def tally(macs: int = 0, eltwise: int = 0) -> None:
+    """Report one op's cost to the open :func:`counting` context, if any."""
+    counter = _COUNTER.get()
+    if counter is not None:
+        counter.macs += macs
+        counter.eltwise += eltwise
 
 
 class Node:
@@ -139,23 +181,30 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-6) -> float:
     out = f(lx)
     if not isinstance(out, Node):
         raise TypeError("f must build on its input so the tape can trace it")
-    grad = tape.backward(out)[lx.id].data.reshape(-1)
+    grad = tape.backward(out)[lx.id]
+    return fd_max_rel_err(lambda t: value_of(f(t)).item(), x, grad, h)
 
-    flat = x.data.reshape(-1)
-    fd = np.empty_like(flat)
+
+def fd_max_rel_err(loss, at: Tensor, grad: Tensor, h: float) -> float:
+    """Max relative error of ``grad`` against central differences of ``loss``.
+
+    ``loss`` maps a tensor shaped like ``at`` to a scalar. Probes step each
+    element by +h and then by -2h, in ``at``'s own dtype (two ``loss`` calls
+    per element). The denominator is floored at 1e-8.
+    """
+    flat = at.data.reshape(-1)
+    g = grad.data.reshape(-1).astype(at.dtype)
+    step = at.dtype.type(h)
+    worst = 0.0
     for i in range(flat.size):
-        fp = _eval_scalar(f, flat, x.shape, i, +h)
-        fm = _eval_scalar(f, flat, x.shape, i, -h)
-        fd[i] = (fp - fm) / (2.0 * h)
-
-    rel = np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-8)
-    return float(rel.max())
-
-
-def _eval_scalar(f, flat, shape, i, delta) -> float:
-    arr = flat.copy()
-    arr[i] += delta
-    y = value_of(f(Tensor.wrap(arr.reshape(shape)))).item()
-    if not np.isfinite(y):
-        raise ValueError(f"f produced a non-finite value {y!r} during finite differencing")
-    return y
+        arr = flat.copy()
+        arr[i] += step
+        fp = loss(Tensor.wrap(arr.reshape(at.shape)))
+        arr[i] -= 2 * step
+        fm = loss(Tensor.wrap(arr.reshape(at.shape)))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError("non-finite loss during finite differencing")
+        fd = (fp - fm) / (2 * step)
+        rel = abs(fd - g[i]) / max(abs(g[i]), 1e-8)
+        worst = max(worst, float(rel))
+    return worst

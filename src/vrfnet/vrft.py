@@ -10,17 +10,21 @@ Layout of a .vrft file (all integers little-endian):
     payload row-major values, little-endian
 
 A manifest is a text file of ``name<TAB>relative-filename`` lines; it
-fixes both the parameter order and where each tensor lives.
+fixes both the parameter order and where each tensor lives. A golden
+case directory also holds a JSON ``meta.json`` naming the block that
+produced it.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
+from .config import BLOCK_KINDS, DTYPES
 from .tensor import Tensor
 
 MAGIC = b"VRFT"
@@ -91,33 +95,54 @@ def write_manifest(directory, manifest_name: str, tensors: "OrderedDict[str, Ten
     return manifest
 
 
-def read_manifest(manifest_path) -> "OrderedDict[str, Tensor]":
-    manifest_path = Path(manifest_path)
-    out: "OrderedDict[str, Tensor]" = OrderedDict()
+def _manifest_entries(manifest_path: Path) -> "list[tuple[str, Path]]":
+    """(name, tensor path) per non-blank ``name<TAB>file`` manifest line."""
+    entries = []
     for ln, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            name, fname = line.split("\t")
-        except ValueError:
-            raise FormatError(f"{manifest_path}:{ln}: expected 'name<TAB>file'") from None
-        out[name] = read_tensor(manifest_path.parent / fname)
-    return out
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError(f"{manifest_path}:{ln}: expected 'name<TAB>file'")
+        entries.append((fields[0], manifest_path.parent / fields[1]))
+    return entries
+
+
+def read_manifest(manifest_path) -> "OrderedDict[str, Tensor]":
+    return OrderedDict(
+        (name, read_tensor(path)) for name, path in _manifest_entries(Path(manifest_path))
+    )
 
 
 def manifest_element_count(manifest_path) -> int:
     """Total element count over all tensors in a manifest, derived from
     the VRFT headers and file sizes on disk (not from in-memory blocks)."""
-    manifest_path = Path(manifest_path)
     total = 0
-    for line in manifest_path.read_text().splitlines():
-        if not line.strip():
-            continue
-        _, fname = line.split("\t")
-        path = manifest_path.parent / fname
+    for _, path in _manifest_entries(Path(manifest_path)):
         dtype, dims = read_header(path)
         count = dims[0] * dims[1] * dims[2] * dims[3]
         if path.stat().st_size != _HEADER.size + count * dtype.itemsize:
             raise FormatError(f"{path}: size does not match header")
         total += count
     return total
+
+
+_GOLDEN_META_TYPES = {"block": str, "channels": int, "dtype": str, "seed": int, "module": dict}
+
+
+def read_golden_meta(path) -> dict:
+    """A golden case's meta.json; FormatError unless it is a JSON object
+    with a known block and dtype and every field of the right type."""
+    try:
+        meta = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    for key, kind in _GOLDEN_META_TYPES.items():
+        value = meta.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise FormatError(f"{path}: {key!r} missing or not of type {kind.__name__}")
+    if meta["block"] not in BLOCK_KINDS or meta["dtype"] not in DTYPES:
+        raise FormatError(f"{path}: unknown block {meta['block']!r} or dtype {meta['dtype']!r}")
+    return meta

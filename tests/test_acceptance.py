@@ -21,7 +21,6 @@ from vrfnet import (
     oracle_block,
     oracle_conv2d,
     sigmoid_gate,
-    spatial_attention,
     write_manifest,
 )
 from vrfnet.cli import main
@@ -151,7 +150,7 @@ def test_criterion_5_gate_semantics_and_mask_range():
     rng = Rng(7)
     for _ in range(1000):
         x = rng.tensor((1, 6, 5, 5), -2.0, 2.0)
-        mask = spatial_attention(x, sa).data
+        mask = sa.forward(x).data
         assert np.all(mask > 0.0) and np.all(mask < 1.0)
     _report("criterion 5 (gate semantics)",
             f"gate(0)=0, |gate(1)-{GATE_AT_ONE}| < 1e-6, 1000 masks strictly in (0,1)")

@@ -9,9 +9,7 @@ from vrfnet import (
     Rng,
     SpatialAttention,
     Tensor,
-    channel_attention,
     finite_diff_check,
-    spatial_attention,
     sum_all,
 )
 
@@ -23,7 +21,7 @@ def _sig(x):
 def test_spatial_attention_zero_weights_gives_half():
     sa = SpatialAttention(mask_channels=3)  # zero init
     x = Rng(1).tensor((1, 24, 8, 8))
-    mask = spatial_attention(x, sa)
+    mask = sa.forward(x)
     npt.assert_array_equal(mask.data, np.full((1, 3, 8, 8), 0.5))
 
 
@@ -34,7 +32,7 @@ def test_spatial_attention_constant_input_is_spatially_constant():
     x = Tensor(np.full((1, 6, 13, 13), 3.25))
     npt.assert_array_equal(reduce_channel("avg", x).data, np.full((1, 1, 13, 13), 3.25))
     npt.assert_array_equal(reduce_channel("max", x).data, np.full((1, 1, 13, 13), 3.25))
-    mask = spatial_attention(x, sa).data
+    mask = sa.forward(x).data
     # interior pixels (7x7 kernel, pad 3) share one receptive field
     interior = mask[:, :, 3:10, 3:10]
     npt.assert_array_equal(interior, np.broadcast_to(interior[:, :, :1, :1], interior.shape))
@@ -43,7 +41,7 @@ def test_spatial_attention_constant_input_is_spatially_constant():
 def test_spatial_attention_matches_composed_oracle():
     sa = SpatialAttention(mask_channels=3, rng=Rng(3))
     x = Rng(4).tensor((1, 24, 8, 8))
-    mask = spatial_attention(x, sa).data
+    mask = sa.forward(x).data
 
     from vrfnet.oracle import oracle_conv2d
 
@@ -64,7 +62,7 @@ def test_spatial_attention_channel_permutation_equivariance():
     xp = Tensor(x.data[:, perm])
     # max is exactly order-independent; avg only up to summation order
     npt.assert_array_equal(reduce_channel("max", x).data, reduce_channel("max", xp).data)
-    npt.assert_allclose(spatial_attention(x, sa).data, spatial_attention(xp, sa).data,
+    npt.assert_allclose(sa.forward(x).data, sa.forward(xp).data,
                         rtol=1e-14, atol=1e-15)
 
 
@@ -75,8 +73,8 @@ def test_mask_and_weights_strictly_inside_unit_interval(seed, c):
     sa = SpatialAttention(mask_channels=3, rng=rng)
     ca = ChannelAttention(c, ratio=4, rng=rng)
     x = rng.tensor((1, c, 6, 6), -2, 2)
-    mask = spatial_attention(x, sa).data
-    weights = channel_attention(x, ca).data
+    mask = sa.forward(x).data
+    weights = ca.forward(x).data
     assert np.all(mask > 0) and np.all(mask < 1)
     assert np.all(weights > 0) and np.all(weights < 1)
 
@@ -84,7 +82,7 @@ def test_mask_and_weights_strictly_inside_unit_interval(seed, c):
 def test_channel_attention_zero_weights_gives_half():
     ca = ChannelAttention(16, ratio=4)
     x = Rng(8).tensor((2, 16, 4, 4))
-    npt.assert_array_equal(channel_attention(x, ca).data, np.full((2, 16, 1, 1), 0.5))
+    npt.assert_array_equal(ca.forward(x).data, np.full((2, 16, 1, 1), 0.5))
 
 
 def test_channel_attention_zero_input_sees_bias_path():
@@ -93,13 +91,13 @@ def test_channel_attention_zero_input_sees_bias_path():
     p = ca.params()
     hidden = np.maximum(p["reduce.b"].data.reshape(-1), 0.0)
     logits = (p["expand.w"].data.reshape(8, 2) @ hidden) + p["expand.b"].data.reshape(-1)
-    npt.assert_allclose(channel_attention(x, ca).data.reshape(-1), _sig(logits), rtol=1e-12)
+    npt.assert_allclose(ca.forward(x).data.reshape(-1), _sig(logits), rtol=1e-12)
 
 
 def test_channel_attention_matches_loop_oracle():
     ca = ChannelAttention(16, ratio=4, rng=Rng(10))
     x = Rng(11).tensor((2, 16, 4, 4))
-    weights = channel_attention(x, ca).data
+    weights = ca.forward(x).data
     p = ca.params()
     rw = p["reduce.w"].data.reshape(4, 16)
     rb = p["reduce.b"].data.reshape(4)
@@ -122,5 +120,5 @@ def test_attention_gradients():
     sa = SpatialAttention(mask_channels=2, rng=rng)
     ca = ChannelAttention(8, ratio=4, rng=rng)
     x = rng.tensor((1, 8, 5, 5), -2, 2)
-    assert finite_diff_check(lambda t: sum_all(spatial_attention(t, sa)), x) < 1e-5
-    assert finite_diff_check(lambda t: sum_all(channel_attention(t, ca)), x) < 1e-5
+    assert finite_diff_check(lambda t: sum_all(sa.forward(t)), x) < 1e-5
+    assert finite_diff_check(lambda t: sum_all(ca.forward(t)), x) < 1e-5

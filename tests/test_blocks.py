@@ -13,6 +13,7 @@ from vrfnet import (
     MscfConfig,
     Rng,
     Tensor,
+    block_gradient_errors,
     build_block,
     conv2d,
     oracle_block,
@@ -178,6 +179,13 @@ def test_gmcf_train_updates_running_stats():
     block.forward(x, mode="train")
     after = block.buffers()["bn.running_var"].data
     assert not np.array_equal(before, after)
+
+
+def test_train_mode_gradient_check_leaves_running_stats():
+    block = GmcfBottleneck(GmcfConfig(c=4), Rng(36))
+    before = [t.data.tobytes() for t in block.buffers().values()]
+    block_gradient_errors(block, Rng(37).tensor((1, 4, 3, 3)), mode="train")
+    assert [t.data.tobytes() for t in block.buffers().values()] == before
 
 
 # ---------------------------------------------------------------- GMCF block (C2f wrapper)

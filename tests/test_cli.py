@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from vrfnet.cli import main
 
@@ -47,6 +48,23 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
     rc = main(["gradcheck", "--config", str(cfg)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run,key", [
+    ({"block": "gmcf", "module": {"mscf": None}}, "mscf"),
+    ({"block": "gmcf", "module": {"mscf": {"dilations": 5}}}, "dilations"),
+    ({"block": "gmcf", "module": {"dropout": "a"}}, "dropout"),
+    ({"block": "gmcf-block", "module": {"n_bottlenecks": "2"}}, "n_bottlenecks"),
+    ({"block": "gmcf", "module": {"mscf": {"n_scales": 0, "dilations": []}}}, "n_scales"),
+    ({"block": "gconv", "channels": "x"}, "channels"),
+], ids=["mscf-null", "dilations-int", "dropout-str", "n_bottlenecks-str", "zero-scales",
+        "channels-str"])
+def test_malformed_config_values_exit_2_with_one_line(tmp_path, capsys, run, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(run))
+    assert main(["profile", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and err.count("\n") == 1
 
 
 def test_gradcheck_rejects_f32(capsys):
@@ -112,6 +130,22 @@ def test_golden_round_trip_and_corruption(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "element 5" in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda meta: json.dumps({k: v for k, v in json.loads(meta).items() if k != "channels"}),
+    lambda meta: "{not json",
+], ids=["missing-channels", "not-json"])
+def test_golden_verify_malformed_meta_exits_1_with_one_line(tmp_path, capsys, corrupt):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gconv",
+                 "--channels", "6"]) == 0
+    meta = out / "gconv" / "meta.json"
+    meta.write_text(corrupt(meta.read_text()))
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and err.count("\n") == 1
 
 
 def test_golden_verify_through_oracle(tmp_path, capsys):

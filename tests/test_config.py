@@ -38,6 +38,21 @@ def test_gmcf_config_and_width_retargeting():
         GmcfConfig(c=16, mscf=MscfConfig(c=8))  # width mismatch
 
 
+def test_width_retargeting_keeps_hyperparameters_and_rederives_hidden():
+    cfg = GmcfConfig(c=16, mscf=MscfConfig(c=16, n_scales=1, dilations=(2,), use_ca=False),
+                     gconv=GconvConfig(c=16, hidden=3, activation="relu"), dropout=0.2)
+    inner = cfg.at_width(8)
+    assert inner.gconv == GconvConfig(c=8, activation="relu")  # hidden back to floor(2c/3)
+    assert inner.mscf == MscfConfig(c=8, n_scales=1, dilations=(2,), use_ca=False)
+    assert (inner.dropout, inner.n_bottlenecks, inner.e) == (0.2, 1, 0.5)
+
+
+def test_json_defaults_are_the_dataclass_defaults():
+    assert block_config("gmcf", 8, {}) == GmcfConfig(c=8)
+    assert block_config("mscf", 8, {}) == MscfConfig(c=8)
+    assert block_config("gconv", 8, {}) == GconvConfig(c=8)
+
+
 def test_strict_unknown_keys():
     with pytest.raises(ConfigError, match="n_scale"):
         block_config("mscf", 8, {"n_scale": 2})

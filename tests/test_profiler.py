@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vrfnet import (
     ConvLayer,
     ConvSpec,
     GConvBlock,
     GconvConfig,
+    GmcfBottleneck,
+    GmcfConfig,
     OpCounter,
     Rng,
     bench,
@@ -91,6 +94,56 @@ def test_count_macs_matches_instrumented_oracle(kind, c, shape):
     counts = count_costs(block, shape)
     assert counts.macs == counter.macs
     assert counts.eltwise == counter.eltwise
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
+    kind = data.draw(st.sampled_from(["mscf", "gconv", "gmcf", "gmcf-block"]))
+    c = data.draw(st.sampled_from([4, 6, 8]) if kind == "gmcf-block" else st.integers(2, 8))
+    width = c // 2 if kind == "gmcf-block" else c  # where channel attention runs
+    n_scales = data.draw(st.integers(1, 4))
+    mscf = {
+        "n_scales": n_scales,
+        "dilations": data.draw(st.lists(st.integers(1, 4), min_size=n_scales,
+                                        max_size=n_scales)),
+        "use_ca": data.draw(st.booleans()),
+        "ca_ratio": data.draw(st.sampled_from([r for r in range(1, width + 1) if width % r == 0])),
+    }
+    gconv = {"activation": data.draw(st.sampled_from(["relu", "sigmoid_gate"]))}
+    if kind == "mscf":
+        module = mscf
+    elif kind == "gconv":
+        module = gconv
+    else:
+        module = {"mscf": mscf, "gconv": gconv, "n_bottlenecks": data.draw(st.integers(0, 3))}
+    shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(1, 6)),
+             data.draw(st.integers(1, 6)))
+    cfg = block_config(kind, c, module)
+    block = build_block(kind, cfg, Rng(data.draw(st.integers(0, 2**16))))
+    counter = OpCounter()
+    oracle_block(kind, cfg, Rng(1).tensor(shape), block.params(), block.buffers(), "eval",
+                 counter)
+    counts = count_costs(block, shape)
+    assert (counts.macs, counts.eltwise) == (counter.macs, counter.eltwise)
+
+
+def test_count_costs_leaves_block_untouched():
+    cfg = GmcfConfig(c=8, dropout=0.5, gconv=GconvConfig(c=8, dropout=0.5))
+    block = GmcfBottleneck(cfg, Rng(14), dropout_rng=Rng(15))
+    block.forward(Rng(16).tensor((2, 8, 6, 6)), mode="train")  # moves the running stats
+
+    def state():
+        return (
+            [t.data.tobytes() for t in block.params().values()],
+            [t.data.tobytes() for t in block.buffers().values()],
+            block._dropout.rng._gen.bit_generator.state,
+            block._children["gconv"]._dropout.rng._gen.bit_generator.state,
+        )
+
+    before = state()
+    count_costs(block, (2, 8, 6, 6))
+    assert state() == before
 
 
 def test_gconv_256_macs_match_instrumented_oracle():

@@ -15,9 +15,9 @@ from vrfnet import (
     block_gradient_errors,
     concat_channels,
     finite_diff_check,
+    full,
     hadamard,
     reduce_channel,
-    scale,
     sigmoid,
     slice_channels,
     spatial_mean,
@@ -93,7 +93,8 @@ def test_backward_linearity():
 
     tape_c = Tape()
     xc = tape_c.leaf(tx)
-    combined = add(scale(sum_all(hadamard(xc, xc)), alpha), scale(sum_all(sigmoid(xc)), beta))
+    combined = add(hadamard(sum_all(hadamard(xc, xc)), full((1, 1, 1, 1), alpha)),
+                   hadamard(sum_all(sigmoid(xc)), full((1, 1, 1, 1), beta)))
     gc = tape_c.backward(combined)[xc.id].data
 
     npt.assert_allclose(gc, alpha * gf + beta * gg, rtol=1e-12)
@@ -154,7 +155,6 @@ def _bcast():
         ("hadamard", lambda t: sum_all(hadamard(t, _other()))),
         ("hadamard_self", lambda t: sum_all(hadamard(t, t))),
         ("hadamard_broadcast", lambda t: sum_all(hadamard(t, _bcast()))),
-        ("scale", lambda t: sum_all(scale(t, 1.7))),
         ("sigmoid", lambda t: sum_all(sigmoid(t))),
         ("reduce_avg", lambda t: sum_all(reduce_channel("avg", t))),
         ("reduce_max", lambda t: sum_all(hadamard(reduce_channel("max", t), _bcast()))),

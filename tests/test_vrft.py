@@ -72,3 +72,5 @@ def test_manifest_bad_line(tmp_path):
     bad.write_text("just-one-field\n")
     with pytest.raises(FormatError, match="name<TAB>file"):
         read_manifest(bad)
+    with pytest.raises(FormatError, match="name<TAB>file"):
+        manifest_element_count(bad)
