@@ -40,6 +40,17 @@ from .tape import fd_max_rel_err, value_of
 from .tensor import Rng, ShapeError, Tensor
 
 
+def _dropout_stream(dropout_rng: Rng | None, name: str) -> Rng:
+    """The dropout rng of the child block or dropout site ``name``.
+
+    It is derived from the block's dropout rng (``Rng(0)`` when none is
+    given) and the name, so each site's stream follows from one seed and
+    its layer path: sibling sites draw independent masks, and a block
+    rebuilt from the same seed draws the same ones.
+    """
+    return (dropout_rng if dropout_rng is not None else Rng(0)).child(name)
+
+
 class MscfBlock(ParamBlock):
     """Adaptive receptive-field fusion over depthwise dilated branches."""
 
@@ -87,7 +98,7 @@ class GConvBlock(ParamBlock):
             rng, dtype,
         )
         self._add_conv("restore", ConvSpec(cfg.hidden, cfg.c, 1), rng, dtype)
-        self._dropout = DropoutState(cfg.dropout, dropout_rng)
+        self._dropout = DropoutState(cfg.dropout, _dropout_stream(dropout_rng, "drop"))
 
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
@@ -123,8 +134,10 @@ class GmcfBottleneck(ParamBlock):
         self._add_param("bn.gamma", Tensor.wrap(gamma0((1, cfg.c, 1, 1), dtype=dtype)))
         self._add_param("bn.beta", Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype)))
         self.bn_state = BatchNormState(cfg.c, cfg.bn_eps, cfg.bn_momentum, dtype)
-        self._add_child("gconv", GConvBlock(cfg.gconv, rng, dtype, dropout_rng))
-        self._dropout = DropoutState(cfg.dropout, dropout_rng)
+        self._add_child(
+            "gconv", GConvBlock(cfg.gconv, rng, dtype, _dropout_stream(dropout_rng, "gconv"))
+        )
+        self._dropout = DropoutState(cfg.dropout, _dropout_stream(dropout_rng, "drop"))
 
     def buffers(self):
         out = super().buffers()
@@ -166,7 +179,9 @@ class GmcfBlock(ParamBlock):
         self._add_conv("cv1", ConvSpec(cfg.c, 2 * ch, 1), rng, dtype)
         inner = cfg.at_width(ch)
         for i in range(cfg.n_bottlenecks):
-            self._add_child(f"m{i}", GmcfBottleneck(inner, rng, dtype, dropout_rng))
+            self._add_child(
+                f"m{i}", GmcfBottleneck(inner, rng, dtype, _dropout_stream(dropout_rng, f"m{i}"))
+            )
         self._add_conv("cv2", ConvSpec((2 + cfg.n_bottlenecks) * ch, cfg.c, 1), rng, dtype)
 
     @debug_finite

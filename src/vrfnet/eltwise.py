@@ -156,11 +156,12 @@ def concat_channels(parts):
 
 
 def slice_channels(x, start: int, stop: int):
-    """Channel slice x[:, start:stop]."""
+    """Channel slice x[:, start:stop]: a view of x where that is contiguous
+    (batch 1), otherwise a copy."""
     tx = value_of(x)
     if not (0 <= start < stop <= tx.shape[1]):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for shape {tx.shape}")
-    out = Tensor.wrap(tx.data[:, start:stop].copy())
+    out = Tensor.wrap(tx.data[:, start:stop])
     tape = tape_of(x)
     if tape is None:
         return out

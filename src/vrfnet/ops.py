@@ -1,9 +1,15 @@
 """Convolution variants, activations, batch normalization, and dropout.
 
-The conv fast path lowers to im2col plus batched matmul and handles
-stride, dilation, and groups in one code path (depthwise is just
-groups == c_in == c_out). Padding is zero-fill. All ops are
-differentiable under the tape; relu's subgradient at 0 is taken as 0.
+``conv2d`` is the one conv op; padding is zero-fill. A stride-1
+depthwise conv (groups == c_in == c_out: the MSCF branches and the GConv
+gate) runs a direct shifted multiply-accumulate over cache-sized tiles
+of padded planes, forward and backward. Such a conv does only k*k MACs
+per output, so it is bound by memory traffic, and im2col would write and
+read back a k*k-times copy of its input for a degenerate matmul. Every
+other conv lowers to im2col plus a batched matmul per group, which
+handles stride, dilation and groups in one code path; a 1x1 conv reads
+its input as the columns. All ops are differentiable under the tape;
+relu's subgradient at 0 is taken as 0.
 """
 
 from __future__ import annotations
@@ -90,22 +96,10 @@ def conv2d(x, w, b, spec: ConvSpec):
         raise TypeError("conv operand dtypes must match")
 
     ho, wo = spec.out_hw(h, width)
-    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
-    cg, cog = cin // g, spec.c_out // g
-    m, l = cg * k * k, ho * wo
-
-    xp = np.pad(tx.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else tx.data
-    cols6 = np.empty((n, cin, k, k, ho, wo), dtype=tx.dtype)
-    for u in range(k):
-        for v in range(k):
-            cols6[:, :, u, v] = xp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s]
-    cols = cols6.reshape(n, g, m, l)
-    wm = tw.data.reshape(g, cog, m)
-
-    out = np.matmul(wm, cols).reshape(n, spec.c_out, ho, wo)
-    if tb is not None:
-        out = out + tb.data
+    lower = _depthwise if spec.depthwise and spec.stride == 1 else _im2col
+    out, vjp = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
     res = Tensor.wrap(out)
+    m = (cin // spec.groups) * spec.k * spec.k
     tally(macs=out.size * m, eltwise=out.size if tb is not None else 0)
 
     tape = tape_of(x, w, b)
@@ -113,23 +107,163 @@ def conv2d(x, w, b, spec: ConvSpec):
         return res
 
     def backward(grad, acc):
-        go = grad.reshape(n, g, cog, l)
-        if isinstance(x, Node):
-            dcols = np.matmul(wm.transpose(0, 2, 1), go).reshape(n, cin, k, k, ho, wo)
-            dxp = np.zeros_like(xp)
-            for u in range(k):
-                for v in range(k):
-                    dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[
-                        :, :, u, v
-                    ]
-            acc(x, dxp[:, :, p : p + h, p : p + width] if p else dxp)
-        if isinstance(w, Node):
-            dwm = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-            acc(w, dwm.reshape(spec.weight_shape))
+        dx, dw = vjp(grad, isinstance(x, Node), isinstance(w, Node))
+        if dx is not None:
+            acc(x, dx)
+        if dw is not None:
+            acc(w, dw)
         if b is not None and isinstance(b, Node):
             acc(b, grad.sum(axis=(0, 2, 3)).reshape(1, spec.c_out, 1, 1))
 
     return tape.record(res, "conv2d", backward)
+
+
+def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
+    """Any conv as im2col columns times a batched matmul per group.
+
+    Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
+    """
+    n, cin, h, width = xd.shape
+    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    cg, cog = cin // g, spec.c_out // g
+    m, l = cg * k * k, ho * wo
+
+    pointwise = k == 1 and s == 1 and p == 0
+    if pointwise:
+        cols = xd.reshape(n, g, m, l)  # the input already is its own columns
+    else:
+        xp = xd
+        if p:
+            xp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=xd.dtype)
+            xp[:, :, p : p + h, p : p + width] = xd
+        cols6 = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
+        for u in range(k):
+            for v in range(k):
+                cols6[:, :, u, v] = xp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s]
+        cols = cols6.reshape(n, g, m, l)
+    wm = wd.reshape(g, cog, m)
+
+    out = np.matmul(wm, cols).reshape(n, spec.c_out, ho, wo)
+    if bd is not None:
+        np.add(out, bd, out=out)
+
+    def vjp(grad, want_x, want_w):
+        go = grad.reshape(n, g, cog, l)
+        dx = dw = None
+        if want_x:
+            dcols = np.matmul(wm.transpose(0, 2, 1), go)
+            if pointwise:
+                dx = dcols.reshape(xd.shape)
+            else:
+                dcols = dcols.reshape(n, cin, k, k, ho, wo)
+                dxp = np.zeros_like(xp)
+                for u in range(k):
+                    for v in range(k):
+                        dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[
+                            :, :, u, v
+                        ]
+                dx = dxp[:, :, p : p + h, p : p + width] if p else dxp
+        if want_w:
+            dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
+        return dx, dw
+
+    return out, vjp
+
+
+# The depthwise kernel works on tiles of (sample, channel) planes holding
+# about this many output elements, so that the operands of each tap's
+# multiply and add stay in L2.
+_DW_TILE = 1 << 16
+# numpy buffers the broadcast weight column of a tap's multiply when a
+# plane is shorter than its ufunc buffer (8192 elements by default); the
+# multiply then ran about 3x slower (numpy 2.4, f32, 20x20 planes). The
+# kernel runs with a buffer shorter than its planes instead.
+_DW_BUFSIZE = 256
+
+
+def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
+    """A stride-1 depthwise conv as a shifted multiply-accumulate.
+
+    No im2col columns: each tap multiplies one contiguous slice of the
+    padded planes (see :func:`_dw_conv`). The input gradient is the same
+    kernel run on the output gradient with the taps flipped, and the
+    weight gradient is one dot product per plane and tap.
+    Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
+    """
+    n, c, h, width = xd.shape
+    k, d, p = spec.k, spec.dilation, spec.padding
+    taps = wd.reshape(c, k, k)
+    out, planes, row = _dw_conv(xd, taps, d, p, bd)
+
+    def vjp(grad, want_x, want_w):
+        dx = dw = None
+        if want_x:
+            # padding d(k-1) - p maps the output back onto the input; a
+            # negative one is padding 0 and a crop
+            q = d * (k - 1) - p
+            dx = _dw_conv(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)[0]
+            if q < 0:
+                dx = dx[:, :, -q : h - q, -q : width - q]
+        if want_w:
+            l = ho * row
+            gp = np.zeros((n * c, 1, l), dtype=grad.dtype)
+            gp.reshape(n * c, ho, row)[:, :, :wo] = grad.reshape(n * c, ho, wo)
+            dwt = np.empty((k * k, n * c), dtype=grad.dtype)
+            for t in range(k * k):
+                s = (t // k * row + t % k) * d
+                dwt[t] = np.matmul(gp, planes[:, s : s + l, None]).reshape(-1)
+            dw = dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(spec.weight_shape)
+        return dx, dw
+
+    return out, vjp
+
+
+def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
+    """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
+
+    Plane q (sample q // c, channel q % c) becomes row q of ``planes``,
+    stored in rows ``row`` wide: p zero rows above and below, zeros right
+    of each row and none left of it, plus p leading zeros. Tap (u, v) of
+    output pixel (i, j) then sits at flat offset (i + u*d)*row + j + v*d
+    (a reach left of column 0 lands in the previous row's zeros), so each
+    tap reads one contiguous slice. The taps accumulate into a tile of
+    output planes ``row`` wide; the bias is added while the spare columns
+    are cropped, in one pass. Returns the output, ``planes`` and ``row``.
+    """
+    n, c, h, w = xd.shape
+    k = taps.shape[-1]
+    span = d * (k - 1)
+    ho, wo = h + 2 * p - span, w + 2 * p - span
+    nc, row = n * c, max(w + p, wo)
+    l = ho * row
+    planes = np.zeros((nc, (h + 2 * p) * row + span), dtype=xd.dtype)
+    start = p + p * row
+    planes[:, start : start + h * row].reshape(nc, h, row)[:, :, :w] = xd.reshape(nc, h, w)
+    # per-plane weights, tap-major: wt[u*k + v, q] is taps[q % c, u, v]
+    wt = np.tile(taps.reshape(c, k * k).T, (1, n))[:, :, None]
+    bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None, None]
+    out = np.empty((nc, ho, wo), dtype=xd.dtype)
+    tile = max(1, _DW_TILE // l)
+    acc = np.empty((min(tile, nc), l), dtype=xd.dtype)
+    tmp = np.empty_like(acc)
+    bufsize = np.setbufsize(_DW_BUFSIZE)
+    try:
+        for a in range(0, nc, tile):
+            z = min(a + tile, nc)
+            ac, tm = acc[: z - a], tmp[: z - a]
+            np.multiply(planes[a:z, :l], wt[0, a:z], out=ac)
+            for t in range(1, k * k):
+                s = (t // k * row + t % k) * d
+                np.multiply(planes[a:z, s : s + l], wt[t, a:z], out=tm)
+                np.add(ac, tm, out=ac)
+            valid = ac.reshape(z - a, ho, row)[:, :, :wo]
+            if bt is None:
+                out[a:z] = valid
+            else:
+                np.add(valid, bt[a:z], out=out[a:z])
+    finally:
+        np.setbufsize(bufsize)
+    return out.reshape(n, c, ho, wo), planes, row
 
 
 def _sigmoid(xd: np.ndarray) -> np.ndarray:
@@ -267,13 +401,14 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "eval"):
 
 
 class DropoutState:
-    """Drop probability plus the rng that draws the masks."""
+    """Drop probability plus the rng that draws the masks (one rng per
+    dropout site: two states sharing a seed draw the same masks)."""
 
-    def __init__(self, p: float = 0.0, rng: Rng | None = None):
+    def __init__(self, p: float, rng: Rng):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = float(p)
-        self.rng = rng if rng is not None else Rng(0)
+        self.rng = rng
 
 
 def dropout(x, state: DropoutState, mode: str = "eval"):

@@ -112,6 +112,15 @@ class Rng:
         """One integer in [low, high)."""
         return int(self._gen.integers(low, high))
 
+    def child(self, name: str) -> "Rng":
+        """An independent stream keyed by this rng's seed and ``name``.
+
+        It depends on the seed alone, not on what was drawn, so the same
+        seed and name always give the same stream.
+        """
+        seq = np.random.SeedSequence(self.seed, spawn_key=tuple(name.encode()))
+        return Rng(int(seq.generate_state(1, np.uint64)[0]))
+
     def choice(self, seq):
         return seq[self.integers(0, len(seq))]
 

@@ -267,3 +267,52 @@ def test_set_params_validates_names_and_shapes():
     with pytest.raises(Exception, match="shape"):
         block.set_params(bad)
     block.set_params(good)
+
+
+def _dropout_masks(block, sites, shape=(1, 4, 6, 6)):
+    """One train-mode mask per dropout site, keyed by the site's layer path."""
+    from vrfnet import DropoutState, dropout
+
+    masks = {}
+    for path in sites:
+        owner = block
+        for part in path.split(".")[:-1]:
+            owner = owner._children[part]
+        state = owner._dropout
+        assert isinstance(state, DropoutState)
+        masks[path] = dropout(Tensor(np.ones(shape)), state, "train").data
+    return masks
+
+
+_GMCF_SITES = ("drop", "gconv.drop")
+_BLOCK_SITES = ("m0.drop", "m0.gconv.drop", "m1.drop", "m1.gconv.drop")
+
+
+def _dropout_cfg(c, n_bottlenecks=1):
+    return GmcfConfig(c=c, dropout=0.5, gconv=GconvConfig(c=c, dropout=0.5),
+                      n_bottlenecks=n_bottlenecks)
+
+
+def test_sibling_dropout_sites_draw_independent_masks():
+    # every site used to get its own Rng(0), so equal shapes drew equal masks
+    for kind, cfg, sites in (("gmcf", _dropout_cfg(4), _GMCF_SITES),
+                             ("gmcf-block", _dropout_cfg(8, 2), _BLOCK_SITES)):
+        masks = list(_dropout_masks(build_block(kind, cfg, Rng(1)), sites).values())
+        for i in range(len(masks)):
+            for j in range(i):
+                assert not np.array_equal(masks[i], masks[j]), (kind, sites[i], sites[j])
+
+
+def test_dropout_masks_follow_the_seed_and_layer_path():
+    cfg = _dropout_cfg(8, 2)
+    a = _dropout_masks(GmcfBlock(cfg, Rng(1), dropout_rng=Rng(5)), _BLOCK_SITES)
+    b = _dropout_masks(GmcfBlock(cfg, Rng(2), dropout_rng=Rng(5)), _BLOCK_SITES)
+    c = _dropout_masks(GmcfBlock(cfg, Rng(1), dropout_rng=Rng(6)), _BLOCK_SITES)
+    for path in _BLOCK_SITES:
+        npt.assert_array_equal(a[path], b[path])  # the parameter rng plays no part
+        assert not np.array_equal(a[path], c[path])
+    # a bottleneck draws what the same bottleneck draws inside a gmcf-block
+    inner = GmcfBottleneck(cfg.at_width(4), None, dropout_rng=Rng(5).child("m1"))
+    m1 = _dropout_masks(inner, _GMCF_SITES)
+    npt.assert_array_equal(m1["drop"], a["m1.drop"])
+    npt.assert_array_equal(m1["gconv.drop"], a["m1.gconv.drop"])

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vrfnet import (
     BatchNormState,
@@ -113,6 +114,55 @@ def test_conv_gradients():
     assert finite_diff_check(lambda t: sum_all(conv2d(t, w, b, spec)), x) < 1e-5
     assert finite_diff_check(lambda t: sum_all(conv2d(x, t, b, spec)), w) < 1e-5
     assert finite_diff_check(lambda t: sum_all(conv2d(x, w, t, spec)), b) < 1e-5
+
+
+@st.composite
+def conv_cases(draw):
+    """A random ConvSpec with a valid input shape (h != w)."""
+    c_in = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        g = c_out = c_in  # depthwise
+    else:
+        g = draw(st.sampled_from([q for q in range(1, c_in + 1) if c_in % q == 0]))
+        c_out = g * draw(st.integers(1, 2))
+    k, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    span = d * (k - 1)
+    # "over" pads past d(k-1), where the input gradient of a stride-1
+    # depthwise conv is taken at padding 0 and cropped
+    pad = draw(st.sampled_from(["zero", "same", "over"]))
+    p = {"zero": 0, "same": span // 2, "over": span + draw(st.integers(1, 2))}[pad]
+    spec = ConvSpec(c_in, c_out, k, draw(st.sampled_from([1, 2])), d, g, p, draw(st.booleans()))
+    lo = max(1, span + 1 - 2 * p)
+    h, w = lo + draw(st.integers(0, 2)), lo + draw(st.integers(0, 2))
+    if h == w:
+        w += 1
+    return spec, (draw(st.integers(1, 2)), c_in, h, w), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=conv_cases())
+def test_conv2d_matches_oracle_and_finite_differences_on_random_specs(case):
+    spec, shape, seed = case
+    rng = Rng(seed)
+    bound = 1.0 / np.sqrt(spec.weight_shape[1] * spec.k * spec.k)
+    x = rng.tensor(shape)
+    w = rng.tensor(spec.weight_shape, -bound, bound)
+    b = rng.tensor((1, spec.c_out, 1, 1), -bound, bound) if spec.bias else None
+    for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-13)):
+        xd, wd = x.astype(dtype), w.astype(dtype)
+        bd = b.astype(dtype) if b is not None else None
+        fast = conv2d(xd, wd, bd, spec)
+        ref = oracle_conv2d(xd, wd, bd, spec)
+        assert fast.shape == ref.shape and fast.dtype == dtype
+        assert np.abs(fast.data - ref.data).max() < tol, (spec, dtype)
+    # a random probe weights each output: under a plain sum the output
+    # gradient is all ones, which a misplaced crop of dx would not change
+    probe = rng.tensor(ref.shape)
+    q = lambda y: sum_all(hadamard(y, probe))
+    assert finite_diff_check(lambda t: q(conv2d(t, w, b, spec)), x) < 1e-5
+    assert finite_diff_check(lambda t: q(conv2d(x, t, b, spec)), w) < 1e-5
+    if b is not None:
+        assert finite_diff_check(lambda t: q(conv2d(x, w, t, spec)), b) < 1e-5
 
 
 def test_activation_values():

@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vrfnet import Rng, ShapeError, Tensor, add, hadamard, reduce_channel, zeros_like
+from vrfnet import (
+    Rng, ShapeError, Tensor, add, hadamard, reduce_channel, slice_channels, zeros_like,
+)
 
 
 def test_tensor_validates_rank_and_dims():
@@ -58,6 +60,18 @@ def test_add_and_hadamard_match_numpy():
     b = Rng(5).tensor((1, 2, 2, 2))
     npt.assert_array_equal(add(a, b).data, a.data + b.data)
     npt.assert_array_equal(hadamard(a, b).data, a.data * b.data)
+
+
+def test_slice_channels_views_contiguous_slices():
+    one = Rng(8).tensor((1, 6, 3, 3))
+    two = Rng(9).tensor((2, 6, 3, 3))
+    a, b = slice_channels(one, 2, 5), slice_channels(two, 2, 5)
+    npt.assert_array_equal(a.data, one.data[:, 2:5])
+    npt.assert_array_equal(b.data, two.data[:, 2:5])
+    assert np.shares_memory(a.data, one.data)  # batch 1: a view, no copy
+    assert not np.shares_memory(b.data, two.data)
+    assert a.data.flags.c_contiguous and b.data.flags.c_contiguous
+    assert not a.data.flags.writeable
 
 
 def test_shape_mismatch_error_names_both_shapes():
