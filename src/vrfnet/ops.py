@@ -2,11 +2,14 @@
 
 ``conv2d`` is the one conv op; padding is zero-fill. A stride-1
 depthwise conv (groups == c_in == c_out: the MSCF branches and the GConv
-gate) runs a direct shifted multiply-accumulate over cache-sized tiles
-of padded planes, forward and backward. Such a conv does only k*k MACs
-per output, so it is bound by memory traffic, and im2col would write and
-read back a k*k-times copy of its input for a degenerate matmul. Every
-other conv lowers to im2col plus a batched matmul per group, which
+gate) runs a direct kernel over cache-sized tiles of padded planes,
+forward and backward: one einsum per tile multiplies a strided view that
+holds every tap's shifted slice by the per-plane taps and sums them in
+one pass (at dilation 1, one einsum per column of taps). Such a conv
+does only k*k MACs per output, so it is bound by memory traffic; im2col
+would write and read back a k*k-times copy of its input for a degenerate
+matmul, and a multiply-then-add loop over taps makes two passes per tap.
+Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path; a 1x1 conv reads
 its input as the columns. All ops are differentiable under the tape;
 relu's subgradient at 0 is taken as 0.
@@ -171,18 +174,13 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
 
 
 # The depthwise kernel works on tiles of (sample, channel) planes holding
-# about this many output elements, so that the operands of each tap's
-# multiply and add stay in L2.
+# about this many output elements, so that each tile's planes and
+# accumulator stay in L2.
 _DW_TILE = 1 << 16
-# numpy buffers the broadcast weight column of a tap's multiply when a
-# plane is shorter than its ufunc buffer (8192 elements by default); the
-# multiply then ran about 3x slower (numpy 2.4, f32, 20x20 planes). The
-# kernel runs with a buffer shorter than its planes instead.
-_DW_BUFSIZE = 256
 
 
 def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
-    """A stride-1 depthwise conv as a shifted multiply-accumulate.
+    """A stride-1 depthwise conv as a sum of shifted slices.
 
     No im2col columns: each tap multiplies one contiguous slice of the
     padded planes (see :func:`_dw_conv`). The input gradient is the same
@@ -226,50 +224,72 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     of each row and none left of it, plus p leading zeros. Tap (u, v) of
     output pixel (i, j) then sits at flat offset (i + u*d)*row + j + v*d
     (a reach left of column 0 lands in the previous row's zeros), so each
-    tap reads one contiguous slice. The taps accumulate into a tile of
-    output planes ``row`` wide; the bias is added while the spare columns
-    are cropped, in one pass. Returns the output, ``planes`` and ``row``.
+    tap reads one contiguous slice of l = ho*row elements. One view of a
+    tile of planes holds every tap's slice, axis (u, v) stepping to tap
+    (u, v): shape (planes, k, k, l), strides (plane, row*d, d, 1)
+    elements. One einsum multiplies it by the per-plane taps and sums
+    over (u, v) into an output tile ``row`` wide, in one pass. At d = 1 a
+    tap column's stride equals the pixel stride and einsum then iterates
+    in a slow order (about 10x slower on 80x80 f32 planes), so there each
+    of the k columns of taps is its own einsum, and the columns are added. The bias is added to
+    the whole tile, where it broadcasts along rows l long (numpy buffers a
+    per-plane broadcast over the cropped rows when a plane is under 8192
+    elements, which was slower), and the spare columns are cropped last.
+    Returns the output, ``planes`` and ``row``.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
     ho, wo = h + 2 * p - span, w + 2 * p - span
     nc, row = n * c, max(w + p, wo)
-    l = ho * row
-    planes = np.zeros((nc, (h + 2 * p) * row + span), dtype=xd.dtype)
+    l, size = ho * row, (h + 2 * p) * row + span
+    # the output, which outlives the call, is allocated before the planes
+    # and tile buffers, which an eval forward frees on return: glibc then
+    # finds them at the top of its heap for the next op. Allocated after
+    # them, it left a hole below itself, and the heap was trimmed and
+    # faulted back in every step (fwd-gmcf-c64-hw80: about 600 page
+    # faults a step, against 14).
+    out = np.empty((nc, ho, wo), dtype=xd.dtype)
+    planes = np.zeros((nc, size), dtype=xd.dtype)
     start = p + p * row
     planes[:, start : start + h * row].reshape(nc, h, row)[:, :, :w] = xd.reshape(nc, h, w)
-    # per-plane weights, tap-major: wt[u*k + v, q] is taps[q % c, u, v]
-    wt = np.tile(taps.reshape(c, k * k).T, (1, n))[:, :, None]
-    bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None, None]
-    out = np.empty((nc, ho, wo), dtype=xd.dtype)
+    wt = np.tile(taps, (n, 1, 1))  # per-plane taps: wt[q] is taps[q % c]
+    bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None]
     tile = max(1, _DW_TILE // l)
     acc = np.empty((min(tile, nc), l), dtype=xd.dtype)
-    tmp = np.empty_like(acc)
-    bufsize = np.setbufsize(_DW_BUFSIZE)
-    try:
-        for a in range(0, nc, tile):
-            z = min(a + tile, nc)
-            ac, tm = acc[: z - a], tmp[: z - a]
-            np.multiply(planes[a:z, :l], wt[0, a:z], out=ac)
-            for t in range(1, k * k):
-                s = (t // k * row + t % k) * d
-                np.multiply(planes[a:z, s : s + l], wt[t, a:z], out=tm)
-                np.add(ac, tm, out=ac)
-            valid = ac.reshape(z - a, ho, row)[:, :, :wo]
-            if bt is None:
-                out[a:z] = valid
-            else:
-                np.add(valid, bt[a:z], out=out[a:z])
-    finally:
-        np.setbufsize(bufsize)
+    cols = [slice(v, v + 1) for v in range(k)] if d == 1 else [slice(0, k)]
+    tmp = np.empty_like(acc) if len(cols) > 1 else None
+    e = planes.itemsize
+    for a in range(0, nc, tile):
+        z = min(a + tile, nc)
+        ac = acc[: z - a]
+        for j, vs in enumerate(cols):
+            # np.ndarray, not as_strided, which copies the array interface
+            # into a dict per call: with it, the peak traced memory of one
+            # gradient-check sweep of a (1, 8, 6, 6) block rose from 0.33
+            # to 1.24 MiB
+            view = np.ndarray((z - a, k, vs.stop - vs.start, l), planes.dtype, planes,
+                              (a * size + vs.start * d) * e, (size * e, row * d * e, d * e, e))
+            np.einsum("quvl,quv->ql", view, wt[a:z, :, vs], out=tmp[: z - a] if j else ac)
+            if j:
+                np.add(ac, tmp[: z - a], out=ac)
+        if bt is not None:
+            np.add(ac, bt[a:z], out=ac)
+        out[a:z] = ac.reshape(z - a, ho, row)[:, :, :wo]
     return out.reshape(n, c, ho, wo), planes, row
 
 
-def _sigmoid(xd: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
-    e = np.exp(-np.abs(xd))
-    return np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """sigmoid(s * xd) as 1 / (1 + exp(-s * xd)), in one buffer.
+
+    Where exp overflows to inf the result is 0, the exact limit, so the
+    overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        y = np.multiply(xd, -s)
+        np.exp(y, out=y)
+    np.add(y, 1, out=y)
+    return np.reciprocal(y, out=y)
 
 
 def relu(x):
@@ -305,7 +325,7 @@ def sigmoid_gate(x):
     """x * sigmoid(1.702 * x): the sigmoid-weighted gate used by the
     gated convolution's spatial branch (a sigmoid approximation of GELU)."""
     tx = value_of(x)
-    sig = _sigmoid(1.702 * tx.data)
+    sig = _sigmoid(tx.data, 1.702)
     out = Tensor.wrap(tx.data * sig)
     tally(eltwise=3 * out.size)
     tape = tape_of(x)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,6 +23,8 @@ from vrfnet import (
     sigmoid_gate,
     sum_all,
 )
+from vrfnet import ops
+from vrfnet.oracle import _sig
 
 SIGMOID_1702 = 0.8457957659328212  # 1 / (1 + exp(-1.702)), float64
 
@@ -169,6 +173,59 @@ def test_conv2d_matches_oracle_and_finite_differences_on_random_specs(case):
         assert finite_diff_check(lambda t: q(conv2d(x, w, t, spec)), b, h=1.0) < 1e-5
 
 
+def _dw_tiles(spec, shape):
+    """The number of tiles the depthwise kernel splits ``shape``'s planes
+    into, and the planes in a partial last tile (0 if it is full), by
+    ``_dw_conv``'s layout: ho rows of max(w + p, wo) elements a plane."""
+    n, c, h, w = shape
+    ho, wo = spec.out_hw(h, w)
+    tile = max(1, ops._DW_TILE // (ho * max(w + spec.padding, wo)))
+    return -(-n * c // tile), (n * c) % tile
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("bias", [True, False])
+def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatch):
+    # conv_cases draws too few planes to leave the kernel's first tile;
+    # here the planes span several tiles and the last one is partial
+    rng = Rng(30 + d)
+    c = 33
+    spec = ConvSpec.same(c, c, 3, dilation=d, groups=c, bias=bias)
+    shape = (2, c, 30, 33)
+    count, last = _dw_tiles(spec, shape)
+    assert count >= 2 and last
+    # values drawn in f32 are exact in every dtype, so one f64 oracle
+    # serves all three
+    x = rng.tensor(shape).astype(np.float32)
+    w = rng.tensor(spec.weight_shape, -1 / 3, 1 / 3).astype(np.float32)
+    b = rng.tensor((1, c, 1, 1), -1 / 3, 1 / 3).astype(np.float32) if bias else None
+    ref = oracle_conv2d(x, w, b, spec).data
+    for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-13), (np.longdouble, 1e-13)):
+        cast = lambda t: None if t is None else Tensor.wrap(t.data.astype(dtype))
+        fast = conv2d(cast(x), cast(w), cast(b), spec)
+        assert fast.dtype == dtype
+        assert np.abs(fast.data - ref).max() < tol, dtype
+
+    # probing every input element is affordable only at a few hundred
+    # elements, so the tape's dx and dw are checked with a smaller tile:
+    # the forward, and the dx (the same kernel run on the output
+    # gradient), then loop over five tiles of two planes and one of one
+    monkeypatch.setattr(ops, "_DW_TILE", 100)
+    spec = ConvSpec.same(3, 3, 3, dilation=d, groups=3, bias=bias)
+    shape = (3, 3, 6, 5)
+    assert _dw_tiles(spec, shape) == (5, 1)
+    x = rng.tensor(shape)
+    w = rng.tensor(spec.weight_shape, -1 / 3, 1 / 3)
+    b = rng.tensor((1, 3, 1, 1), -1 / 3, 1 / 3) if bias else None
+    probe = rng.tensor(shape)
+    q = lambda y: sum_all(hadamard(y, probe))
+    npt.assert_allclose(conv2d(x, w, b, spec).data, oracle_conv2d(x, w, b, spec).data,
+                        rtol=0, atol=1e-13)
+    # q is linear in x and w, so central differences are exact at any step
+    assert finite_diff_check(lambda t: q(conv2d(t, w, b, spec)), x, h=1.0) < 1e-5
+    assert finite_diff_check(lambda t: q(conv2d(x, t, b, spec)), w, h=1.0) < 1e-5
+
+
 def test_activation_values():
     zero = Tensor(np.zeros((1, 1, 1, 1)))
     one = Tensor(np.ones((1, 1, 1, 1)))
@@ -185,6 +242,63 @@ def test_sigmoid_saturation_is_stable():
     x = Tensor(np.array([-800.0, 800.0, 0.0, -30.0]).reshape(1, 1, 2, 2))
     s = sigmoid(x).data.reshape(-1)
     assert s[0] == 0.0 and s[1] == 1.0 and np.isfinite(s).all()
+
+
+SIGMOID_DTYPES = (np.float32, np.float64, np.longdouble)
+
+
+def _no_warnings(f, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(Tensor.wrap(x)).data
+
+
+@st.composite
+def sigmoid_inputs(draw):
+    """A dtype and a (1, 1, 1, m) array of finite values reaching past
+    twice the dtype's exp overflow point, on both sides."""
+    dtype = draw(st.sampled_from(SIGMOID_DTYPES))
+    top = 2 * float(np.log(np.finfo(dtype).max))
+    xs = draw(st.lists(st.floats(-top, top), min_size=1, max_size=32))
+    return np.array(xs, dtype=dtype).reshape(1, 1, 1, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=sigmoid_inputs())
+def test_sigmoid_and_gate_match_oracle_to_4_eps(x):
+    fi = np.finfo(x.dtype)
+    for f, s in ((sigmoid, 1.0), (sigmoid_gate, 1.702)):
+        got = _no_warnings(f, x)
+        assert got.dtype == x.dtype
+        # the reference exponentiates the argument the op rounds, s*x in
+        # x's dtype, in extended precision
+        with np.errstate(over="ignore"):
+            sig = _sig((x * x.dtype.type(s)).astype(np.longdouble))
+        ref = sig if f is sigmoid else x * sig
+        err = np.abs(got - ref)
+        # a sigmoid or a result below the smallest normal number has only
+        # absolute accuracy (exp overflowing to inf rounds the sigmoid to
+        # 0), which the gate scales by |x|
+        normal = (sig >= fi.tiny) & (np.abs(ref) >= fi.tiny)
+        assert np.all(err[normal] <= 4 * fi.eps * np.abs(ref[normal])), f.__name__
+        scale = 1.0 if f is sigmoid else np.maximum(np.abs(x[~normal]), 1.0)
+        assert np.all(err[~normal] <= fi.tiny * scale), f.__name__
+
+
+@pytest.mark.parametrize("dtype", SIGMOID_DTYPES)
+def test_sigmoid_and_gate_limits_are_exact(dtype):
+    top = 2 * float(np.log(np.finfo(dtype).max))
+    big = np.finfo(dtype).max
+    # exp(800) overflows f32 and f64 but not longdouble, where
+    # sigmoid(-800) is a normal number
+    points = [0.0, top, -top, big, -big] + ([800.0, -800.0] if dtype != np.longdouble else [])
+    x = np.array(points + [np.nan], dtype=dtype).reshape(1, 1, 1, -1)
+    sig = _no_warnings(sigmoid, x).reshape(-1)
+    gate = _no_warnings(sigmoid_gate, x).reshape(-1)
+    want = np.array([0.5] + [1.0, 0.0] * (len(points) // 2))
+    npt.assert_array_equal(sig[:-1], want)
+    npt.assert_array_equal(gate[:-1], x.reshape(-1)[:-1] * want)
+    assert np.isnan(sig[-1]) and np.isnan(gate[-1])
 
 
 def test_activation_gradients_f64():
