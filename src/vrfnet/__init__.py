@@ -5,9 +5,10 @@ from .tensor import Rng, ShapeError, Tensor, full, zeros, zeros_like
 from .tape import Node, OpCounter, Tape, finite_diff_check, tape_of, value_of
 from .eltwise import (
     add,
+    channel_avg_max,
     concat_channels,
     hadamard,
-    reduce_channel,
+    select_scales,
     slice_channels,
     spatial_mean,
     sum_all,
@@ -57,11 +58,11 @@ __all__ = [
     "Node", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
     "SpatialAttention", "Tape", "Tensor",
     "activation", "add", "batch_norm", "bench", "block_config",
-    "block_gradient_errors", "build_block", "compare", "concat_channels",
+    "block_gradient_errors", "build_block", "channel_avg_max", "compare", "concat_channels",
     "conv2d", "cost_report", "count_macs", "count_params", "dropout",
     "ffn_cost", "finite_diff_check", "full", "hadamard", "init_conv_params",
     "load_run_config", "oracle_block", "oracle_conv2d", "read_manifest",
-    "read_tensor", "reduce_channel", "relu", "sigmoid", "sigmoid_gate",
+    "read_tensor", "relu", "select_scales", "sigmoid", "sigmoid_gate",
     "slice_channels", "spatial_mean", "sum_all", "tape_of", "value_of",
     "write_manifest", "write_tensor", "zeros", "zeros_like",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigError
-from .eltwise import concat_channels, reduce_channel, spatial_mean
+from .eltwise import channel_avg_max, spatial_mean
 from .layers import ParamBlock, debug_finite
 from .ops import ConvSpec, relu, sigmoid
 from .tensor import Rng
@@ -31,8 +31,7 @@ class SpatialAttention(ParamBlock):
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
         p = self.resolve(params)
-        pooled = concat_channels([reduce_channel("avg", x), reduce_channel("max", x)])
-        return sigmoid(self._conv(p, "conv", pooled))
+        return sigmoid(self._conv(p, "conv", channel_avg_max(x)))
 
 
 class ChannelAttention(ParamBlock):

@@ -4,7 +4,8 @@ Three composable pieces, all resolution- and channel-preserving:
 
 * :class:`MscfBlock` - N depthwise dilated branches with increasing
   receptive fields, fused under a learned spatial selection mask, gated
-  against the input, with optional channel attention on the result.
+  against the input (one fused op, ``select_scales``), with optional
+  channel attention on the result.
 * :class:`GConvBlock` - gated feed-forward: pointwise expansion to two
   chunks, a depthwise spatial gate on one chunk (x * sigmoid(1.702x)),
   hadamard against the other, pointwise restore, dropout, residual.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention
 from .config import ConfigError, GconvConfig, GmcfConfig, MscfConfig
-from .eltwise import add, concat_channels, hadamard, slice_channels
+from .eltwise import add, concat_channels, hadamard, select_scales, slice_channels
 from .layers import ParamBlock, debug_finite, sub_params
 from .ops import (
     BatchNormState,
@@ -71,13 +72,11 @@ class MscfBlock(ParamBlock):
         if value_of(x).shape[1] != self.cfg.c:
             raise ShapeError(f"input has {value_of(x).shape[1]} channels, block wants {self.cfg.c}")
         p = self.resolve(params)
-        feats = [self._conv(p, f"scale{i}", x) for i in range(self.cfg.n_scales)]
-        mask = self._children["sa"].forward(concat_channels(feats), sub_params(p, "sa."))
-        fused = None
-        for i, f in enumerate(feats):
-            term = hadamard(f, slice_channels(mask, i, i + 1))
-            fused = term if fused is None else add(fused, term)
-        y = hadamard(fused, x)
+        # the concat's buffer is the (n, S, c, h, w) stack select_scales reads
+        cat = concat_channels([self._conv(p, f"scale{i}", x) for i in range(self.cfg.n_scales)])
+        mask = self._children["sa"].forward(cat, sub_params(p, "sa."))
+        y = select_scales(cat, mask, x)
+        del cat, mask  # release the concat before channel attention runs
         if self.cfg.use_ca:
             y = hadamard(y, self._children["ca"].forward(y, sub_params(p, "ca.")))
         return y

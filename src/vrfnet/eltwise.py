@@ -5,6 +5,12 @@ plain tensors in, plain tensor out; nodes in, node out (with the adjoint
 rule recorded). Binary ops broadcast only the second operand, and only
 where its dim is 1: b may collapse batch and spatial axes freely, and
 its channel count must equal a's or be 1.
+
+Two ops are not binary broadcasts: they fuse MSCF's pooling and its
+scale selection, each into one pass. :func:`channel_avg_max` writes the
+channel mean and the channel max into one (n, 2, h, w) buffer, and
+:func:`select_scales` computes x * sum_i f_i * m_i over a view of the
+concatenated branch outputs.
 """
 
 from __future__ import annotations
@@ -76,40 +82,80 @@ def sum_all(x):
     return tape.record(out, "sum_all", backward)
 
 
-def reduce_channel(kind: str, x):
-    """Collapse the channel axis to 1: kind "avg" or "max", out (n,1,h,w).
+def channel_avg_max(x):
+    """Channel mean and channel max of x, as the two channels of one
+    (n, 2, h, w) buffer.
 
-    The reduction order is numpy's deterministic axis-1 order, so results
-    are bit-stable across runs. Max routes gradients to the first maximal
-    channel at each pixel.
+    Both reductions write into their channel of the output (``out=``),
+    in numpy's deterministic axis-1 order, so results are bit-stable
+    across runs. The max routes its gradient to the first maximal
+    channel at each pixel; the adjoint writes one dx buffer.
     """
     tx = value_of(x)
-    if kind == "avg":
-        out = Tensor.wrap(tx.data.mean(axis=1, keepdims=True, dtype=tx.dtype))
-    elif kind == "max":
-        out = Tensor.wrap(tx.data.max(axis=1, keepdims=True))
-    else:
-        raise ValueError(f"unknown reduction {kind!r}")
-    tally(eltwise=tx.size)
+    c = tx.shape[1]
+    buf = np.empty((tx.shape[0], 2) + tx.shape[2:], dtype=tx.dtype)
+    np.mean(tx.data, axis=1, keepdims=True, dtype=tx.dtype, out=buf[:, 0:1])
+    np.max(tx.data, axis=1, keepdims=True, out=buf[:, 1:2])
+    out = Tensor.wrap(buf)
+    tally(eltwise=2 * tx.size)
     tape = tape_of(x)
     if tape is None:
         return out
 
-    c = tx.shape[1]
-    if kind == "avg":
+    argmax = tx.data.argmax(axis=1)[:, None]  # first max per pixel
 
-        def backward(g, acc):
-            acc(x, np.repeat(g / c, c, axis=1))
+    def backward(g, acc):
+        dx = np.repeat(g[:, 0:1] / c, c, axis=1)
+        at_max = np.take_along_axis(dx, argmax, axis=1)
+        np.put_along_axis(dx, argmax, at_max + g[:, 1:2], axis=1)
+        acc(x, dx)
 
-    else:
-        argmax = tx.data.argmax(axis=1)[:, None]  # first max per pixel
+    return tape.record(out, "channel_avg_max", backward)
 
-        def backward(g, acc):
-            dx = np.zeros_like(tx.data)
-            np.put_along_axis(dx, argmax, g, axis=1)
-            acc(x, dx)
 
-    return tape.record(out, f"reduce_channel_{kind}", backward)
+def select_scales(cat, mask, x):
+    """MSCF's scale selection and gate: y = x * sum_i f_i * m_i.
+
+    ``cat`` (n, S*c, h, w) holds the S branch outputs f_i side by side,
+    ``mask`` (n, S, h, w) one selection map m_i per branch and ``x``
+    (n, c, h, w) the gate. One einsum sums the products over an
+    (n, S, c, h, w) view of ``cat`` in branch order into the output,
+    which x then multiplies in place (where c*h*w is 1, einsum would sum
+    over the branches as a dot product in another order, so a loop over
+    the branches does it instead). The sum s = sum_i f_i * m_i is kept
+    for the adjoint only when a tape records the op. Where every product
+    is a zero of negative sign, the sum is +0 (einsum starts from +0).
+    """
+    tc, tm, tx = value_of(cat), value_of(mask), value_of(x)
+    if not tc.dtype == tm.dtype == tx.dtype:
+        raise TypeError(f"dtype mismatch: {tc.dtype}, {tm.dtype}, {tx.dtype}")
+    n, sc, h, w = tc.shape
+    scales, c = tm.shape[1], tx.shape[1]
+    if tm.shape != (n, scales, h, w) or tx.shape != (n, c, h, w) or sc != scales * c:
+        raise ShapeError(
+            f"select_scales needs cat (n,S*c,h,w), mask (n,S,h,w), x (n,c,h,w): "
+            f"got {tc.shape}, {tm.shape}, {tx.shape}"
+        )
+    stack = tc.data.reshape(n, scales, c, h, w)
+    if c * h * w > 1:
+        s = np.einsum("nschw,nshw->nchw", stack, tm.data)
+    else:  # a lone value per sample: einsum would sum it as a dot product, out of order
+        s = stack[:, 0] * tm.data[:, :1]
+        for i in range(1, scales):
+            s += stack[:, i] * tm.data[:, i : i + 1]
+    tally(eltwise=2 * scales * s.size)  # S products, S - 1 sums, the gate
+    tape = tape_of(cat, mask, x)
+    if tape is None:
+        return Tensor.wrap(np.multiply(s, tx.data, out=s))
+    out = Tensor.wrap(s * tx.data)
+
+    def backward(g, acc):
+        gx = g * tx.data
+        acc(cat, (gx[:, None] * tm.data[:, :, None]).reshape(tc.shape))
+        acc(mask, np.einsum("nchw,nschw->nshw", gx, stack))
+        acc(x, g * s)
+
+    return tape.record(out, "select_scales", backward)
 
 
 def spatial_mean(x):

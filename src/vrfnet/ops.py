@@ -321,19 +321,46 @@ def sigmoid(x):
     return tape.record(out, "sigmoid", backward)
 
 
+def _with_limits_at_inf(f, x: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
+    """``f()``, with its values where x is -inf or +inf set to the given limits.
+
+    For the gate and its derivative, an infinite x meets a saturated
+    sigmoid factor there (inf * 0), which numpy flags as an invalid
+    operation. Only then is ``f`` evaluated again and the limits written
+    in, so finite inputs cost nothing extra.
+    """
+    try:
+        with np.errstate(invalid="raise"):
+            return f()
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            y = f()
+        y[np.isneginf(x)] = at_neg_inf
+        y[np.isposinf(x)] = at_pos_inf
+        return y
+
+
 def sigmoid_gate(x):
     """x * sigmoid(1.702 * x): the sigmoid-weighted gate used by the
-    gated convolution's spatial branch (a sigmoid approximation of GELU)."""
+    gated convolution's spatial branch (a sigmoid approximation of GELU).
+
+    At x = -inf the gate and its derivative are 0, their limits; at
+    x = +inf the gate is +inf and its derivative 1.
+    """
     tx = value_of(x)
     sig = _sigmoid(tx.data, 1.702)
-    out = Tensor.wrap(tx.data * sig)
+    out = Tensor.wrap(_with_limits_at_inf(lambda: tx.data * sig, tx.data, 0.0, np.inf))
     tally(eltwise=3 * out.size)
     tape = tape_of(x)
     if tape is None:
         return out
 
     def backward(g, acc):
-        acc(x, g * (sig + 1.702 * tx.data * sig * (1.0 - sig)))
+        # x * sig first: 1.702 * x would overflow for |x| near the dtype's max
+        slope = _with_limits_at_inf(
+            lambda: sig + 1.702 * (tx.data * sig * (1.0 - sig)), tx.data, 0.0, 1.0
+        )
+        acc(x, g * slope)
 
     return tape.record(out, "sigmoid_gate", backward)
 

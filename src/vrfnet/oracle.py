@@ -1,18 +1,19 @@
 """Brute-force reference implementations used as ground truth.
 
 Everything here recomputes results from first principles: convolution is
-a direct scalar loop over every output element and kernel tap (no
-im2col, no blocking), and each block is restated as straight-line code
-over those primitive loops. The only things shared with the fast path
-are the Tensor container, the ConvSpec descriptor, the OpCounter tally,
-and the parameter values under test. All arithmetic accumulates in float64 regardless of
-the input dtype, so the oracle is strictly more accurate than the fast
-path it checks.
+a direct loop over every output element, each one a float64 dot product
+of its explicit dilated, strided input window with the flattened filter
+(no im2col, no blocking, no tiling), and each block is restated as
+straight-line code over those primitive loops. The only things shared
+with the fast path are the Tensor container, the ConvSpec descriptor,
+the OpCounter tally, and the parameter values under test. All
+arithmetic accumulates in float64 regardless of the input dtype, so the
+oracle is strictly more accurate than the fast path it checks.
 
 Multiply-accumulate counting: the input is zero-padded up front, so the
-scalar loop really multiplies every kernel tap, padding included; the
+dot product really multiplies every kernel tap, padding included; the
 counter adds (c_in/groups)*k*k per computed output element, which is
-exactly the number of multiplies the inner loops execute. Elementwise
+exactly the number of multiplies that dot product executes. Elementwise
 work is tallied with the same cost table the profiler documents.
 """
 
@@ -63,7 +64,8 @@ def compare(op: str, fast: Tensor, ref: Tensor, seed: int | None = None) -> Orac
 
 def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
                   counter: OpCounter | None = None) -> Tensor:
-    """Direct-loop convolution; float64 accumulation; zero padding."""
+    """Direct convolution, one dot product per output element; float64
+    accumulation; zero padding."""
     n, cin, h, width = x.shape
     if cin != spec.c_in or w.shape != spec.weight_shape:
         raise ValueError(f"shapes {x.shape}/{w.shape} inconsistent with {spec}")
@@ -78,21 +80,18 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
     out = np.zeros((n, spec.c_out, ho, wo), dtype=np.float64)
 
     taps_per_out = cg * k * k
+    span = (k - 1) * d + 1  # the dilated kernel's extent
     for ni in range(n):
         for o in range(spec.c_out):
             base_c = (o // cog) * cg
-            wo_ = wd[o]
+            group = xp[ni, base_c : base_c + cg]
+            taps = wd[o].reshape(-1)
             bias = bd[o] if bd is not None else 0.0
             for i in range(ho):
                 for j in range(wo):
-                    acc = bias
-                    for c in range(cg):
-                        xrow = xp[ni, base_c + c]
-                        wrow = wo_[c]
-                        for u in range(k):
-                            for v in range(k):
-                                acc += wrow[u, v] * xrow[i * s + u * d, j * s + v * d]
-                    out[ni, o, i, j] = acc
+                    # the (cg, k, k) input window this output's taps read
+                    window = group[:, i * s : i * s + span : d, j * s : j * s + span : d]
+                    out[ni, o, i, j] = bias + np.dot(window.reshape(-1), taps)
                     if counter is not None:
                         counter.add_macs(taps_per_out)
     if counter is not None and bd is not None:

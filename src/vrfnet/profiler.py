@@ -8,12 +8,15 @@ structure. Conventions (also stated in every report):
   ``n * c_out * h_out * w_out * (c_in / groups) * k^2``. Zero-padding
   taps are counted, matching the formula and the instrumented oracle.
 * FLOPs are reported as 2 * MACs.
-* Elementwise work is tallied separately at 1 op per element, with two
-  exceptions: the sigmoid gate x*sigmoid(1.702x) costs 3 (scale,
-  sigmoid, multiply) and batch norm costs 2 (normalize, affine).
-  Channel/spatial reductions cost 1 per input element; conv bias adds 1
-  per output element; concat and channel slicing are free. Counts are
-  for eval mode, so dropout contributes nothing.
+* Elementwise work is tallied separately at 1 op per element, with
+  these exceptions: the sigmoid gate x*sigmoid(1.702x) costs 3 (scale,
+  sigmoid, multiply), batch norm costs 2 (normalize, affine), and
+  MSCF's scale selection x * sum_i f_i*m_i over S branches costs 2*S
+  per output element (S products, S-1 sums, the gate). Channel/spatial
+  reductions cost 1 per input element, so the fused channel avg-and-max
+  costs 2; conv bias adds 1 per output element; concat and channel
+  slicing are free. Counts are for eval mode, so dropout contributes
+  nothing.
 * Parameter counts are cross-checked against the serialized manifest,
   not derived from formulas alone.
 """

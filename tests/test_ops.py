@@ -10,6 +10,7 @@ from vrfnet import (
     ConvSpec,
     DropoutState,
     Rng,
+    Tape,
     Tensor,
     activation,
     batch_norm,
@@ -291,14 +292,28 @@ def test_sigmoid_and_gate_limits_are_exact(dtype):
     big = np.finfo(dtype).max
     # exp(800) overflows f32 and f64 but not longdouble, where
     # sigmoid(-800) is a normal number
-    points = [0.0, top, -top, big, -big] + ([800.0, -800.0] if dtype != np.longdouble else [])
+    points = [0.0, top, -top, big, -big, np.inf, -np.inf]
+    points += [800.0, -800.0] if dtype != np.longdouble else []
     x = np.array(points + [np.nan], dtype=dtype).reshape(1, 1, 1, -1)
     sig = _no_warnings(sigmoid, x).reshape(-1)
     gate = _no_warnings(sigmoid_gate, x).reshape(-1)
     want = np.array([0.5] + [1.0, 0.0] * (len(points) // 2))
     npt.assert_array_equal(sig[:-1], want)
-    npt.assert_array_equal(gate[:-1], x.reshape(-1)[:-1] * want)
+    # the gate is x where the sigmoid is 1 and 0 where it is 0 (or x is 0)
+    npt.assert_array_equal(gate[:-1], np.where(want == 1.0, x.reshape(-1)[:-1], 0.0))
     assert np.isnan(sig[-1]) and np.isnan(gate[-1])
+    if dtype == np.longdouble:
+        return  # the tape hands out gradients in the public dtypes only
+    # derivatives at the same limits
+    at = np.array([0.0, top, -top, big, -big, np.inf, -np.inf], dtype=dtype).reshape(1, 1, 1, -1)
+    for f, want_grad in ((sigmoid, [0.25, 0, 0, 0, 0, 0, 0]),
+                         (sigmoid_gate, [0.5, 1, 0, 1, 0, 1, 0])):
+        tape = Tape()
+        leaf = tape.leaf(Tensor.wrap(at))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = tape.backward(sum_all(f(leaf)))[leaf.id].data.reshape(-1)
+        npt.assert_array_equal(grad, want_grad, err_msg=f.__name__)
 
 
 def test_activation_gradients_f64():

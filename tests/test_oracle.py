@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import numpy.testing as npt
+from hypothesis import given, settings, strategies as st
 
 from vrfnet import (
     ConvSpec,
@@ -105,3 +106,70 @@ def test_mac_counter_counts_every_tap():
     oracle_conv2d(x, w, b, spec, counter)
     assert counter.macs == 2 * 4 * 6 * 6 * 3 * 9
     assert counter.eltwise == 2 * 4 * 6 * 6  # bias adds
+
+
+def loop_conv2d(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarray:
+    """The scalar six-loop convolution: every kernel tap one float64
+    multiply-add, in (channel, row, column) order, after the bias."""
+    n, cin, h, width = x.shape
+    ho, wo = spec.out_hw(h, width)
+    k, s, d, p = spec.k, spec.stride, spec.dilation, spec.padding
+    cg, cog = cin // spec.groups, spec.c_out // spec.groups
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    wd = w.astype(np.float64)
+    out = np.zeros((n, spec.c_out, ho, wo))
+    for ni in range(n):
+        for o in range(spec.c_out):
+            base_c = (o // cog) * cg
+            for i in range(ho):
+                for j in range(wo):
+                    acc = float(b.reshape(-1)[o]) if b is not None else 0.0
+                    for c in range(cg):
+                        for u in range(k):
+                            for v in range(k):
+                                acc += wd[o, c, u, v] * xp[ni, base_c + c, i * s + u * d,
+                                                           j * s + v * d]
+                    out[ni, o, i, j] = acc
+    return out
+
+
+@st.composite
+def tiny_conv_cases(draw):
+    """A small random conv spec (any stride, dilation, groups, padding)
+    with f32 or f64 inputs, weights and bias drawn from one seed."""
+    groups = draw(st.integers(1, 3))
+    spec = ConvSpec(
+        c_in=groups * draw(st.integers(1, 3)),
+        c_out=groups * draw(st.integers(1, 2)),
+        k=draw(st.integers(1, 4)),
+        stride=draw(st.integers(1, 3)),
+        dilation=draw(st.integers(1, 3)),
+        groups=groups,
+        padding=draw(st.integers(0, 3)),
+        bias=draw(st.booleans()),
+    )
+    smallest = max(1, spec.dilation * (spec.k - 1) + 1 - 2 * spec.padding)
+    h = draw(st.integers(smallest, smallest + 5))
+    w = draw(st.integers(smallest, smallest + 5))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    x = rng.tensor((draw(st.integers(1, 2)), spec.c_in, h, w), dtype=dtype)
+    wt = rng.tensor(spec.weight_shape, dtype=dtype)
+    b = rng.tensor((1, spec.c_out, 1, 1), dtype=dtype) if spec.bias else None
+    return spec, x, wt, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tiny_conv_cases())
+def test_oracle_conv_matches_six_loop_reference(case):
+    # only the summation order differs, so the two agree to a few ulp of
+    # the sum of the absolute values of the terms
+    spec, x, w, b = case
+    counter = OpCounter()
+    got = oracle_conv2d(x, w, b, spec, counter).data
+    want = loop_conv2d(x.data, w.data, None if b is None else b.data, spec)
+    terms = loop_conv2d(np.abs(x.data), np.abs(w.data),
+                        None if b is None else np.abs(b.data), spec)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(np.float64).eps * terms)
+    assert counter.macs == got.size * (spec.c_in // spec.groups) * spec.k ** 2

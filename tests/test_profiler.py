@@ -147,7 +147,7 @@ def test_count_costs_leaves_block_untouched():
 
 
 def test_gconv_256_macs_match_instrumented_oracle():
-    # the full-size check: ~53M taps through the scalar loop oracle
+    # the full-size check: ~53M taps through the direct-loop oracle
     cfg = GconvConfig(c=256)
     block = build_block("gconv", cfg, Rng(7))
     shape = (1, 256, 20, 20)

@@ -13,11 +13,12 @@ from vrfnet import (
     Tensor,
     add,
     block_gradient_errors,
+    channel_avg_max,
     concat_channels,
     finite_diff_check,
     full,
     hadamard,
-    reduce_channel,
+    select_scales,
     sigmoid,
     slice_channels,
     spatial_mean,
@@ -147,6 +148,10 @@ def _bcast():
     return Rng(98).tensor((1, 1, 4, 4), -2, 2)
 
 
+def _pair():
+    return Rng(97).tensor((1, 2, 4, 4), -2, 2)
+
+
 @pytest.mark.parametrize(
     "name,f",
     [
@@ -156,8 +161,13 @@ def _bcast():
         ("hadamard_self", lambda t: sum_all(hadamard(t, t))),
         ("hadamard_broadcast", lambda t: sum_all(hadamard(t, _bcast()))),
         ("sigmoid", lambda t: sum_all(sigmoid(t))),
-        ("reduce_avg", lambda t: sum_all(reduce_channel("avg", t))),
-        ("reduce_max", lambda t: sum_all(hadamard(reduce_channel("max", t), _bcast()))),
+        ("reduce_avg", lambda t: sum_all(slice_channels(channel_avg_max(t), 0, 1))),
+        ("reduce_max", lambda t: sum_all(
+            hadamard(slice_channels(channel_avg_max(t), 1, 2), _bcast()))),
+        ("channel_avg_max", lambda t: sum_all(hadamard(channel_avg_max(t), _pair()))),
+        # S = 3 scales of 1 channel: cat, mask and gate all read t
+        ("select_scales", lambda t: sum_all(
+            hadamard(select_scales(t, hadamard(t, t), slice_channels(t, 1, 2)), _bcast()))),
         ("spatial_mean", lambda t: sum_all(spatial_mean(t))),
         ("concat_slice", lambda t: sum_all(
             hadamard(slice_channels(concat_channels([t, t]), 2, 5), _other()))),
@@ -167,3 +177,24 @@ def test_registered_op_gradients(name, f):
     # every tape-registered op, random inputs in [-2, 2]
     x = Rng(14).tensor((1, 3, 4, 4), -2, 2)
     assert finite_diff_check(f, x) < 1e-5, name
+
+
+@pytest.mark.parametrize("scales,c", [(1, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("which", ["cat", "mask", "x"])
+def test_select_scales_adjoints_match_exact_differences(scales, c, which):
+    # y = x * sum_i f_i * m_i is linear in each input, so under a
+    # probe-weighted loss central differences are exact at any step, up
+    # to the rounding of the loss itself
+    rng = Rng(20 + scales)
+    inputs = {
+        "cat": rng.tensor((2, scales * c, 3, 4), -2, 2),
+        "mask": rng.tensor((2, scales, 3, 4), 0, 1),
+        "x": rng.tensor((2, c, 3, 4), -2, 2),
+    }
+    probe = rng.tensor((2, c, 3, 4), -2, 2)
+
+    def loss(t):
+        bound = dict(inputs, **{which: t})
+        return sum_all(hadamard(select_scales(bound["cat"], bound["mask"], bound["x"]), probe))
+
+    assert finite_diff_check(loss, inputs[which], h=1.0) < 1e-9, which

@@ -1,10 +1,21 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import (
-    Rng, ShapeError, Tensor, add, hadamard, reduce_channel, slice_channels, zeros_like,
+    Rng,
+    ShapeError,
+    Tape,
+    Tensor,
+    add,
+    channel_avg_max,
+    concat_channels,
+    hadamard,
+    select_scales,
+    slice_channels,
+    sum_all,
+    zeros_like,
 )
 
 
@@ -105,27 +116,98 @@ def test_broadcast_hadamard_equals_explicit_tiling(n, c, h, w, bn, bc, bh, bw, s
 
 def test_reduce_channel_constant():
     x = Tensor(np.full((1, 3, 2, 2), 5.0))
-    npt.assert_array_equal(reduce_channel("avg", x).data, np.full((1, 1, 2, 2), 5.0))
-    npt.assert_array_equal(reduce_channel("max", x).data, np.full((1, 1, 2, 2), 5.0))
+    npt.assert_array_equal(channel_avg_max(x).data, np.full((1, 2, 2, 2), 5.0))
 
 
 def test_reduce_channel_single_pixel():
     x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))
-    assert reduce_channel("avg", x).item() == 2.0
-    assert reduce_channel("max", x).item() == 3.0
+    npt.assert_array_equal(channel_avg_max(x).data.reshape(-1), [2.0, 3.0])
 
 
 def test_reduce_channel_matches_per_pixel_loop_oracle():
     x = Rng(10).tensor((2, 8, 5, 5))
-    avg = reduce_channel("avg", x)
-    mx = reduce_channel("max", x)
+    pooled = channel_avg_max(x)
     for n in range(2):
         for i in range(5):
             for j in range(5):
                 col = x.data[n, :, i, j]
-                assert avg.data[n, 0, i, j] == pytest.approx(col.mean(), abs=1e-15)
-                assert mx.data[n, 0, i, j] == col.max()
-    assert avg.shape == (2, 1, 5, 5)
+                assert pooled.data[n, 0, i, j] == pytest.approx(col.mean(), abs=1e-15)
+                assert pooled.data[n, 1, i, j] == col.max()
+    assert pooled.shape == (2, 2, 5, 5)
+
+
+def test_channel_max_gradient_goes_to_first_maximal_channel():
+    # channels 1 and 3 tie for the max at every pixel
+    x = np.array([0.0, 2.0, -1.0, 2.0]).reshape(1, 4, 1, 1) * np.ones((1, 4, 2, 3))
+    tape = Tape()
+    leaf = tape.leaf(Tensor(x))
+    probe = Tensor(np.array([3.0, 5.0]).reshape(1, 2, 1, 1) * np.ones((1, 2, 2, 3)))
+    grad = tape.backward(sum_all(hadamard(channel_avg_max(leaf), probe)))[leaf.id].data
+    npt.assert_array_equal(grad[0, :, 0, 0], [0.75, 5.75, 0.75, 0.75])
+    npt.assert_array_equal(grad, np.broadcast_to(grad[:, :, :1, :1], grad.shape))
+
+
+def _composed_mscf_epilogue(cat, mask, x):
+    """Pooling and scale selection as the separate ops MSCF ran before
+    they were fused: avg and max as two reductions and a concat, then a
+    hadamard per branch, their running sum, and the gate."""
+    pooled = concat_channels([
+        Tensor.wrap(cat.data.mean(axis=1, keepdims=True, dtype=cat.dtype)),
+        Tensor.wrap(cat.data.max(axis=1, keepdims=True)),
+    ])
+    c = x.shape[1]
+    fused = None
+    for i in range(mask.shape[1]):
+        term = hadamard(slice_channels(cat, i * c, (i + 1) * c), slice_channels(mask, i, i + 1))
+        fused = term if fused is None else add(fused, term)
+    return pooled, hadamard(fused, x)
+
+
+def _same_bits(a, b):
+    # values and signs of zeros: the bits of every finite value, and
+    # unlike tobytes() blind to the padding bytes of longdouble
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scales=st.integers(1, 4),
+    n=st.integers(1, 2),
+    c=st.integers(1, 8),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    dtype=st.sampled_from([np.float32, np.float64, np.longdouble]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# one value per sample (c = h = w = 1), where einsum would sum as a dot product
+@example(scales=4, n=2, c=1, h=1, w=1, dtype=np.float32, ties=True, seed=2)
+@example(scales=3, n=1, c=1, h=1, w=1, dtype=np.float64, ties=False, seed=5)
+def test_fused_pooling_and_selection_are_bit_identical_to_composition(
+        scales, n, c, h, w, dtype, ties, seed):
+    rng = Rng(seed)
+    cat = rng.uniform((n, scales * c, h, w), -2.0, 2.0)
+    if ties:
+        # a grid of halves: equal values across channels, and so ties for
+        # the max (floor never yields a negative zero from a nonzero value)
+        cat = np.floor(2.0 * cat) / 2.0
+    cat = Tensor.wrap(cat.astype(dtype))
+    mask = Tensor.wrap(rng.uniform((n, scales, h, w), 0.0, 1.0).astype(dtype))
+    x = Tensor.wrap(rng.uniform((n, c, h, w), -2.0, 2.0).astype(dtype))
+    pooled, y = _composed_mscf_epilogue(cat, mask, x)
+    assert _same_bits(channel_avg_max(cat).data, pooled.data)
+    assert _same_bits(select_scales(cat, mask, x).data, y.data)
+
+
+def test_select_scales_rejects_mismatched_inputs():
+    cat = Rng(1).tensor((1, 6, 3, 3))
+    with pytest.raises(ShapeError):
+        select_scales(cat, Rng(2).tensor((1, 4, 3, 3)), Rng(3).tensor((1, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        select_scales(cat, Rng(2).tensor((1, 3, 3, 3)), Rng(3).tensor((1, 2, 3, 2)))
+    with pytest.raises(TypeError):
+        select_scales(cat, Rng(2).tensor((1, 3, 3, 3), dtype=np.float32), Rng(3).tensor((1, 2, 3, 3)))
 
 
 def test_rng_determinism_bit_identical():
