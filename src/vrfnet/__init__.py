@@ -14,10 +14,8 @@ from .eltwise import (
     sum_all,
 )
 from .ops import (
-    BatchNormState,
     ConvSpec,
     DropoutState,
-    activation,
     batch_norm,
     conv2d,
     dropout,
@@ -52,12 +50,12 @@ from .vrft import FormatError, read_manifest, read_tensor, write_manifest, write
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchNormState", "ChannelAttention", "ConfigError", "ConvLayer", "ConvSpec",
+    "ChannelAttention", "ConfigError", "ConvLayer", "ConvSpec",
     "CostReport", "DropoutState", "FormatError", "GConvBlock", "GconvConfig",
     "GmcfBlock", "GmcfBottleneck", "GmcfConfig", "MscfBlock", "MscfConfig",
     "Node", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
     "SpatialAttention", "Tape", "Tensor",
-    "activation", "add", "batch_norm", "bench", "block_config",
+    "add", "batch_norm", "bench", "block_config",
     "block_gradient_errors", "build_block", "channel_avg_max", "compare", "concat_channels",
     "conv2d", "cost_report", "count_macs", "count_params", "dropout",
     "ffn_cost", "finite_diff_check", "full", "hadamard", "init_conv_params",

@@ -28,17 +28,9 @@ from .attention import ChannelAttention, SpatialAttention
 from .config import ConfigError, GconvConfig, GmcfConfig, MscfConfig
 from .eltwise import add, concat_channels, hadamard, select_scales, slice_channels
 from .layers import ParamBlock, debug_finite, sub_params
-from .ops import (
-    BatchNormState,
-    ConvSpec,
-    DropoutState,
-    batch_norm,
-    dropout,
-    relu,
-    sigmoid_gate,
-)
-from .tape import fd_max_rel_err, value_of
-from .tensor import Rng, ShapeError, Tensor
+from .ops import ConvSpec, DropoutState, batch_norm, dropout, relu, sigmoid_gate
+from .tape import fd_max_rel_err
+from .tensor import Rng, Tensor
 
 
 def _dropout_stream(dropout_rng: Rng | None, name: str) -> Rng:
@@ -69,8 +61,6 @@ class MscfBlock(ParamBlock):
 
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
-        if value_of(x).shape[1] != self.cfg.c:
-            raise ShapeError(f"input has {value_of(x).shape[1]} channels, block wants {self.cfg.c}")
         p = self.resolve(params)
         # the concat's buffer is the (n, S, c, h, w) stack select_scales reads
         cat = concat_channels([self._conv(p, f"scale{i}", x) for i in range(self.cfg.n_scales)])
@@ -101,12 +91,7 @@ class GConvBlock(ParamBlock):
 
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
-        return add(x, self.transform(x, params, mode))
-
-    def transform(self, x, params=None, mode: str = "eval"):
-        """The non-residual path: restore(gate(dw(x')) * v) with dropout."""
-        if value_of(x).shape[1] != self.cfg.c:
-            raise ShapeError(f"input has {value_of(x).shape[1]} channels, block wants {self.cfg.c}")
+        """x + dropout(restore(gate(dw(x')) * v))."""
         p = self.resolve(params)
         h = self.cfg.hidden
         both = self._conv(p, "proj", x)
@@ -115,7 +100,8 @@ class GConvBlock(ParamBlock):
         g = self._conv(p, "dw", x_prime)
         gated = sigmoid_gate(g) if self.cfg.activation == "sigmoid_gate" else relu(g)
         restored = self._conv(p, "restore", hadamard(gated, v))
-        return dropout(restored, self._dropout, mode)
+        del both, x_prime, v, g, gated  # release the expansion before the residual add
+        return add(x, dropout(restored, self._dropout, mode))
 
 
 class GmcfBottleneck(ParamBlock):
@@ -132,30 +118,22 @@ class GmcfBottleneck(ParamBlock):
         gamma0 = np.ones if rng is not None else np.zeros
         self._add_param("bn.gamma", Tensor.wrap(gamma0((1, cfg.c, 1, 1), dtype=dtype)))
         self._add_param("bn.beta", Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype)))
-        self.bn_state = BatchNormState(cfg.c, cfg.bn_eps, cfg.bn_momentum, dtype)
+        self._add_buffer("bn.running_mean", Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype)))
+        self._add_buffer("bn.running_var", Tensor.wrap(np.ones((1, cfg.c, 1, 1), dtype=dtype)))
         self._add_child(
             "gconv", GConvBlock(cfg.gconv, rng, dtype, _dropout_stream(dropout_rng, "gconv"))
         )
         self._dropout = DropoutState(cfg.dropout, _dropout_stream(dropout_rng, "drop"))
 
-    def buffers(self):
-        out = super().buffers()
-        out["bn.running_mean"] = Tensor(self.bn_state.running_mean)
-        out["bn.running_var"] = Tensor(self.bn_state.running_var)
-        return out
-
-    def set_buffers(self, new):
-        super().set_buffers(new)
-        if "bn.running_mean" in new:
-            self.bn_state.running_mean = new["bn.running_mean"].data.copy()
-        if "bn.running_var" in new:
-            self.bn_state.running_var = new["bn.running_var"].data.copy()
-
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
         p = self.resolve(params)
         m = self._children["mscf"].forward(x, sub_params(p, "mscf."), mode)
-        normed = batch_norm(m, p["bn.gamma"], p["bn.beta"], self.bn_state, mode)
+        bufs = self._buffers
+        normed, bufs["bn.running_mean"], bufs["bn.running_var"] = batch_norm(
+            m, p["bn.gamma"], p["bn.beta"], bufs["bn.running_mean"], bufs["bn.running_var"],
+            self.cfg.bn_eps, self.cfg.bn_momentum, mode,
+        )
         y1 = add(x, dropout(normed, self._dropout, mode))
         return self._children["gconv"].forward(y1, sub_params(p, "gconv."), mode)
 
@@ -170,10 +148,6 @@ class GmcfBlock(ParamBlock):
         super().__init__()
         self.cfg = cfg
         ch = cfg.hidden_width
-        if cfg.mscf.use_ca and ch % cfg.mscf.ca_ratio:
-            raise ConfigError(
-                f"gmcf-block: branch width {ch} not divisible by ca_ratio {cfg.mscf.ca_ratio}"
-            )
         self.ch = ch
         self._add_conv("cv1", ConvSpec(cfg.c, 2 * ch, 1), rng, dtype)
         inner = cfg.at_width(ch)

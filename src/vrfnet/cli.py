@@ -277,11 +277,20 @@ def cmd_golden(args) -> int:
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ConfigError("golden needs --out <dir>")
+    import numpy as np
+
     from .blocks import build_block
     from .config import DTYPES, block_config
     from .oracle import compare, oracle_block
-    from .tensor import Rng
-    from .vrft import read_golden_meta, read_manifest, read_tensor, write_manifest, write_tensor
+    from .tensor import Rng, ShapeError
+    from .vrft import (
+        FormatError,
+        read_golden_meta,
+        read_manifest,
+        read_tensor,
+        write_manifest,
+        write_tensor,
+    )
 
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
 
@@ -316,12 +325,23 @@ def cmd_golden(args) -> int:
         meta = read_golden_meta(case_dir / GOLDEN_META)
         bcfg = block_config(meta["block"], meta["channels"], meta["module"])
         block = build_block(meta["block"], bcfg, None, DTYPES[meta["dtype"]])
-        block.set_params(dict(read_manifest(case_dir / "params.manifest")))
-        block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))
+        try:
+            block.set_params(dict(read_manifest(case_dir / "params.manifest")))
+            block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))
+        except (KeyError, ShapeError) as exc:
+            # KeyError's str() is the repr of its message; args[0] is the text
+            raise FormatError(f"{case_dir}: {exc.args[0]}") from None
         x = read_tensor(case_dir / "input.vrft")
         stored = read_tensor(case_dir / "output.vrft")
+        ref = (oracle_block(meta["block"], bcfg, x, block.params(), block.buffers(), "eval")
+               if args.use_oracle else block.forward(x, mode="eval"))
+        expected = (ref.shape, np.dtype(DTYPES[meta["dtype"]]))
+        if (stored.shape, stored.dtype) != expected:
+            print(f"FAIL {case_dir.name}: stored output is {stored.shape} {stored.dtype}, "
+                  f"expected {expected[0]} {expected[1]}", file=sys.stderr)
+            failures.append(case_dir.name)
+            continue
         if args.use_oracle:
-            ref = oracle_block(meta["block"], bcfg, x, block.params(), block.buffers(), "eval")
             report = compare(meta["block"], stored, ref, meta["seed"])
             ok = report.max_abs_diff <= tol
             print(f"{'ok  ' if ok else 'FAIL'} {case_dir.name} (oracle path) "
@@ -329,8 +349,7 @@ def cmd_golden(args) -> int:
             if not ok:
                 failures.append(case_dir.name)
             continue
-        recomputed = block.forward(x, mode="eval")
-        got = recomputed.data.tobytes()
+        got = ref.data.tobytes()
         want = stored.data.tobytes()
         if got != want:
             byte_idx = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)

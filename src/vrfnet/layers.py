@@ -1,10 +1,15 @@
 """Parameter bookkeeping shared by the attention and fusion blocks.
 
-A block owns an ordered, flat dict of named parameter tensors plus any
-non-learnable buffers. ``forward(x, params=None, mode="eval")`` reads
-parameters from the given dict (falling back to the block's own), which
-lets gradient checks re-run the same forward with selected parameters
-bound to tape nodes.
+A block registers three kinds of named entries: learnable parameters,
+non-learnable buffers (batch-norm running statistics) and conv specs.
+One walk over the block tree serves all three as flat, ordered,
+child-prefixed maps (``params()``, ``buffers()``, ``conv_specs()``), and
+one checked setter replaces parameters or buffers: names, shapes and
+dtypes must match. Registered tensors are immutable, so the maps share
+them rather than copy them. ``forward(x, params=None, mode="eval")``
+reads parameters from the given dict (falling back to the block's own),
+which lets gradient checks re-run the same forward with selected
+parameters bound to tape nodes.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ def debug_finite(forward):
 
 
 class ParamBlock:
-    """Base: named parameters, child blocks, conv helpers."""
+    """Base: registries of parameters, buffers and conv specs, child blocks,
+    conv helpers."""
 
     def __init__(self):
         self._params: "OrderedDict[str, Tensor]" = OrderedDict()
+        self._buffers: "OrderedDict[str, Tensor]" = OrderedDict()
         self._specs: dict[str, ConvSpec] = {}
         self._children: "OrderedDict[str, ParamBlock]" = OrderedDict()
 
@@ -55,60 +62,62 @@ class ParamBlock:
     def _add_param(self, name: str, t: Tensor) -> None:
         self._params[name] = t
 
+    def _add_buffer(self, name: str, t: Tensor) -> None:
+        self._buffers[name] = t
+
     def _add_child(self, name: str, child: "ParamBlock") -> None:
         self._children[name] = child
 
-    def conv_specs(self) -> dict[str, ConvSpec]:
-        """Flat name -> ConvSpec map, children prefixed."""
-        out = dict(self._specs)
+    def _walk(self, registry: str, prefix: str = ""):
+        """(flat name, owning dict, key) for every entry of ``registry``:
+        this block's own entries first, then each child's, prefixed."""
+        own = getattr(self, registry)
+        for key in own:
+            yield prefix + key, own, key
         for cname, child in self._children.items():
-            for k, v in child.conv_specs().items():
-                out[f"{cname}.{k}"] = v
-        return out
+            yield from child._walk(registry, f"{prefix}{cname}.")
 
-    # -- parameter access ---------------------------------------------------
+    def _flat(self, registry: str) -> OrderedDict:
+        return OrderedDict((name, own[key]) for name, own, key in self._walk(registry))
 
-    def params(self) -> "OrderedDict[str, Tensor]":
-        """Flat ordered name -> tensor map (children prefixed)."""
-        out = OrderedDict(self._params)
-        for cname, child in self._children.items():
-            for k, v in child.params().items():
-                out[f"{cname}.{k}"] = v
-        return out
-
-    def buffers(self) -> "OrderedDict[str, Tensor]":
-        """Non-learnable state (running statistics); empty by default."""
-        out = OrderedDict()
-        for cname, child in self._children.items():
-            for k, v in child.buffers().items():
-                out[f"{cname}.{k}"] = v
-        return out
-
-    def set_params(self, new: "dict[str, Tensor]") -> None:
-        """Replace parameters by name; names and shapes must match exactly."""
-        current = self.params()
+    def _replace(self, registry: str, new: "dict[str, Tensor]") -> None:
+        """Assign every entry of ``registry`` by flat name; the names, shapes
+        and dtypes must match the current entries exactly."""
+        current = self._flat(registry)
         if set(new) != set(current):
             missing = sorted(set(current) - set(new))
             extra = sorted(set(new) - set(current))
-            raise KeyError(f"parameter name mismatch: missing={missing} extra={extra}")
+            raise KeyError(f"{registry[1:-1]} name mismatch: missing={missing} extra={extra}")
         for name, t in new.items():
-            if t.shape != current[name].shape:
-                raise ShapeError(f"{name}: shape {t.shape} != expected {current[name].shape}")
-        self._set_params_flat(new, prefix="")
+            want = current[name]
+            if t.shape != want.shape or t.dtype != want.dtype:
+                raise ShapeError(f"{name}: shape and dtype {t.shape} {t.dtype} != expected "
+                                 f"{want.shape} {want.dtype}")
+        for name, own, key in self._walk(registry):
+            own[key] = new[name]
 
-    def _set_params_flat(self, new, prefix):
-        for name in list(self._params):
-            self._params[name] = new[prefix + name]
-        for cname, child in self._children.items():
-            child._set_params_flat(new, f"{prefix}{cname}.")
+    # -- parameter access ---------------------------------------------------
+
+    def conv_specs(self) -> dict[str, ConvSpec]:
+        """Flat name -> ConvSpec map, children prefixed."""
+        return self._flat("_specs")
+
+    def params(self) -> "OrderedDict[str, Tensor]":
+        """Flat ordered name -> tensor map (children prefixed)."""
+        return self._flat("_params")
+
+    def buffers(self) -> "OrderedDict[str, Tensor]":
+        """Flat ordered name -> tensor map of the non-learnable state
+        (batch-norm running statistics)."""
+        return self._flat("_buffers")
+
+    def set_params(self, new: "dict[str, Tensor]") -> None:
+        """Replace every parameter by flat name (see ``_replace``)."""
+        self._replace("_params", new)
 
     def set_buffers(self, new: "dict[str, Tensor]") -> None:
-        for cname, child in self._children.items():
-            sub = {
-                k[len(cname) + 1 :]: v for k, v in new.items() if k.startswith(cname + ".")
-            }
-            if sub:
-                child.set_buffers(sub)
+        """Replace every buffer by flat name (see ``_replace``)."""
+        self._replace("_buffers", new)
 
     # -- forward helpers ----------------------------------------------------
 

@@ -365,43 +365,21 @@ def sigmoid_gate(x):
     return tape.record(out, "sigmoid_gate", backward)
 
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "sigmoid_gate": sigmoid_gate}
-
-
-def activation(kind: str, x):
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-
-
-class BatchNormState:
-    """Per-channel running statistics plus the norm's hyperparameters.
-
-    Mutable on purpose: train-mode calls update the running stats in
-    place (callers must serialize concurrent train-mode use).
-    """
-
-    def __init__(self, c: int, eps: float = 1e-5, momentum: float = 0.1, dtype=np.float64):
-        self.c = c
-        self.eps = float(eps)
-        self.momentum = float(momentum)
-        self.running_mean = np.zeros((1, c, 1, 1), dtype=dtype)
-        self.running_var = np.ones((1, c, 1, 1), dtype=dtype)
-
-
-def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "eval"):
+def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel.
 
-    Train mode normalizes with the batch statistics over (n, h, w)
-    (biased variance) and updates the running stats by momentum, using
-    the unbiased variance estimate for the running value. Eval mode uses
-    the running stats only.
+    Returns ``(y, running_mean, running_var)`` and changes no argument.
+    Eval mode normalizes with the given running stats and returns them
+    as they are. Train mode normalizes with the batch statistics over
+    (n, h, w) (biased variance) and returns new running stats moved
+    toward them by ``momentum``, with the unbiased variance estimate as
+    the running value; the caller stores them.
     """
     tx, tg, tb = value_of(x), value_of(gamma), value_of(beta)
     n, c, h, w = tx.shape
-    if c != state.c or tg.shape != (1, c, 1, 1) or tb.shape != (1, c, 1, 1):
-        raise ShapeError(f"batch_norm state/affine sized for {state.c} channels, input has {c}")
+    if any(t.shape != (1, c, 1, 1) for t in (tg, tb, running_mean, running_var)):
+        raise ShapeError(f"batch_norm stats/affine must have shape (1, {c}, 1, 1) "
+                         f"for an input with {c} channels")
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
@@ -411,25 +389,23 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "eval"):
             raise ValueError("train-mode batch norm needs n*h*w >= 2 (variance undefined)")
         mean = tx.data.mean(axis=(0, 2, 3), keepdims=True, dtype=tx.dtype)
         var = tx.data.var(axis=(0, 2, 3), keepdims=True, dtype=tx.dtype)
-        mom = state.momentum
-        state.running_mean = (1 - mom) * state.running_mean + mom * mean.astype(
-            state.running_mean.dtype
-        )
-        state.running_var = (1 - mom) * state.running_var + mom * (
-            var.astype(state.running_var.dtype) * m / (m - 1)
+        rm, rv = running_mean.data, running_var.data
+        running_mean = Tensor.wrap((1 - momentum) * rm + momentum * mean.astype(rm.dtype))
+        running_var = Tensor.wrap(
+            (1 - momentum) * rv + momentum * (var.astype(rv.dtype) * m / (m - 1))
         )
     else:
-        mean = state.running_mean.astype(tx.dtype)
-        var = state.running_var.astype(tx.dtype)
+        mean = running_mean.data.astype(tx.dtype)
+        var = running_var.data.astype(tx.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + tx.dtype.type(state.eps))
+    inv_std = 1.0 / np.sqrt(var + tx.dtype.type(eps))
     xhat = (tx.data - mean) * inv_std
     out = Tensor.wrap(tg.data * xhat + tb.data)
     tally(eltwise=2 * out.size)
 
     tape = tape_of(x, gamma, beta)
     if tape is None:
-        return out
+        return out, running_mean, running_var
 
     def backward(g, acc):
         if isinstance(gamma, Node):
@@ -444,7 +420,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "eval"):
                 gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
                 acc(x, tg.data * inv_std * (g - gm - xhat * gxm))
 
-    return tape.record(out, "batch_norm", backward)
+    return tape.record(out, "batch_norm", backward), running_mean, running_var
 
 
 class DropoutState:

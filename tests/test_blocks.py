@@ -12,6 +12,7 @@ from vrfnet import (
     MscfBlock,
     MscfConfig,
     Rng,
+    ShapeError,
     Tensor,
     block_gradient_errors,
     build_block,
@@ -262,11 +263,30 @@ def test_set_params_validates_names_and_shapes():
     good = block.params()
     with pytest.raises(KeyError):
         block.set_params({k: v for k, v in list(good.items())[:-1]})
-    bad = dict(good)
-    bad["proj.w"] = Rng(35).tensor((1, 1, 1, 1))
-    with pytest.raises(Exception, match="shape"):
-        block.set_params(bad)
+    for wrong in (Rng(35).tensor((1, 1, 1, 1)), good["proj.w"].astype(np.float32)):
+        bad = dict(good)
+        bad["proj.w"] = wrong
+        with pytest.raises(Exception, match="shape"):
+            block.set_params(bad)
     block.set_params(good)
+
+
+def test_set_buffers_validates_names_shapes_and_dtypes():
+    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(38))
+    good = block.buffers()
+    missing = dict(list(good.items())[:-1])
+    extra = {**good, "m0.bn.running_vax": good["m0.bn.running_var"]}
+    for bad in (missing, extra):
+        with pytest.raises(KeyError):
+            block.set_buffers(bad)
+    for name, wrong in (("m1.bn.running_mean", Tensor(np.zeros((1, 5, 1, 1)))),
+                        ("m1.bn.running_var", good["m1.bn.running_var"].astype(np.float32))):
+        with pytest.raises(ShapeError):
+            block.set_buffers({**good, name: wrong})
+    assert block.buffers() == good  # a rejected call changes nothing
+    moved = {k: Tensor(t.data + 1.0) for k, t in good.items()}
+    block.set_buffers(moved)
+    assert block.buffers() == moved
 
 
 def _dropout_masks(block, sites, shape=(1, 4, 6, 6)):

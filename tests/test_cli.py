@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vrfnet import Tensor, read_tensor, write_tensor
 from vrfnet.cli import main
 
 GC_ARGS = ["--block", "gconv", "--channels", "6", "--input-shape", "1,6,4,4"]
@@ -146,6 +147,41 @@ def test_golden_verify_malformed_meta_exits_1_with_one_line(tmp_path, capsys, co
     assert main(["golden", "verify", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("corrupt data") and err.count("\n") == 1
+
+
+def _drop_last_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _edit_meta(path, **changes):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+
+
+def _prefixed_output(case):
+    """The stored output followed by a second copy: same leading bytes, more of them."""
+    y = read_tensor(case / "output.vrft")
+    write_tensor(case / "output.vrft", Tensor(np.concatenate([y.data, y.data])))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda case: _drop_last_line(case / "params.manifest"),
+    lambda case: _edit_meta(case / "meta.json", block="mscf"),
+    lambda case: write_tensor(case / "bn.running_mean.vrft", Tensor(np.zeros((1, 5, 1, 1)))),
+    lambda case: (case / "buffers.manifest").write_text(
+        (case / "buffers.manifest").read_text().replace("bn.running_var\t", "bn.running_vax\t")),
+    lambda case: _edit_meta(case / "meta.json", dtype="f32"),
+    _prefixed_output,
+], ids=["param-missing", "block-changed", "buffer-width", "buffer-renamed", "f64-as-f32",
+        "longer-output"])
+def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, corrupt):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8", "--dtype", "f64"]) == 0
+    corrupt(out / "gmcf")
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gmcf" in err
 
 
 def test_golden_verify_through_oracle(tmp_path, capsys):

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vrfnet import (
-    BatchNormState,
     ConvSpec,
     DropoutState,
     Rng,
     Tape,
     Tensor,
-    activation,
     batch_norm,
     conv2d,
     dropout,
@@ -25,9 +23,16 @@ from vrfnet import (
     sum_all,
 )
 from vrfnet import ops
+from vrfnet.config import GmcfConfig
 from vrfnet.oracle import _sig
 
 SIGMOID_1702 = 0.8457957659328212  # 1 / (1 + exp(-1.702)), float64
+BN_EPS, BN_MOMENTUM = GmcfConfig.bn_eps, GmcfConfig.bn_momentum
+
+
+def _initial_stats(c):
+    """Batch-norm running stats as a block starts them: mean 0, variance 1."""
+    return Tensor(np.zeros((1, c, 1, 1))), Tensor(np.ones((1, c, 1, 1)))
 
 
 def test_convspec_validation():
@@ -235,8 +240,6 @@ def test_activation_values():
     assert sigmoid_gate(one).item() == pytest.approx(SIGMOID_1702, abs=1e-12)
     assert relu(Tensor(np.full((1, 1, 1, 1), -3.0))).item() == 0.0
     assert relu(Tensor(np.full((1, 1, 1, 1), 3.0))).item() == 3.0
-    with pytest.raises(ValueError):
-        activation("tanh", zero)
 
 
 def test_sigmoid_saturation_is_stable():
@@ -318,68 +321,68 @@ def test_sigmoid_and_gate_limits_are_exact(dtype):
 
 def test_activation_gradients_f64():
     x = Rng(12).tensor((1, 2, 4, 4), -2, 2)
-    for kind in ("relu", "sigmoid", "sigmoid_gate"):
+    for f in (relu, sigmoid, sigmoid_gate):
         # random inputs avoid relu's kink at exactly 0
-        err = finite_diff_check(lambda t, k=kind: sum_all(activation(k, t)), x)
-        assert err < 1e-5, kind
+        err = finite_diff_check(lambda t, f=f: sum_all(f(t)), x)
+        assert err < 1e-5, f.__name__
 
 
 def test_batch_norm_train_normalizes():
     # values with std ~10 keep the eps contribution below the tolerance
-    state = BatchNormState(3)
     gamma = Tensor(np.ones((1, 3, 1, 1)))
     beta = Tensor(np.zeros((1, 3, 1, 1)))
     x = Rng(13).tensor((4, 3, 5, 5), -17.0, 17.0)
-    y = batch_norm(x, gamma, beta, state, "train").data
+    y = batch_norm(x, gamma, beta, *_initial_stats(3), BN_EPS, BN_MOMENTUM, "train")[0].data
     npt.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
     npt.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
 
 def test_batch_norm_eval_identity_stats():
-    state = BatchNormState(3)  # running mean 0, var 1
+    mean, var = _initial_stats(3)  # running mean 0, var 1
     gamma = Tensor(np.ones((1, 3, 1, 1)))
     beta = Tensor(np.zeros((1, 3, 1, 1)))
     x = Rng(14).tensor((2, 3, 4, 4))
-    y = batch_norm(x, gamma, beta, state, "eval").data
-    npt.assert_allclose(y, x.data, atol=1e-5)  # only the eps in 1/sqrt(1+eps)
+    y, new_mean, new_var = batch_norm(x, gamma, beta, mean, var, BN_EPS, BN_MOMENTUM, "eval")
+    npt.assert_allclose(y.data, x.data, atol=1e-5)  # only the eps in 1/sqrt(1+eps)
+    assert new_mean is mean and new_var is var  # eval leaves the running stats as given
 
 
 def test_batch_norm_matches_loop_oracle():
-    state = BatchNormState(3)
     rng = Rng(15)
     gamma = rng.tensor((1, 3, 1, 1), 0.5, 1.5)
     beta = rng.tensor((1, 3, 1, 1), -0.5, 0.5)
     x = rng.tensor((4, 3, 5, 5), -2, 2)
-    y = batch_norm(x, gamma, beta, state, "train").data
+    y, _, running_var = batch_norm(x, gamma, beta, *_initial_stats(3), BN_EPS, BN_MOMENTUM,
+                                   "train")
+    y = y.data
     for c in range(3):
         vals = x.data[:, c]
         mu = vals.mean()
         var = vals.var()
-        expected = gamma.data[0, c, 0, 0] * (vals - mu) / np.sqrt(var + state.eps) \
+        expected = gamma.data[0, c, 0, 0] * (vals - mu) / np.sqrt(var + BN_EPS) \
             + beta.data[0, c, 0, 0]
         npt.assert_allclose(y[:, c], expected, rtol=1e-12)
     # running stats moved toward the batch statistics (unbiased variance)
     m = 4 * 5 * 5
     npt.assert_allclose(
-        state.running_var.reshape(-1),
+        running_var.data.reshape(-1),
         0.9 * 1.0 + 0.1 * x.data.var(axis=(0, 2, 3)) * m / (m - 1),
         rtol=1e-12,
     )
 
 
 def test_batch_norm_train_rejects_single_element_stats():
-    state = BatchNormState(2)
     gamma = Tensor(np.ones((1, 2, 1, 1)))
     beta = Tensor(np.zeros((1, 2, 1, 1)))
     x = Rng(16).tensor((1, 2, 1, 1))
     with pytest.raises(ValueError, match="variance"):
-        batch_norm(x, gamma, beta, state, "train")
+        batch_norm(x, gamma, beta, *_initial_stats(2), BN_EPS, BN_MOMENTUM, "train")
 
 
 def test_batch_norm_gradients_probe_loss():
     # a probe-weighted loss keeps gradients O(1); a plain sum is nearly
     # invariant to the input under train-mode normalization
-    state = BatchNormState(4)
+    stats = _initial_stats(4)
     rng = Rng(17)
     gamma = rng.tensor((1, 4, 1, 1), 0.5, 1.5)
     beta = rng.tensor((1, 4, 1, 1), -0.5, 0.5)
@@ -387,9 +390,11 @@ def test_batch_norm_gradients_probe_loss():
     probe = rng.tensor((2, 4, 5, 5))
     for mode in ("train", "eval"):
         q = lambda y: sum_all(hadamard(y, probe))
-        assert finite_diff_check(lambda t: q(batch_norm(t, gamma, beta, state, mode)), x) < 1e-5
-        assert finite_diff_check(lambda t: q(batch_norm(x, t, beta, state, mode)), gamma) < 1e-5
-        assert finite_diff_check(lambda t: q(batch_norm(x, gamma, t, state, mode)), beta) < 1e-5
+        bn = lambda x, gamma, beta: batch_norm(x, gamma, beta, *stats, BN_EPS, BN_MOMENTUM,
+                                               mode)[0]
+        assert finite_diff_check(lambda t: q(bn(t, gamma, beta)), x) < 1e-5
+        assert finite_diff_check(lambda t: q(bn(x, t, beta)), gamma) < 1e-5
+        assert finite_diff_check(lambda t: q(bn(x, gamma, t)), beta) < 1e-5
 
 
 def test_dropout_eval_and_p0_are_bit_exact():
