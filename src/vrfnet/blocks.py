@@ -130,10 +130,12 @@ class GmcfBottleneck(ParamBlock):
         p = self.resolve(params)
         m = self._children["mscf"].forward(x, sub_params(p, "mscf."), mode)
         bufs = self._buffers
-        normed, bufs["bn.running_mean"], bufs["bn.running_var"] = batch_norm(
+        normed, mean, var = batch_norm(
             m, p["bn.gamma"], p["bn.beta"], bufs["bn.running_mean"], bufs["bn.running_var"],
             self.cfg.bn_eps, self.cfg.bn_momentum, mode,
         )
+        if mode == "train":  # eval reads the block and never writes it
+            bufs["bn.running_mean"], bufs["bn.running_var"] = mean, var
         y1 = add(x, dropout(normed, self._dropout, mode))
         return self._children["gconv"].forward(y1, sub_params(p, "gconv."), mode)
 

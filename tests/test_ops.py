@@ -382,12 +382,13 @@ def test_batch_norm_train_rejects_single_element_stats():
 def test_batch_norm_gradients_probe_loss():
     # a probe-weighted loss keeps gradients O(1); a plain sum is nearly
     # invariant to the input under train-mode normalization
-    stats = _initial_stats(4)
     rng = Rng(17)
     gamma = rng.tensor((1, 4, 1, 1), 0.5, 1.5)
     beta = rng.tensor((1, 4, 1, 1), -0.5, 0.5)
     x = rng.tensor((2, 4, 5, 5), -2, 2)
     probe = rng.tensor((2, 4, 5, 5))
+    # running stats away from (0, 1), so eval's 1/sqrt(var + eps) is not ~1
+    stats = (rng.tensor((1, 4, 1, 1), -0.5, 0.5), rng.tensor((1, 4, 1, 1), 0.5, 2.0))
     for mode in ("train", "eval"):
         q = lambda y: sum_all(hadamard(y, probe))
         bn = lambda x, gamma, beta: batch_norm(x, gamma, beta, *stats, BN_EPS, BN_MOMENTUM,
