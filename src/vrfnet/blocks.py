@@ -64,11 +64,11 @@ class MscfBlock(ParamBlock):
         p = self.resolve(params)
         # the concat's buffer is the (n, S, c, h, w) stack select_scales reads
         cat = concat_channels([self._conv(p, f"scale{i}", x) for i in range(self.cfg.n_scales)])
-        mask = self._children["sa"].forward(cat, sub_params(p, "sa."))
+        mask = self._children["sa"].forward(cat, sub_params(params, "sa."))
         y = select_scales(cat, mask, x)
         del cat, mask  # release the concat before channel attention runs
         if self.cfg.use_ca:
-            y = hadamard(y, self._children["ca"].forward(y, sub_params(p, "ca.")))
+            y = hadamard(y, self._children["ca"].forward(y, sub_params(params, "ca.")))
         return y
 
 
@@ -128,7 +128,7 @@ class GmcfBottleneck(ParamBlock):
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
         p = self.resolve(params)
-        m = self._children["mscf"].forward(x, sub_params(p, "mscf."), mode)
+        m = self._children["mscf"].forward(x, sub_params(params, "mscf."), mode)
         bufs = self._buffers
         normed, mean, var = batch_norm(
             m, p["bn.gamma"], p["bn.beta"], bufs["bn.running_mean"], bufs["bn.running_var"],
@@ -137,7 +137,7 @@ class GmcfBottleneck(ParamBlock):
         if mode == "train":  # eval reads the block and never writes it
             bufs["bn.running_mean"], bufs["bn.running_var"] = mean, var
         y1 = add(x, dropout(normed, self._dropout, mode))
-        return self._children["gconv"].forward(y1, sub_params(p, "gconv."), mode)
+        return self._children["gconv"].forward(y1, sub_params(params, "gconv."), mode)
 
 
 class GmcfBlock(ParamBlock):
@@ -166,7 +166,7 @@ class GmcfBlock(ParamBlock):
         branches = [slice_channels(both, 0, self.ch), slice_channels(both, self.ch, 2 * self.ch)]
         for i in range(self.cfg.n_bottlenecks):
             branches.append(
-                self._children[f"m{i}"].forward(branches[-1], sub_params(p, f"m{i}."), mode)
+                self._children[f"m{i}"].forward(branches[-1], sub_params(params, f"m{i}."), mode)
             )
         return self._conv(p, "cv2", concat_channels(branches))
 

@@ -172,10 +172,9 @@ def cmd_oracle_diff(args) -> int:
     failed = False
 
     for spec, n, h, w in _grid_specs(rng, args.specs):
-        fan_in = (spec.c_in // spec.groups) * spec.k * spec.k
         x = rng.tensor((n, spec.c_in, h, w), -1.0, 1.0, dtype)
-        wt = rng.tensor(spec.weight_shape, -1.0 / fan_in, 1.0 / fan_in, dtype)
-        bt = rng.tensor((1, spec.c_out, 1, 1), -0.1, 0.1, dtype) if spec.bias else None
+        wt = rng.tensor(spec.weight_shape, -1.0 / spec.fan_in, 1.0 / spec.fan_in, dtype)
+        bt = rng.tensor(spec.bias_shape, -0.1, 0.1, dtype) if spec.bias else None
         fast = conv2d(x, wt, bt, spec)
         ref = oracle_conv2d(x, wt, bt, spec)
         report = compare(f"conv2d[{spec.k}x{spec.k} d{spec.dilation} g{spec.groups}]",
@@ -323,19 +322,30 @@ def cmd_golden(args) -> int:
     failures = []
     for case_dir in sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists()):
         meta = read_golden_meta(case_dir / GOLDEN_META)
+        dtype = np.dtype(DTYPES[meta["dtype"]])
         bcfg = block_config(meta["block"], meta["channels"], meta["module"])
-        block = build_block(meta["block"], bcfg, None, DTYPES[meta["dtype"]])
+        block = build_block(meta["block"], bcfg, None, dtype)
         try:
             block.set_params(dict(read_manifest(case_dir / "params.manifest")))
             block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))
+            x = read_tensor(case_dir / "input.vrft")
+            stored = read_tensor(case_dir / "output.vrft")
         except (KeyError, ShapeError) as exc:
             # KeyError's str() is the repr of its message; args[0] is the text
             raise FormatError(f"{case_dir}: {exc.args[0]}") from None
-        x = read_tensor(case_dir / "input.vrft")
-        stored = read_tensor(case_dir / "output.vrft")
+        except FileNotFoundError as exc:
+            # a file missing from a case is corrupt data; a missing --out
+            # directory stays a usage error (main)
+            raise FormatError(f"{case_dir}: missing {Path(exc.filename).name}") from None
+        want_x = (tuple(meta["input_shape"]), dtype)
+        if (x.shape, x.dtype) != want_x:
+            raise FormatError(f"{case_dir}: input.vrft is {x.shape} {x.dtype}, "
+                              f"meta.json says {want_x[0]} {want_x[1]}")
+        if not np.isfinite(x.data).all():
+            raise FormatError(f"{case_dir}: input.vrft has non-finite values")
         ref = (oracle_block(meta["block"], bcfg, x, block.params(), block.buffers(), "eval")
                if args.use_oracle else block.forward(x, mode="eval"))
-        expected = (ref.shape, np.dtype(DTYPES[meta["dtype"]]))
+        expected = (ref.shape, dtype)
         if (stored.shape, stored.dtype) != expected:
             print(f"FAIL {case_dir.name}: stored output is {stored.shape} {stored.dtype}, "
                   f"expected {expected[0]} {expected[1]}", file=sys.stderr)

@@ -7,9 +7,12 @@ child-prefixed maps (``params()``, ``buffers()``, ``conv_specs()``), and
 one checked setter replaces parameters or buffers: names, shapes and
 dtypes must match. Registered tensors are immutable, so the maps share
 them rather than copy them. ``forward(x, params=None, mode="eval")``
-reads parameters from the given dict (falling back to the block's own),
-which lets gradient checks re-run the same forward with selected
-parameters bound to tape nodes.
+reads parameters from the given flat dict, which lets gradient checks
+re-run the same forward with selected parameters bound to tape nodes or
+replaced by probes. A block hands each child a :class:`ParamView` of
+that dict: an O(1) view whose ``view[name]`` is ``params[prefix + name]``,
+so nothing is copied per forward. With ``params=None`` every block,
+children included, reads its own registry.
 """
 
 from __future__ import annotations
@@ -121,8 +124,10 @@ class ParamBlock:
 
     # -- forward helpers ----------------------------------------------------
 
-    def resolve(self, params) -> "dict[str, Tensor]":
-        return self.params() if params is None else params
+    def resolve(self, params):
+        """The parameters a forward reads: ``params``, or this block's own
+        registry when it is None."""
+        return self._params if params is None else params
 
     def _conv(self, p, name: str, x):
         spec = self._specs[name]
@@ -135,8 +140,31 @@ class ParamBlock:
         return self.forward(x, params, mode)
 
 
-def sub_params(p: dict, prefix: str) -> dict:
-    """Select ``prefix.*`` entries and strip the prefix."""
-    plen = len(prefix)
-    return {k[plen:]: v for k, v in p.items() if k.startswith(prefix)}
+class ParamView:
+    """The ``prefix.*`` entries of a flat parameter dict, by their names
+    after the prefix: ``view[name]`` is ``flat[prefix + name]``, the same
+    tensor object, and ``view.get(name)`` is None for an absent entry."""
+
+    __slots__ = ("_flat", "_prefix")
+
+    def __init__(self, flat, prefix: str):
+        self._flat = flat
+        self._prefix = prefix
+
+    def __getitem__(self, name: str):
+        return self._flat[self._prefix + name]
+
+    def get(self, name: str, default=None):
+        return self._flat.get(self._prefix + name, default)
+
+
+def sub_params(params, prefix: str):
+    """The parameters of the child under ``prefix`` (e.g. ``"mscf."``):
+    a view of ``params``, or None when ``params`` is None, so the child
+    reads its own registry."""
+    if params is None:
+        return None
+    if isinstance(params, ParamView):
+        return ParamView(params._flat, params._prefix + prefix)
+    return ParamView(params, prefix)
 

@@ -70,7 +70,7 @@ def count_params(block: ParamBlock) -> int:
 
 def conv_macs(spec: ConvSpec, n: int, h: int, w: int) -> int:
     ho, wo = spec.out_hw(h, w)
-    return n * spec.c_out * ho * wo * (spec.c_in // spec.groups) * spec.k * spec.k
+    return n * spec.c_out * ho * wo * spec.fan_in
 
 
 def _block_dtype(block: ParamBlock):

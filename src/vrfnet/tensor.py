@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
+_ALLOWED = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 # extended precision is an internal evaluation dtype (finite-difference
 # probes); it never appears in public constructors or serialized files
-_INTERNAL = _ALLOWED + (np.dtype(np.longdouble),)
+_INTERNAL = _ALLOWED | {np.dtype(np.longdouble)}
 
 
 class ShapeError(ValueError):
@@ -71,9 +71,9 @@ def _checked(arr: np.ndarray, allowed=_ALLOWED) -> np.ndarray:
         raise TypeError(f"tensor dtype must be float32 or float64, got {arr.dtype}")
     if arr.ndim != 4:
         raise ShapeError(f"tensors are rank-4 (n, c, h, w), got shape {arr.shape}")
-    if any(d < 1 for d in arr.shape):
+    if not arr.size:  # a rank-4 array is empty iff one of its dims is 0
         raise ShapeError(f"all dims must be >= 1, got shape {arr.shape}")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 

@@ -127,12 +127,14 @@ def manifest_element_count(manifest_path) -> int:
     return total
 
 
-_GOLDEN_META_TYPES = {"block": str, "channels": int, "dtype": str, "seed": int, "module": dict}
+_GOLDEN_META_TYPES = {"block": str, "channels": int, "dtype": str, "seed": int, "module": dict,
+                      "input_shape": list}
 
 
 def read_golden_meta(path) -> dict:
     """A golden case's meta.json; FormatError unless it is a JSON object
-    with a known block and dtype and every field of the right type."""
+    with a known block and dtype, every field of the right type, and an
+    input shape of four positive ints with ``channels`` channels."""
     try:
         meta = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -145,4 +147,9 @@ def read_golden_meta(path) -> dict:
             raise FormatError(f"{path}: {key!r} missing or not of type {kind.__name__}")
     if meta["block"] not in BLOCK_KINDS or meta["dtype"] not in DTYPES:
         raise FormatError(f"{path}: unknown block {meta['block']!r} or dtype {meta['dtype']!r}")
+    shape = meta["input_shape"]
+    if (len(shape) != 4 or any(type(d) is not int or d < 1 for d in shape)
+            or shape[1] != meta["channels"]):
+        raise FormatError(f"{path}: 'input_shape' {shape} is not four positive ints "
+                          f"with {meta['channels']} channels")
     return meta

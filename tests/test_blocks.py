@@ -4,6 +4,8 @@ import pytest
 
 from vrfnet import (
     ConfigError,
+    ConvLayer,
+    ConvSpec,
     GConvBlock,
     GconvConfig,
     GmcfBlock,
@@ -20,6 +22,7 @@ from vrfnet import (
     oracle_block,
 )
 from vrfnet.config import block_config
+from vrfnet.layers import sub_params
 
 
 def _zero_biases(block):
@@ -336,3 +339,38 @@ def test_dropout_masks_follow_the_seed_and_layer_path():
     m1 = _dropout_masks(inner, _GMCF_SITES)
     npt.assert_array_equal(m1["drop"], a["m1.drop"])
     npt.assert_array_equal(m1["gconv.drop"], a["m1.gconv.drop"])
+
+
+def test_param_views_read_the_flat_dict_without_copies():
+    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(39))
+    flat = block.params()
+    sa = sub_params(sub_params(sub_params(flat, "m1."), "mscf."), "sa.")
+    assert sa["conv.w"] is flat["m1.mscf.sa.conv.w"]
+    assert sa.get("conv.b") is flat["m1.mscf.sa.conv.b"]
+    with pytest.raises(KeyError):
+        sa["conv.x"]
+    assert sub_params(None, "m1.") is None  # a child then reads its own registry
+
+    # a bias-free conv's view has no bias, and its forward runs on the view
+    layer = ConvLayer(ConvSpec(2, 3, 1, bias=False), Rng(40))
+    outer = {"layer." + k: t for k, t in layer.params().items()}
+    view = sub_params(outer, "layer.")
+    assert view.get("conv.b") is None
+    x = Rng(41).tensor((1, 2, 4, 4))
+    assert np.array_equal(layer.forward(x, view).data, layer.forward(x).data)
+
+
+def test_forward_with_one_overridden_parameter_uses_it():
+    # block_gradient_errors probes this way: one entry of the flat dict replaced
+    block = build_block("gmcf-block", block_config("gmcf-block", 8), Rng(42))
+    x = Rng(43).tensor((1, 8, 6, 6))
+    base = block.forward(x).data
+    for name in ("m0.mscf.sa.conv.w", "m0.gconv.dw.b", "m0.bn.gamma", "cv2.w"):
+        params = dict(block.params())
+        params[name] = Tensor(params[name].data * 0.5)
+        probed = block.forward(x, params).data
+        assert not np.array_equal(probed, base), name
+        twin = build_block("gmcf-block", block_config("gmcf-block", 8), Rng(42))
+        twin.set_params(params)
+        assert np.array_equal(twin.forward(x).data, probed), name
+    assert np.array_equal(block.forward(x, block.params()).data, base)

@@ -184,6 +184,48 @@ def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, co
     assert err.count("\n") == 1 and "gmcf" in err
 
 
+def _rewrite_input(case, f):
+    """Replace input.vrft by ``f`` of its array."""
+    x = read_tensor(case / "input.vrft")
+    write_tensor(case / "input.vrft", Tensor(f(x.data)))
+
+
+@pytest.mark.parametrize("corrupt,says", [
+    (lambda case: _rewrite_input(case, lambda x: x.astype(np.float64)), "float64"),
+    (lambda case: _rewrite_input(case, lambda x: x[:, :5]), "(1, 5, 8, 8)"),
+    (lambda case: _rewrite_input(case, lambda x: np.full_like(x, np.nan)), "non-finite"),
+], ids=["f64-input", "5-channel-input", "nan-input"])
+def test_golden_verify_checks_input_against_meta(tmp_path, capsys, corrupt, says):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8", "--dtype", "f32"]) == 0
+    corrupt(out / "gmcf")
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and err.count("\n") == 1
+    assert "input.vrft" in err and says in err
+
+
+@pytest.mark.parametrize("name", ["params.manifest", "buffers.manifest", "input.vrft",
+                                  "output.vrft"])
+def test_golden_verify_missing_case_file_exits_1(tmp_path, capsys, name):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8"]) == 0
+    (out / "gmcf" / name).unlink()
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and err.count("\n") == 1 and name in err
+
+
+def test_golden_verify_missing_out_dir_exits_2(tmp_path, capsys):
+    assert main(["golden", "verify", "--out", str(tmp_path / "absent")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and err.count("\n") == 1
+
+
 def test_golden_verify_through_oracle(tmp_path, capsys):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--seed", "6",

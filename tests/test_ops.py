@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import (
     ConvSpec,
@@ -177,6 +177,63 @@ def test_conv2d_matches_oracle_and_finite_differences_on_random_specs(case):
     assert finite_diff_check(lambda t: q(conv2d(x, t, b, spec)), w, h=1.0) < 1e-5
     if b is not None:
         assert finite_diff_check(lambda t: q(conv2d(x, w, t, spec)), b, h=1.0) < 1e-5
+
+
+def loop_im2col(xd, wd, bd, spec, ho, wo, grad):
+    """``ops._im2col``'s reference: columns from k*k slice assignments and
+    every product as one 4-D matmul over (sample, group) blocks. Returns
+    the output, dx and dw for the output gradient ``grad``."""
+    n, cin, h, width = xd.shape
+    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    cog, m, l = spec.c_out // g, (cin // g) * k * k, ho * wo
+    xp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=xd.dtype)
+    xp[:, :, p : p + h, p : p + width] = xd
+    cols6 = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
+    for u in range(k):
+        for v in range(k):
+            cols6[:, :, u, v] = xp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s]
+    cols = cols6.reshape(n, g, m, l)
+    wm = wd.reshape(g, cog, m)
+    out = np.matmul(wm, cols).reshape(n, spec.c_out, ho, wo)
+    if bd is not None:
+        np.add(out, bd, out=out)
+    go = grad.reshape(n, g, cog, l)
+    dcols = np.matmul(wm.transpose(0, 2, 1), go).reshape(n, cin, k, k, ho, wo)
+    dxp = np.zeros_like(xp)
+    for u in range(k):
+        for v in range(k):
+            dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[:, :, u, v]
+    dx = dxp[:, :, p : p + h, p : p + width]
+    dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
+    return out, dx, dw
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=conv_cases())
+# the spatial-attention mask conv, a strided dilated conv and a pointwise
+# conv, each of one group, so batch 1 runs the single-block product
+@example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0))
+@example(case=(ConvSpec(3, 4, 3, 2, 2, 1, 1), (1, 3, 9, 8), 1))
+@example(case=(ConvSpec(3, 5, 1), (1, 3, 4, 5), 2))
+def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
+    # the strided-copy columns hold the same values, and a single block's
+    # 2-D dot sums the same products in the same order as the 4-D matmul
+    spec, (_, c, h, w), seed = case
+    rng = Rng(seed)
+    ho, wo = spec.out_hw(h, w)
+    for n in (1, 2):  # batch 1 of one group is a single block; batch 2 never is
+        x, wt = rng.uniform((n, c, h, w)), rng.uniform(spec.weight_shape)
+        b = rng.uniform(spec.bias_shape) if spec.bias else None
+        grad = rng.uniform((n, spec.c_out, ho, wo))
+        for dtype in (np.float32, np.float64, np.longdouble):
+            xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
+            bd = None if b is None else b.astype(dtype)
+            out, vjp = ops._im2col(xd, wd, bd, spec, ho, wo)
+            dx, dw = vjp(gd, True, True)
+            ref_out, ref_dx, ref_dw = loop_im2col(xd, wd, bd, spec, ho, wo, gd)
+            for got, want in ((out, ref_out), (dx, ref_dx), (dw, ref_dw)):
+                # array_equal, not tobytes(): longdouble carries padding bytes
+                assert got.dtype == dtype and np.array_equal(got, want), (spec, n, dtype)
 
 
 def _dw_tiles(spec, shape):
