@@ -186,12 +186,7 @@ class ConvLayer(ParamBlock):
         return self._conv(self.resolve(params), "conv", x)
 
 
-_BLOCK_TYPES = {
-    "mscf": MscfBlock,
-    "gconv": GConvBlock,
-    "gmcf": GmcfBottleneck,
-    "gmcf-block": GmcfBlock,
-}
+_BLOCK_TYPES = {cls.kind: cls for cls in (MscfBlock, GConvBlock, GmcfBottleneck, GmcfBlock)}
 
 
 def build_block(kind: str, cfg, rng: Rng | None = None, dtype=np.float64) -> ParamBlock:

@@ -25,6 +25,8 @@ def _apply_thread_cap() -> str | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .config import BLOCK_KINDS, DTYPES
+
     parser = argparse.ArgumentParser(
         prog="vrf",
         description="Variable receptive-field block library: checks, diffs, profiles, goldens.",
@@ -33,13 +35,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="JSON run config (strict keys)")
-        p.add_argument("--block", choices=["mscf", "gconv", "gmcf", "gmcf-block"])
+        p.add_argument("--block", choices=BLOCK_KINDS)
         p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--dtype", choices=["f32", "f64"])
+        p.add_argument("--dtype", choices=list(DTYPES))
         p.add_argument("--tol", type=float, help="tolerance override")
         p.add_argument("--out", type=Path, help="output directory for reports/goldens")
         p.add_argument("--channels", type=int, help="block channel count (default 8)")
-        p.add_argument("--input-shape", type=str, help="n,c,h,w (default 1,C,6,6)")
+        p.add_argument("--input-shape", type=str,
+                       help="n,c,h,w (default 1,C,6,6; profile 1,C,20,20; golden 1,C,8,8)")
 
     g = sub.add_parser("gradcheck", help="finite-difference check of every parameter and input")
     common(g)
@@ -64,27 +67,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args):
+def _run_config(args, **defaults):
+    """The --config file (or none) with the flags that were given on top;
+    ``defaults`` are the command's own, for keys neither one sets."""
+    from dataclasses import replace
+
     from .config import ConfigError, RunConfig, load_run_config, validate_run_config
 
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    if args.block is not None:
-        cfg.block = args.block
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.dtype is not None:
-        cfg.dtype = args.dtype
-    if args.tol is not None:
-        cfg.tolerance = args.tol
-    if args.out is not None:
-        cfg.out_dir = args.out.resolve()
-    if args.channels is not None:
-        cfg.channels = args.channels
-    if getattr(args, "input_shape", None):
+    cfg = load_run_config(args.config, **defaults) if args.config else RunConfig(**defaults)
+    shape = None
+    if args.input_shape:
         try:
-            cfg.input_shape = tuple(int(d) for d in args.input_shape.replace("x", ",").split(","))
+            shape = tuple(int(d) for d in args.input_shape.replace("x", ",").split(","))
         except ValueError:
             raise ConfigError(f"cannot parse input shape {args.input_shape!r}") from None
+    flags = {"block": args.block, "seed": args.seed, "dtype": args.dtype, "tolerance": args.tol,
+             "out_dir": args.out and args.out.resolve(), "channels": args.channels,
+             "input_shape": shape}
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     validate_run_config(cfg)
     return cfg
 
@@ -154,18 +154,15 @@ def _grid_specs(rng, count: int):
 
 
 def cmd_oracle_diff(args) -> int:
-    cfg = _run_config(args)
-    import numpy as np
-
+    cfg = _run_config(args, dtype="f32")  # the tolerance is an f32 bound
     from .blocks import build_block
-    from .config import DTYPES, block_config
+    from .config import BLOCK_KINDS, block_config
     from .ops import conv2d
     from .oracle import compare, oracle_block, oracle_conv2d
     from .tensor import Rng
 
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-    # the differential grid runs in f32 by default (the tolerance is an f32 bound)
-    dtype = DTYPES[args.dtype] if args.dtype else np.float32
+    dtype = cfg.np_dtype
     rng = Rng(cfg.seed)
     lines: list[str] = []
     worst = 0.0
@@ -186,16 +183,10 @@ def cmd_oracle_diff(args) -> int:
             failed = True
             print(f"DIVERGED {report.op}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
 
-    block_cases = [] if args.skip_blocks else [
-        ("mscf", 8, (1, 8, 6, 6)),
-        ("gconv", 6, (1, 6, 4, 4)),
-        ("gmcf", 16, (2, 16, 8, 8)),
-        ("gmcf-block", 8, (1, 8, 8, 8)),
-    ]
-    for kind, c, shape in block_cases:
-        bcfg = block_config(kind, c)
+    for kind in () if args.skip_blocks else BLOCK_KINDS:
+        bcfg = block_config(kind, 8)
         block = build_block(kind, bcfg, Rng(cfg.seed + 7), dtype)
-        x = Rng(cfg.seed + 8).tensor(shape, -1.0, 1.0, dtype)
+        x = Rng(cfg.seed + 8).tensor((2, 8, 6, 6), -1.0, 1.0, dtype)
         fast = block.forward(x, mode="eval")
         ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
         report = compare(kind, fast, ref, cfg.seed)
@@ -263,12 +254,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _golden_cases(cfg):
-    kinds = [cfg.block] if cfg.block else ["mscf", "gconv", "gmcf", "gmcf-block"]
-    for i, kind in enumerate(kinds):
-        yield kind, cfg.seed + i
-
-
 def cmd_golden(args) -> int:
     cfg = _run_config(args)
     from .config import ConfigError
@@ -276,10 +261,12 @@ def cmd_golden(args) -> int:
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ConfigError("golden needs --out <dir>")
+    from dataclasses import replace
+
     import numpy as np
 
     from .blocks import build_block
-    from .config import DTYPES, block_config
+    from .config import BLOCK_KINDS
     from .oracle import compare, oracle_block
     from .tensor import Rng, ShapeError
     from .vrft import (
@@ -287,6 +274,7 @@ def cmd_golden(args) -> int:
         read_golden_meta,
         read_manifest,
         read_tensor,
+        write_golden_meta,
         write_manifest,
         write_tensor,
     )
@@ -294,27 +282,20 @@ def cmd_golden(args) -> int:
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
 
     if args.direction == "generate":
-        for kind, seed in _golden_cases(cfg):
+        for i, kind in enumerate([cfg.block] if cfg.block else BLOCK_KINDS):
+            case = replace(cfg, block=kind, seed=cfg.seed + i,
+                           input_shape=cfg.resolved_input_shape(default_hw=8))
             case_dir = out_dir / kind
             case_dir.mkdir(parents=True, exist_ok=True)
-            rng = Rng(seed)
-            bcfg = block_config(kind, cfg.channels, cfg.module)
-            block = build_block(kind, bcfg, rng, cfg.np_dtype)
-            x = rng.tensor(cfg.resolved_input_shape(default_hw=8), -1.0, 1.0, cfg.np_dtype)
+            rng = Rng(case.seed)
+            block = build_block(kind, case.build_block_config(), rng, case.np_dtype)
+            x = rng.tensor(case.input_shape, -1.0, 1.0, case.np_dtype)
             y = block.forward(x, mode="eval")
             write_tensor(case_dir / "input.vrft", x)
             write_tensor(case_dir / "output.vrft", y)
             write_manifest(case_dir, "params.manifest", block.params())
             write_manifest(case_dir, "buffers.manifest", block.buffers())
-            meta = {
-                "block": kind,
-                "channels": cfg.channels,
-                "dtype": cfg.dtype,
-                "seed": seed,
-                "input_shape": list(x.shape),
-                "module": cfg.module,
-            }
-            (case_dir / GOLDEN_META).write_text(json.dumps(meta, sort_keys=True, indent=1))
+            write_golden_meta(case_dir / GOLDEN_META, case)
             print(f"golden written: {case_dir}")
         return 0
 
@@ -322,9 +303,9 @@ def cmd_golden(args) -> int:
     failures = []
     for case_dir in sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists()):
         meta = read_golden_meta(case_dir / GOLDEN_META)
-        dtype = np.dtype(DTYPES[meta["dtype"]])
-        bcfg = block_config(meta["block"], meta["channels"], meta["module"])
-        block = build_block(meta["block"], bcfg, None, dtype)
+        dtype = np.dtype(meta.np_dtype)
+        bcfg = meta.build_block_config()
+        block = build_block(meta.block, bcfg, None, dtype)
         try:
             block.set_params(dict(read_manifest(case_dir / "params.manifest")))
             block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))
@@ -337,13 +318,13 @@ def cmd_golden(args) -> int:
             # a file missing from a case is corrupt data; a missing --out
             # directory stays a usage error (main)
             raise FormatError(f"{case_dir}: missing {Path(exc.filename).name}") from None
-        want_x = (tuple(meta["input_shape"]), dtype)
+        want_x = (meta.input_shape, dtype)
         if (x.shape, x.dtype) != want_x:
             raise FormatError(f"{case_dir}: input.vrft is {x.shape} {x.dtype}, "
                               f"meta.json says {want_x[0]} {want_x[1]}")
         if not np.isfinite(x.data).all():
             raise FormatError(f"{case_dir}: input.vrft has non-finite values")
-        ref = (oracle_block(meta["block"], bcfg, x, block.params(), block.buffers(), "eval")
+        ref = (oracle_block(meta.block, bcfg, x, block.params(), block.buffers(), "eval")
                if args.use_oracle else block.forward(x, mode="eval"))
         expected = (ref.shape, dtype)
         if (stored.shape, stored.dtype) != expected:
@@ -352,7 +333,7 @@ def cmd_golden(args) -> int:
             failures.append(case_dir.name)
             continue
         if args.use_oracle:
-            report = compare(meta["block"], stored, ref, meta["seed"])
+            report = compare(meta.block, stored, ref, meta.seed)
             ok = report.max_abs_diff <= tol
             print(f"{'ok  ' if ok else 'FAIL'} {case_dir.name} (oracle path) "
                   f"max_abs_diff={report.max_abs_diff:.3e} tol={tol:g}")
@@ -397,7 +378,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"corrupt data: {exc}", file=sys.stderr)
         return 1
-    except (ShapeError, FileNotFoundError) as exc:
+    except (ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,11 @@ loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
-
-BLOCK_KINDS = ("mscf", "gconv", "gmcf", "gmcf-block")
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -122,6 +121,11 @@ class GmcfConfig:
                        gconv=replace(self.gconv, c=width, hidden=None))
 
 
+# the block config class of each block kind
+_KIND_CONFIGS = {"mscf": MscfConfig, "gconv": GconvConfig, "gmcf": GmcfConfig,
+                 "gmcf-block": GmcfConfig}
+BLOCK_KINDS = tuple(_KIND_CONFIGS)
+
 # JSON value types accepted for each field annotation
 _JSON_TYPES = {
     "int": int, "float": (int, float), "bool": bool, "str": str, "dict": dict,
@@ -161,30 +165,22 @@ def _take(cls, d, where: str) -> dict:
     return dict(d)
 
 
-def mscf_config_from_dict(c: int, d: dict) -> MscfConfig:
-    return MscfConfig(c=c, **_take(MscfConfig, d, "module(mscf)"))
-
-
-def gconv_config_from_dict(c: int, d: dict) -> GconvConfig:
-    return GconvConfig(c=c, **_take(GconvConfig, d, "module(gconv)"))
-
-
-def gmcf_config_from_dict(c: int, d: dict) -> GmcfConfig:
-    vals = _take(GmcfConfig, d, "module(gmcf)")
-    vals["mscf"] = mscf_config_from_dict(c, vals.get("mscf", {}))
-    vals["gconv"] = gconv_config_from_dict(c, vals.get("gconv", {}))
-    return GmcfConfig(c=c, **vals)
+def _from_dict(cls, c: int, d, where: str):
+    """Config ``cls`` at width ``c`` from a strict JSON object; a key whose
+    field is itself a config is built the same way from its sub-object."""
+    vals = _take(cls, d, where)
+    hints = get_type_hints(cls)
+    for name, value in vals.items():
+        if is_dataclass(hints[name]):
+            vals[name] = _from_dict(hints[name], c, value, f"{where}.{name}")
+    return cls(c=c, **vals)
 
 
 def block_config(kind: str, c: int, module: dict | None = None):
-    module = module or {}
-    if kind == "mscf":
-        return mscf_config_from_dict(c, module)
-    if kind == "gconv":
-        return gconv_config_from_dict(c, module)
-    if kind in ("gmcf", "gmcf-block"):
-        return gmcf_config_from_dict(c, module)
-    raise ConfigError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
+    if kind not in _KIND_CONFIGS:
+        raise ConfigError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
+    return _from_dict(_KIND_CONFIGS[kind], c, {} if module is None else module,
+                      f"module({kind})")
 
 
 @dataclass
@@ -215,7 +211,8 @@ class RunConfig:
         return block_config(self.block, self.channels, self.module)
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, **defaults) -> RunConfig:
+    """The run config in JSON file ``path`` (see :func:`run_config`)."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -223,7 +220,14 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    vals = _take(RunConfig, raw, str(path))
+    return run_config(raw, str(path), **defaults)
+
+
+def run_config(raw, where: str, **defaults) -> RunConfig:
+    """The one path from a JSON object to a checked RunConfig: strict keys
+    and types, tuple and path conversions, then validate_run_config.
+    ``defaults`` stand in for keys that ``raw`` leaves out."""
+    vals = {**defaults, **_take(RunConfig, raw, where)}
     if vals.get("input_shape") is not None:
         vals["input_shape"] = tuple(vals["input_shape"])
     if vals.get("out_dir") is not None:
@@ -234,8 +238,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def validate_run_config(cfg: RunConfig) -> None:
-    if cfg.block is not None and cfg.block not in BLOCK_KINDS:
-        raise ConfigError(f"unknown block {cfg.block!r}; expected one of {BLOCK_KINDS}")
+    """Cross-field checks; with a block set, its block config is built too."""
     if cfg.dtype not in DTYPES:
         raise ConfigError(f"dtype must be one of {sorted(DTYPES)}, got {cfg.dtype!r}")
     if cfg.channels < 1:
@@ -249,5 +252,5 @@ def validate_run_config(cfg: RunConfig) -> None:
             )
     if cfg.tolerance is not None and cfg.tolerance < 0:
         raise ConfigError("tolerance must be >= 0")
-    if not isinstance(cfg.module, dict):
-        raise ConfigError("module must be a JSON object")
+    if cfg.block is not None:
+        cfg.build_block_config()

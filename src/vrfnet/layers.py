@@ -136,9 +136,6 @@ class ParamBlock:
     def forward(self, x, params=None, mode: str = "eval"):
         raise NotImplementedError
 
-    def __call__(self, x, params=None, mode: str = "eval"):
-        return self.forward(x, params, mode)
-
 
 class ParamView:
     """The ``prefix.*`` entries of a flat parameter dict, by their names

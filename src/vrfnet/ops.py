@@ -470,8 +470,6 @@ def dropout(x, state: DropoutState, mode: str = "eval"):
     eval (or p=0) is a bit-exact identity."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if state.p >= 1.0:
-        raise ValueError("dropout probability must be < 1")
     if mode == "eval" or state.p == 0.0:
         return x
 

@@ -18,13 +18,14 @@ produced it.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
-from .config import BLOCK_KINDS, DTYPES
+from .config import ConfigError, RunConfig, run_config
 from .tensor import Tensor
 
 MAGIC = b"VRFT"
@@ -48,11 +49,16 @@ def write_tensor(path, t: Tensor) -> None:
     path.write_bytes(header + payload)
 
 
-def read_tensor(path) -> Tensor:
-    raw = Path(path).read_bytes()
+def read_header(path) -> tuple[np.dtype, tuple[int, int, int, int]]:
+    """Dtype and dims of a VRFT file, from its header bytes alone;
+    FormatError unless the header is well formed and the file size is
+    the header's plus the payload it declares."""
+    with open(path, "rb") as f:
+        raw = f.read(_HEADER.size)
+        size = os.fstat(f.fileno()).st_size
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, code, rank, *dims = _HEADER.unpack_from(raw)
+    magic, version, code, rank, *dims = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -62,23 +68,16 @@ def read_tensor(path) -> Tensor:
     if code not in _CODE_DTYPE:
         raise FormatError(f"{path}: unknown dtype code {code}")
     dtype = _CODE_DTYPE[code]
-    count = dims[0] * dims[1] * dims[2] * dims[3]
-    expected = _HEADER.size + count * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    arr = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape(dims)
-    return Tensor.wrap(arr.astype(arr.dtype.newbyteorder("=")))
+    expected = _HEADER.size + dims[0] * dims[1] * dims[2] * dims[3] * dtype.itemsize
+    if size != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {size}")
+    return dtype, tuple(dims)
 
 
-def read_header(path) -> tuple[np.dtype, tuple[int, int, int, int]]:
-    """Dtype and dims from the header alone (payload not touched)."""
-    raw = Path(path).read_bytes()[: _HEADER.size]
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, code, rank, *dims = _HEADER.unpack(raw)
-    if magic != MAGIC or version != VERSION or rank != 4 or code not in _CODE_DTYPE:
-        raise FormatError(f"{path}: bad header")
-    return _CODE_DTYPE[code], tuple(dims)
+def read_tensor(path) -> Tensor:
+    dtype, dims = read_header(path)
+    arr = np.fromfile(path, dtype=dtype, offset=_HEADER.size).reshape(dims)
+    return Tensor.wrap(arr.astype(dtype.newbyteorder("="), copy=False))
 
 
 def write_manifest(directory, manifest_name: str, tensors: "OrderedDict[str, Tensor]") -> Path:
@@ -119,37 +118,33 @@ def manifest_element_count(manifest_path) -> int:
     the VRFT headers and file sizes on disk (not from in-memory blocks)."""
     total = 0
     for _, path in _manifest_entries(Path(manifest_path)):
-        dtype, dims = read_header(path)
-        count = dims[0] * dims[1] * dims[2] * dims[3]
-        if path.stat().st_size != _HEADER.size + count * dtype.itemsize:
-            raise FormatError(f"{path}: size does not match header")
-        total += count
+        _, dims = read_header(path)
+        total += dims[0] * dims[1] * dims[2] * dims[3]
     return total
 
 
-_GOLDEN_META_TYPES = {"block": str, "channels": int, "dtype": str, "seed": int, "module": dict,
-                      "input_shape": list}
+_GOLDEN_META_KEYS = ("block", "channels", "dtype", "seed", "input_shape", "module")
 
 
-def read_golden_meta(path) -> dict:
-    """A golden case's meta.json; FormatError unless it is a JSON object
-    with a known block and dtype, every field of the right type, and an
-    input shape of four positive ints with ``channels`` channels."""
+def write_golden_meta(path, cfg: RunConfig) -> None:
+    """Write the fields of ``cfg`` that rebuild a golden case as meta.json."""
+    meta = {key: getattr(cfg, key) for key in _GOLDEN_META_KEYS}
+    Path(path).write_text(json.dumps(meta, sort_keys=True, indent=1))
+
+
+def read_golden_meta(path) -> RunConfig:
+    """A golden case's meta.json as a RunConfig; FormatError unless it
+    holds exactly the keys write_golden_meta writes, none null, and they
+    pass the run-config checks (block, dtype, module, input shape)."""
     try:
         meta = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    for key, kind in _GOLDEN_META_TYPES.items():
-        value = meta.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise FormatError(f"{path}: {key!r} missing or not of type {kind.__name__}")
-    if meta["block"] not in BLOCK_KINDS or meta["dtype"] not in DTYPES:
-        raise FormatError(f"{path}: unknown block {meta['block']!r} or dtype {meta['dtype']!r}")
-    shape = meta["input_shape"]
-    if (len(shape) != 4 or any(type(d) is not int or d < 1 for d in shape)
-            or shape[1] != meta["channels"]):
-        raise FormatError(f"{path}: 'input_shape' {shape} is not four positive ints "
-                          f"with {meta['channels']} channels")
-    return meta
+    if (not isinstance(meta, dict) or sorted(meta) != sorted(_GOLDEN_META_KEYS)
+            or None in meta.values()):
+        raise FormatError(f"{path}: expected exactly the non-null keys "
+                          f"{sorted(_GOLDEN_META_KEYS)}")
+    try:
+        return run_config(meta, Path(path).name)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None

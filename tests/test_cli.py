@@ -86,6 +86,40 @@ def test_oracle_diff_passes_and_is_seed_stable(capsys):
     assert first != second  # different samples, same verdict
 
 
+def test_oracle_diff_compares_every_block_kind(capsys):
+    from vrfnet.config import BLOCK_KINDS
+
+    assert main(["oracle-diff", "--specs", "2"]) == 0
+    ops = [json.loads(l)["op"] for l in capsys.readouterr().out.splitlines()
+           if l.startswith("{")]
+    assert [op for op in ops if op in BLOCK_KINDS] == list(BLOCK_KINDS)
+    assert main(["oracle-diff", "--specs", "2", "--tol", "0"]) == 1
+    assert "DIVERGED block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file_dtype,flag,want", [
+    (None, [], np.float32),
+    ("f64", [], np.float64),
+    ("f64", ["--dtype", "f32"], np.float32),
+], ids=["default-f32", "file-f64", "flag-over-file"])
+def test_oracle_diff_dtype_from_file_or_flag(tmp_path, monkeypatch, file_dtype, flag, want):
+    import vrfnet.ops as ops
+
+    seen = set()
+    real = ops.conv2d
+
+    def spy(x, *rest):
+        seen.add(x.dtype)
+        return real(x, *rest)
+
+    monkeypatch.setattr(ops, "conv2d", spy)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({} if file_dtype is None else {"dtype": file_dtype}))
+    assert main(["oracle-diff", "--specs", "3", "--skip-blocks", "--config", str(cfg),
+                 *flag]) == 0
+    assert seen == {np.dtype(want)}
+
+
 def test_oracle_diff_zero_tolerance_fails(capsys):
     rc = main(["oracle-diff", "--specs", "10", "--seed", "3", "--skip-blocks", "--tol", "0"])
     assert rc == 1
@@ -136,7 +170,10 @@ def test_golden_round_trip_and_corruption(tmp_path, capsys):
 @pytest.mark.parametrize("corrupt", [
     lambda meta: json.dumps({k: v for k, v in json.loads(meta).items() if k != "channels"}),
     lambda meta: "{not json",
-], ids=["missing-channels", "not-json"])
+    lambda meta: json.dumps({**json.loads(meta), "module": {"dw_kernell": 3}}),
+    lambda meta: json.dumps({**json.loads(meta), "module": {"dw_kernel": "3"}}),
+    lambda meta: json.dumps({**json.loads(meta), "tolerance": 1e-6}),
+], ids=["missing-channels", "not-json", "module-unknown-key", "module-mistyped", "extra-key"])
 def test_golden_verify_malformed_meta_exits_1_with_one_line(tmp_path, capsys, corrupt):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gconv",
@@ -222,6 +259,15 @@ def test_golden_verify_missing_case_file_exits_1(tmp_path, capsys, name):
 
 def test_golden_verify_missing_out_dir_exits_2(tmp_path, capsys):
     assert main(["golden", "verify", "--out", str(tmp_path / "absent")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("direction", ["generate", "verify"])
+def test_golden_out_is_a_file_exits_2(tmp_path, capsys, direction):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["golden", direction, "--out", str(out), "--block", "gconv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error") and err.count("\n") == 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
-from vrfnet.config import block_config, gmcf_config_from_dict
+from vrfnet.config import block_config
 
 
 def test_mscf_defaults_and_validation():
@@ -59,7 +59,7 @@ def test_strict_unknown_keys():
     with pytest.raises(ConfigError, match="hidden_width"):
         block_config("gconv", 8, {"hidden_width": 4})
     with pytest.raises(ConfigError, match="use_ca"):
-        gmcf_config_from_dict(8, {"use_ca": True})  # belongs under "mscf"
+        block_config("gmcf", 8, {"use_ca": True})  # belongs under "mscf"
 
 
 def test_nested_module_config():

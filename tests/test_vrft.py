@@ -74,3 +74,28 @@ def test_manifest_bad_line(tmp_path):
         read_manifest(bad)
     with pytest.raises(FormatError, match="name<TAB>file"):
         manifest_element_count(bad)
+
+
+def _corrupt_header(raw: bytes, offset: int, value: int) -> bytes:
+    return raw[:offset] + bytes([value]) + raw[offset + 1:]
+
+
+@pytest.mark.parametrize("corrupt,says", [
+    (lambda raw: raw[:10], "truncated header"),
+    (lambda raw: b"XRFT" + raw[4:], "magic"),
+    (lambda raw: _corrupt_header(raw, 4, 9), "version"),
+    (lambda raw: _corrupt_header(raw, 5, 7), "dtype code"),
+    (lambda raw: _corrupt_header(raw, 6, 3), "rank"),
+    (lambda raw: raw[:-1], "bytes"),
+    (lambda raw: raw + b"\0" * 8, "bytes"),
+], ids=["truncated-header", "magic", "version", "dtype-code", "rank", "short-payload",
+        "long-payload"])
+def test_every_reader_rejects_a_bad_header(tmp_path, corrupt, says):
+    manifest = write_manifest(tmp_path, "params.manifest",
+                              OrderedDict(t=Rng(6).tensor((1, 2, 2, 2))))
+    path = tmp_path / "t.vrft"
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError, match=says):
+        read_tensor(path)
+    with pytest.raises(FormatError, match=says):
+        manifest_element_count(manifest)
