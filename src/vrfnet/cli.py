@@ -70,11 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_config(args, **defaults):
     """The --config file (or none) with the flags that were given on top;
     ``defaults`` are the command's own, for keys neither one sets."""
-    from dataclasses import replace
+    from .config import ConfigError, load_run_config, run_config
 
-    from .config import ConfigError, RunConfig, load_run_config, validate_run_config
-
-    cfg = load_run_config(args.config, **defaults) if args.config else RunConfig(**defaults)
     shape = None
     if args.input_shape:
         try:
@@ -82,11 +79,13 @@ def _run_config(args, **defaults):
         except ValueError:
             raise ConfigError(f"cannot parse input shape {args.input_shape!r}") from None
     flags = {"block": args.block, "seed": args.seed, "dtype": args.dtype, "tolerance": args.tol,
-             "out_dir": args.out and args.out.resolve(), "channels": args.channels,
+             "out_dir": args.out, "channels": args.channels,
              "input_shape": shape}
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    validate_run_config(cfg)
-    return cfg
+    flags = {k: v for k, v in flags.items() if v is not None}
+    # the flags go on top of the file before the one validation
+    if args.config:
+        return load_run_config(args.config, flags, **defaults)
+    return run_config({}, "flags", flags, **defaults)
 
 
 def _make_block(cfg, seed_offset: int = 0):

@@ -179,8 +179,11 @@ def _from_dict(cls, c: int, d, where: str):
 def block_config(kind: str, c: int, module: dict | None = None):
     if kind not in _KIND_CONFIGS:
         raise ConfigError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
-    return _from_dict(_KIND_CONFIGS[kind], c, {} if module is None else module,
-                      f"module({kind})")
+    cfg = _from_dict(_KIND_CONFIGS[kind], c, {} if module is None else module,
+                     f"module({kind})")
+    if kind == "gmcf-block":
+        cfg.hidden_width  # raises unless the wrapper's branch width e*c is a positive integer
+    return cfg
 
 
 @dataclass
@@ -211,7 +214,7 @@ class RunConfig:
         return block_config(self.block, self.channels, self.module)
 
 
-def load_run_config(path, **defaults) -> RunConfig:
+def load_run_config(path, overrides: dict | None = None, **defaults) -> RunConfig:
     """The run config in JSON file ``path`` (see :func:`run_config`)."""
     path = Path(path)
     try:
@@ -220,14 +223,15 @@ def load_run_config(path, **defaults) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return run_config(raw, str(path), **defaults)
+    return run_config(raw, str(path), overrides, **defaults)
 
 
-def run_config(raw, where: str, **defaults) -> RunConfig:
+def run_config(raw, where: str, overrides: dict | None = None, **defaults) -> RunConfig:
     """The one path from a JSON object to a checked RunConfig: strict keys
-    and types, tuple and path conversions, then validate_run_config.
-    ``defaults`` stand in for keys that ``raw`` leaves out."""
-    vals = {**defaults, **_take(RunConfig, raw, where)}
+    and types, then ``overrides`` (typed values, such as the CLI's flags)
+    on top, tuple and path conversions, and validate_run_config once, on
+    the result. ``defaults`` stand in for keys that neither sets."""
+    vals = {**defaults, **_take(RunConfig, raw, where), **(overrides or {})}
     if vals.get("input_shape") is not None:
         vals["input_shape"] = tuple(vals["input_shape"])
     if vals.get("out_dir") is not None:

@@ -88,13 +88,16 @@ def channel_avg_max(x):
 
     Both reductions write into their channel of the output (``out=``),
     in numpy's deterministic axis-1 order, so results are bit-stable
-    across runs. The max routes its gradient to the first maximal
-    channel at each pixel; the adjoint writes one dx buffer.
+    across runs. The mean is the sum divided in place by c, as
+    ``np.mean`` computes it, without its Python wrapper. The max routes
+    its gradient to the first maximal channel at each pixel; the adjoint
+    writes one dx buffer.
     """
     tx = value_of(x)
     c = tx.shape[1]
     buf = np.empty((tx.shape[0], 2) + tx.shape[2:], dtype=tx.dtype)
-    np.mean(tx.data, axis=1, keepdims=True, dtype=tx.dtype, out=buf[:, 0:1])
+    mean = np.add.reduce(tx.data, axis=1, keepdims=True, out=buf[:, 0:1])
+    np.true_divide(mean, c, out=mean)
     np.max(tx.data, axis=1, keepdims=True, out=buf[:, 1:2])
     out = Tensor.wrap(buf)
     tally(eltwise=2 * tx.size)
@@ -159,15 +162,16 @@ def select_scales(cat, mask, x):
 
 
 def spatial_mean(x):
-    """Global average pool over (h, w), out (n,c,1,1)."""
+    """Global average pool over (h, w), out (n,c,1,1): the sum divided in
+    place by h*w, as ``np.mean`` computes it."""
     tx = value_of(x)
-    out = Tensor.wrap(tx.data.mean(axis=(2, 3), keepdims=True, dtype=tx.dtype))
+    hw = tx.shape[2] * tx.shape[3]
+    mean = np.add.reduce(tx.data, axis=(2, 3), keepdims=True)
+    out = Tensor.wrap(np.true_divide(mean, hw, out=mean))
     tally(eltwise=tx.size)
     tape = tape_of(x)
     if tape is None:
         return out
-
-    hw = tx.shape[2] * tx.shape[3]
 
     def backward(g, acc):
         acc(x, np.broadcast_to(g / hw, tx.shape).copy())

@@ -2,13 +2,18 @@
 
 ``conv2d`` is the one conv op; padding is zero-fill. A stride-1
 depthwise conv (groups == c_in == c_out: the MSCF branches and the GConv
-gate) runs a direct kernel over cache-sized tiles of padded planes,
-forward and backward: one einsum per tile multiplies a strided view that
-holds every tap's shifted slice by the per-plane taps and sums them in
-one pass (at dilation 1, one einsum per column of taps). Such a conv
-does only k*k MACs per output, so it is bound by memory traffic; im2col
-would write and read back a k*k-times copy of its input for a degenerate
-matmul, and a multiply-then-add loop over taps makes two passes per tap.
+gate) runs a direct kernel, forward and backward: one einsum multiplies
+a strided view that holds every tap's shifted slice by the taps and sums
+them in one pass (at dilation 1, one sum per column of taps). Such a
+conv does only k*k MACs per output, so it is bound by memory traffic;
+im2col would write and read back a k*k-times copy of its input for a
+degenerate matmul, and a multiply-then-add loop over taps makes two
+passes per tap. The layout follows the conv's size: one whose tap
+windows fit in one cache-sized tile (the gradient probes' 6x6 planes)
+sums over a compact copy of the windows of the taps that touch the
+input, and any larger one over cache-sized tiles of row-padded planes,
+which copy nothing per tap but compute a few outputs per row that are
+cropped. Both give the same bits.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. The columns are
 one strided copy of a window view of the padded input; a 1x1 conv reads
@@ -204,17 +209,18 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     return out, vjp
 
 
-# The depthwise kernel works on tiles of (sample, channel) planes holding
-# about this many output elements, so that each tile's planes and
-# accumulator stay in L2.
+# The row-padded depthwise kernel works on tiles of (sample, channel)
+# planes holding about this many output elements, so that each tile's
+# planes and accumulator stay in L2. A conv whose tap windows fit in one
+# tile runs on a copy of them instead (see _dw).
 _DW_TILE = 1 << 16
 
 
 def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     """A stride-1 depthwise conv as a sum of shifted slices.
 
-    No im2col columns: each tap multiplies one contiguous slice of the
-    padded planes (see :func:`_dw_conv`). The input gradient is the same
+    No im2col columns: each tap multiplies a strided window of the
+    padded planes (see :func:`_dw`). The input gradient is the same
     kernel run on the output gradient with the taps flipped, and the
     weight gradient is one dot product per plane and tap.
     Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
@@ -222,7 +228,7 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     n, c, h, width = xd.shape
     k, d, p = spec.k, spec.dilation, spec.padding
     taps = wd.reshape(c, k, k)
-    out, planes, row = _dw_conv(xd, taps, d, p, bd)
+    out, weight_grad = _dw(xd, taps, d, p, bd)
 
     def vjp(grad, want_x, want_w):
         dx = dw = None
@@ -230,24 +236,108 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
             # padding d(k-1) - p maps the output back onto the input; a
             # negative one is padding 0 and a crop
             q = d * (k - 1) - p
-            dx = _dw_conv(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)[0]
+            dx = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)[0]
             if q < 0:
                 dx = dx[:, :, -q : h - q, -q : width - q]
         if want_w:
-            l = ho * row
-            gp = np.zeros((n * c, 1, l), dtype=grad.dtype)
-            gp.reshape(n * c, ho, row)[:, :, :wo] = grad.reshape(n * c, ho, wo)
-            dwt = np.empty((k * k, n * c), dtype=grad.dtype)
-            for t in range(k * k):
-                s = (t // k * row + t % k) * d
-                dwt[t] = np.matmul(gp, planes[:, s : s + l, None]).reshape(-1)
-            dw = dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(spec.weight_shape)
+            dw = weight_grad(grad).reshape(spec.weight_shape)
         return dx, dw
 
     return out, vjp
 
 
-def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
+def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
+    """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
+    in the layout its size calls for.
+
+    A conv whose tap windows, n*c*k*k*ho*wo elements, fit in one kernel
+    tile (``_DW_TILE``) and that has more than one output a plane runs on
+    a compact copy of its live taps' windows (:func:`_dw_window`); every
+    other one on row-padded planes (:func:`_dw_conv`), which copies no
+    window. On small planes the row-padded layout computes outputs it
+    then crops (2.2x the needed ones at dilation 7 on 6x6) and taps that
+    read only zeros (eight of nine there); on large planes a k*k-fold
+    copy of the input would cost more memory traffic than the conv. With
+    one output a plane, einsum would sum the taps as a dot product, in
+    another order. The two layouts give the same bits.
+    Returns the output and ``weight_grad(grad) -> (c, k, k)``.
+    """
+    n, c, h, w = xd.shape
+    k = taps.shape[-1]
+    span = d * (k - 1)
+    ho, wo = h + 2 * p - span, w + 2 * p - span
+    kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE else _dw_conv
+    return kernel(xd, taps, d, p, bias, ho, wo)
+
+
+def _live_taps(size: int, out: int, k: int, d: int, p: int) -> tuple[int, int]:
+    """The range [t0, t1) of taps along one axis whose window touches the
+    input: tap t reads positions t*d - p .. t*d - p + out - 1 of an axis
+    ``size`` long."""
+    t0 = max(0, -((out - 1 - p) // d))  # ceil((p - out + 1) / d)
+    t1 = min(k, (size + p - 1) // d + 1)
+    return t0, max(t0, t1)
+
+
+def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
+    """Stride-1 depthwise conv on a compact copy of its live taps' windows.
+
+    A tap is live when its window touches the input; the live taps are
+    the rectangle [u0, u1) x [v0, v1) of :func:`_live_taps`. Their
+    windows are one C-order copy (n, c, u, v, ho*wo) of a strided view of
+    the padded planes, trimmed to what the live windows read. The sums
+    are those of :func:`_dw_conv`, with the taps and bias indexed per
+    channel: one einsum over all live taps, or at d = 1 one sum per
+    column of them (one einsum that keeps the column axis), the columns
+    then added in order. Each output sums the same products in the same
+    order as there, less the dead taps' products, which are zeros: a
+    partial sum starts at +0 and never becomes -0, so adding a zero of
+    either sign changes no bit of it. (Where a dead tap is not finite,
+    its 0 * tap is NaN in :func:`_dw_conv` but is never computed here.)
+    The weight gradient copies the windows again, so a tape keeps no
+    buffer of the conv, and is one dot product per plane and live tap;
+    dead taps get 0.
+    """
+    n, c, h, w = xd.shape
+    k = taps.shape[-1]
+    (u0, u1), (v0, v1) = _live_taps(h, ho, k, d, p), _live_taps(w, wo, k, d, p)
+    nu, nv, l = u1 - u0, v1 - v0, ho * wo
+
+    def windows():
+        # the padded planes from row u0*d - p and column v0*d - p of the
+        # input, as far as the live windows reach
+        r0, c0 = u0 * d - p, v0 * d - p
+        xs = np.zeros((n, c, (nu - 1) * d + ho, (nv - 1) * d + wo), dtype=xd.dtype)
+        hs, ws = xs.shape[2:]
+        xs[:, :, max(0, -r0) : min(h, r0 + hs) - r0, max(0, -c0) : min(w, c0 + ws) - c0] = (
+            xd[:, :, max(0, r0) : r0 + hs, max(0, c0) : c0 + ws])
+        sn, sc, sh, sw = xs.strides
+        view = np.ndarray((n, c, nu, nv, ho, wo), xs.dtype, xs, 0,
+                          (sn, sc, sh * d, sw * d, sh, sw))
+        return view.copy().reshape(n, c, nu, nv, l)
+
+    live = taps[:, u0:u1, v0:v1]
+    if not (nu and nv):  # no tap touches the input (einsum leaves such an output unset)
+        out = np.zeros((n, c, l), dtype=xd.dtype)
+    elif d == 1:
+        out = np.add.reduce(np.einsum("ncuvl,cuv->ncvl", windows(), live), axis=2)
+    else:
+        out = np.einsum("ncuvl,cuv->ncl", windows(), live)
+    if bias is not None:
+        np.add(out, bias.reshape(1, c, 1), out=out)
+
+    def weight_grad(grad):
+        dw = np.zeros((c, k, k), dtype=grad.dtype)
+        if nu and nv:
+            dw[:, u0:u1, v0:v1] = np.matmul(
+                windows().reshape(n, c, nu * nv, l), grad.reshape(n, c, l, 1)
+            ).sum(axis=0).reshape(c, nu, nv)
+        return dw
+
+    return out.reshape(n, c, ho, wo), weight_grad
+
+
+def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
 
     Plane q (sample q // c, channel q % c) becomes row q of ``planes``,
@@ -266,12 +356,12 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     the whole tile, where it broadcasts along rows l long (numpy buffers a
     per-plane broadcast over the cropped rows when a plane is under 8192
     elements, which was slower), and the spare columns are cropped last.
-    Returns the output, ``planes`` and ``row``.
+    The weight gradient of plane q and tap (u, v) is one dot product of
+    the output gradient, laid out ``row`` wide, with that tap's slice.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
-    ho, wo = h + 2 * p - span, w + 2 * p - span
     nc, row = n * c, max(w + p, wo)
     l, size = ho * row, (h + 2 * p) * row + span
     # the output, which outlives the call, is allocated before the planes
@@ -307,7 +397,17 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
         if bt is not None:
             np.add(ac, bt[a:z], out=ac)
         out[a:z] = ac.reshape(z - a, ho, row)[:, :, :wo]
-    return out.reshape(n, c, ho, wo), planes, row
+
+    def weight_grad(grad):
+        gp = np.zeros((nc, 1, l), dtype=grad.dtype)
+        gp.reshape(nc, ho, row)[:, :, :wo] = grad.reshape(nc, ho, wo)
+        dwt = np.empty((k * k, nc), dtype=grad.dtype)
+        for t in range(k * k):
+            s = (t // k * row + t % k) * d
+            dwt[t] = np.matmul(gp, planes[:, s : s + l, None]).reshape(-1)
+        return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
+
+    return out.reshape(n, c, ho, wo), weight_grad
 
 
 def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:

@@ -68,6 +68,17 @@ def test_malformed_config_values_exit_2_with_one_line(tmp_path, capsys, run, key
     assert err.startswith("config error") and key in err and err.count("\n") == 1
 
 
+def test_config_file_is_checked_after_the_flags(tmp_path, capsys):
+    # flags override file values, so only the file with the flags applied must be valid
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gconv", "input_shape": [1, 6, 4, 4]}))
+    assert main(["profile", "--config", str(cfg), "--channels", "6"]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--config", str(cfg), "--channels", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "channels 5" in err and err.count("\n") == 1
+
+
 def test_gradcheck_rejects_f32(capsys):
     rc = main(["gradcheck", *GC_ARGS, "--dtype", "f32"])
     assert rc == 2
@@ -270,6 +281,22 @@ def test_golden_out_is_a_file_exits_2(tmp_path, capsys, direction):
     assert main(["golden", direction, "--out", str(out), "--block", "gconv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error") and err.count("\n") == 1
+
+
+def test_fractional_gmcf_block_width_is_corrupt_meta_or_a_config_error(tmp_path, capsys):
+    # e * c = 0.3 * 8 = 2.4: the wrapper's branch width is not an integer
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf-block"]) == 0
+    _edit_meta(out / "gmcf-block" / "meta.json", module={"e": 0.3})
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and "2.4" in err and err.count("\n") == 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"module": {"e": 0.3}}))
+    assert main(["profile", "--block", "gmcf-block", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "2.4" in err and err.count("\n") == 1
 
 
 def test_golden_verify_through_oracle(tmp_path, capsys):

@@ -289,6 +289,93 @@ def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatc
     assert finite_diff_check(lambda t: q(conv2d(x, t, b, spec)), w, h=1.0) < 1e-5
 
 
+@st.composite
+def dw_layout_cases(draw):
+    """A stride-1 depthwise conv of more than one output a plane (h != w),
+    with zeros of both signs among its inputs, taps and bias."""
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 8))
+    k, d = draw(st.sampled_from([1, 2, 3, 5])), draw(st.integers(1, 7))
+    span = d * (k - 1)
+    pad = draw(st.sampled_from(["zero", "same", "over"]))
+    p = {"zero": 0, "same": span // 2, "over": span + draw(st.integers(1, 2))}[pad]
+    lo = max(1, span + 1 - 2 * p)
+    h, w = lo + draw(st.integers(0, 7)), lo + draw(st.integers(0, 7))
+    if h == w:
+        w += 1
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.longdouble]))
+    return (n, c, h, w), k, d, p, draw(st.booleans()), dtype, draw(st.integers(0, 2**16))
+
+
+def _with_signed_zeros(rng, a):
+    z = rng.random(a.shape)
+    a[z < 0.2] = 0.0
+    a[z > 0.8] = -0.0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dw_layout_cases())
+# no live tap: every row tap of this 2x2 kernel reads padding only
+@example(case=((1, 3, 2, 5), 2, 3, 1, True, np.longdouble, 0))
+def test_depthwise_window_and_row_padded_layouts_give_the_same_bits(case):
+    # the probe-sized convs run the window layout, so conv2d's random-spec
+    # test no longer reaches the row-padded one on its small cases; here
+    # both run on the same cases
+    (n, c, h, w), k, d, p, bias, dtype, seed = case
+    rng = Rng(seed)
+    span = d * (k - 1)
+    ho, wo = h + 2 * p - span, w + 2 * p - span
+    x = _with_signed_zeros(rng, rng.uniform((n, c, h, w), -2.0, 2.0)).astype(dtype)
+    taps = _with_signed_zeros(rng, rng.uniform((c, k, k), -1.0, 1.0)).astype(dtype)
+    b = _with_signed_zeros(rng, rng.uniform((1, c, 1, 1), -1.0, 1.0)) if bias else None
+    b = None if b is None else b.astype(dtype)
+    out_w, weight_grad_w = ops._dw_window(x, taps, d, p, b, ho, wo)
+    out_p, weight_grad_p = ops._dw_conv(x, taps, d, p, b, ho, wo)
+    assert out_w.dtype == dtype and out_w.shape == (n, c, ho, wo)
+    assert np.array_equal(out_w, out_p) and np.array_equal(np.signbit(out_w), np.signbit(out_p))
+
+    # the weight gradients are dot products over ho*wo and over ho rows of
+    # the padded width: in longdouble the same sequential sums, in f32 and
+    # f64 BLAS dots that may group the products differently, which moves
+    # each by less than a dot product's rounding bound
+    g = rng.uniform((n, c, ho, wo), -1.0, 1.0).astype(dtype)
+    dw_w, dw_p = weight_grad_w(g), weight_grad_p(g)
+    if dtype is np.longdouble:
+        assert np.array_equal(dw_w, dw_p)
+    else:
+        terms = n * ho * wo
+        bound = 2 * terms * np.finfo(dtype).eps * np.abs(g).sum(axis=(0, 2, 3)) * np.abs(x).max()
+        assert (np.abs(dw_w - dw_p) <= bound[:, None, None]).all()
+
+
+@pytest.mark.parametrize("shape,window", [
+    # the benchmark's forward and train convs: MSCF's branches and GConv's gate
+    ((1, 64, 80, 80), False), ((1, 42, 80, 80), False),
+    ((4, 128, 20, 20), False), ((4, 85, 20, 20), False),
+    ((1, 32, 40, 40), False), ((1, 21, 40, 40), False),
+    # the gradient probes' (gmcf at 8 channels, 6x6)
+    ((1, 8, 6, 6), True), ((1, 5, 6, 6), True),
+    # one output a plane, whose taps einsum would sum as a dot product
+    ((2, 8, 1, 1), False),
+])
+def test_depthwise_layout_follows_conv_size(shape, window, monkeypatch):
+    calls = set()
+    for name in ("_dw_window", "_dw_conv"):
+        def spy(*args, _name=name, _kernel=getattr(ops, name)):
+            calls.add(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(ops, name, spy)
+    c = shape[1]
+    x = Tensor(np.zeros(shape, dtype=np.float32))
+    for d in (1, 3, 5, 7):
+        spec = ConvSpec.same(c, c, 3, dilation=d, groups=c)
+        w, b = ops.init_conv_params(spec, Rng(d), np.float32)
+        tape = Tape()
+        leaves = [tape.leaf(t) for t in (x, w, b)]
+        tape.backward(sum_all(conv2d(*leaves, spec)))  # the input gradient is a conv too
+    assert calls == {"_dw_window" if window else "_dw_conv"}
+
+
 def test_activation_values():
     zero = Tensor(np.zeros((1, 1, 1, 1)))
     one = Tensor(np.ones((1, 1, 1, 1)))

@@ -14,6 +14,7 @@ from vrfnet import (
     hadamard,
     select_scales,
     slice_channels,
+    spatial_mean,
     sum_all,
     zeros_like,
 )
@@ -198,6 +199,28 @@ def test_fused_pooling_and_selection_are_bit_identical_to_composition(
     pooled, y = _composed_mscf_epilogue(cat, mask, x)
     assert _same_bits(channel_avg_max(cat).data, pooled.data)
     assert _same_bits(select_scales(cat, mask, x).data, y.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    c=st.integers(1, 40),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    dtype=st.sampled_from([np.float32, np.float64, np.longdouble]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_means_are_bit_identical_to_np_mean(n, c, h, w, dtype, ties, seed):
+    # both ops divide numpy's sum by the count themselves, as np.mean does
+    x = Rng(seed).uniform((n, c, h, w), -2.0, 2.0)
+    if ties:
+        x = np.floor(2.0 * x) / 2.0  # equal values across channels and pixels
+    x = x.astype(dtype)
+    assert _same_bits(channel_avg_max(Tensor.wrap(x)).data[:, :1],
+                      np.mean(x, axis=1, keepdims=True, dtype=dtype))
+    assert _same_bits(spatial_mean(Tensor.wrap(x)).data,
+                      x.mean(axis=(2, 3), keepdims=True, dtype=dtype))
 
 
 def test_select_scales_rejects_mismatched_inputs():
