@@ -26,10 +26,10 @@ import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention
 from .config import ConfigError, GconvConfig, GmcfConfig, MscfConfig
-from .eltwise import add, concat_channels, hadamard, select_scales, slice_channels
+from .eltwise import add, concat_channels, hadamard, select_scales, slice_channels, sum_all
 from .layers import ParamBlock, debug_finite, sub_params
 from .ops import ConvSpec, DropoutState, batch_norm, dropout, relu, sigmoid_gate
-from .tape import fd_max_rel_err
+from .tape import Tape, fd_max_rel_err
 from .tensor import Rng, Tensor
 
 
@@ -212,9 +212,6 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
     with batch statistics; the running statistics its forwards update
     are put back afterwards, so the block is left as it was.
     """
-    from .eltwise import sum_all
-    from .tape import Tape
-
     if x.dtype != np.float64:
         raise TypeError("gradient checks require float64 blocks and inputs")
     params = block.params()

@@ -88,13 +88,11 @@ def _run_config(args, **defaults):
     return run_config({}, "flags", flags, **defaults)
 
 
-def _make_block(cfg, seed_offset: int = 0):
+def _make_block(cfg):
     from .blocks import build_block
     from .tensor import Rng
 
-    rng = Rng(cfg.seed + seed_offset)
-    block = build_block(cfg.block, cfg.build_block_config(), rng, cfg.np_dtype)
-    return block, rng
+    return build_block(cfg.block, cfg.build_block_config(), Rng(cfg.seed), cfg.np_dtype)
 
 
 def _emit(out_dir, name: str, lines: "list[str]") -> None:
@@ -115,7 +113,7 @@ def cmd_gradcheck(args) -> int:
     from .tensor import Rng
 
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-5
-    block, rng = _make_block(cfg)
+    block = _make_block(cfg)
     x = Rng(cfg.seed + 1).tensor(cfg.resolved_input_shape(), -2.0, 2.0, cfg.np_dtype)
     errors = block_gradient_errors(block, x, mode=args.mode)
 
@@ -216,7 +214,7 @@ def cmd_profile(args) -> int:
     from .profiler import cost_report, count_params, ffn_cost, format_table
     from .vrft import manifest_element_count, write_manifest
 
-    block, _ = _make_block(cfg)
+    block = _make_block(cfg)
     shape = cfg.resolved_input_shape(default_hw=20)
     threads = os.environ.get("VRF_THREADS")
     report = cost_report(block, shape, kind=cfg.block, bench_reps=args.reps, threads=threads)
@@ -321,8 +319,13 @@ def cmd_golden(args) -> int:
         if (x.shape, x.dtype) != want_x:
             raise FormatError(f"{case_dir}: input.vrft is {x.shape} {x.dtype}, "
                               f"meta.json says {want_x[0]} {want_x[1]}")
-        if not np.isfinite(x.data).all():
-            raise FormatError(f"{case_dir}: input.vrft has non-finite values")
+        # checked before the forward, whose debug_finite invariant would
+        # otherwise fail on them with a traceback
+        for name, t in {"input.vrft": x, **block.params(), **block.buffers()}.items():
+            if not np.isfinite(t.data).all():
+                raise FormatError(f"{case_dir}: {name} has non-finite values")
+            if name.endswith("running_var") and (t.data < 0).any():
+                raise FormatError(f"{case_dir}: {name} has negative variances")
         ref = (oracle_block(meta.block, bcfg, x, block.params(), block.buffers(), "eval")
                if args.use_oracle else block.forward(x, mode="eval"))
         expected = (ref.shape, dtype)

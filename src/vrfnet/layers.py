@@ -30,13 +30,16 @@ from .tensor import Rng, ShapeError, Tensor
 def debug_finite(forward):
     """Debug-build invariant: finite inputs never produce NaN/Inf outputs.
 
-    The check compiles away under ``python -O``.
+    A block fails it only when its input was finite, so a non-finite value
+    is reported by the innermost block that produced it, not by every
+    block downstream. The input is scanned only once the output check has
+    failed. The check compiles away under ``python -O``.
     """
 
     @functools.wraps(forward)
     def wrapper(self, x, params=None, mode="eval"):
         out = forward(self, x, params, mode)
-        assert np.isfinite(value_of(out).data).all(), \
+        assert np.isfinite(value_of(out).data).all() or not np.isfinite(value_of(x).data).all(), \
             f"{type(self).__name__} produced non-finite values"
         return out
 

@@ -9,19 +9,19 @@ conv does only k*k MACs per output, so it is bound by memory traffic;
 im2col would write and read back a k*k-times copy of its input for a
 degenerate matmul, and a multiply-then-add loop over taps makes two
 passes per tap. The layout follows the conv's size: one whose tap
-windows fit in one cache-sized tile (the gradient probes' 6x6 planes)
-sums over a compact copy of the windows of the taps that touch the
-input, and any larger one over cache-sized tiles of row-padded planes,
-which copy nothing per tap but compute a few outputs per row that are
-cropped. Both give the same bits.
+windows fit in an eighth of a cache-sized tile (the gradient probes' 6x6
+planes) sums over a compact copy of its taps' windows, and any larger
+one over cache-sized tiles of row-padded planes, which copy nothing per
+tap but compute a few outputs per row that are cropped. Both give the
+same bits.
 Every other conv lowers to im2col plus a batched matmul per group, which
-handles stride, dilation and groups in one code path. The columns are
-one strided copy of a window view of the padded input; a 1x1 conv reads
-its input as the columns. A product of one (sample, group) block runs as
-a 2-D dot: the same BLAS gemm in f32 and f64, and in longdouble a loop
-about twice as fast as matmul's generic one, with the same sums in the
-same order. All ops are differentiable under the tape; relu's
-subgradient at 0 is taken as 0.
+handles stride, dilation and groups in one code path. Its columns are
+the same window copy (``_windows``: one strided copy of a window view of
+the padded input); a 1x1 conv reads its input as the columns. A product
+of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
+f32 and f64, and in longdouble a loop about twice as fast as matmul's
+generic one, with the same sums in the same order. All ops are
+differentiable under the tape; relu's subgradient at 0 is taken as 0.
 """
 
 from __future__ import annotations
@@ -156,23 +156,8 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     cog, m, l = spec.c_out // g, spec.fan_in, ho * wo
 
     pointwise = k == 1 and s == 1 and p == 0
-    if pointwise:
-        cols = xd.reshape(n, g, m, l)  # the input already is its own columns
-    else:
-        xp = xd
-        if p:
-            xp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=xd.dtype)
-            xp[:, :, p : p + h, p : p + width] = xd
-        # tap (u, v) of output pixel (i, j) reads xp[..., u*d + i*s, v*d + j*s],
-        # so one view with axes (n, cin, u, v, i, j) holds every tap's window
-        # (np.ndarray, not as_strided: see _dw_conv). The columns are one
-        # C-order copy of it: a reshape alone can return a strided view
-        # (when a row of xp is k wide, say), which matmul sums in another
-        # order.
-        sn, sc, sh, sw = xp.strides
-        window = np.ndarray((n, cin, k, k, ho, wo), xp.dtype, xp, 0,
-                            (sn, sc, sh * d, sw * d, sh * s, sw * s))
-        cols = window.copy().reshape(n, g, m, l)
+    # a 1x1 conv's input already is its own columns
+    cols = (xd if pointwise else _windows(xd, k, d, s, p, ho, wo)).reshape(n, g, m, l)
     wm = wd.reshape(g, cog, m)
 
     if n * g == 1:
@@ -192,10 +177,10 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
         if want_x:
             dcols = np.matmul(wm.transpose(0, 2, 1), go)
             if pointwise:
-                dx = dcols.reshape(xd.shape)
+                dx = dcols.reshape(n, cin, h, width)
             else:
                 dcols = dcols.reshape(n, cin, k, k, ho, wo)
-                dxp = np.zeros_like(xp)
+                dxp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=grad.dtype)
                 for u in range(k):
                     for v in range(k):
                         dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[
@@ -209,10 +194,31 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     return out, vjp
 
 
+def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
+    """Every tap's window of ``xd`` (n, c, h, w) zero-padded by ``p``: a C-order
+    copy (n, c, k, k, ho, wo) whose element (u, v, i, j) is the padded
+    input at row u*d + i*s, column v*d + j*s.
+
+    The copy is of one strided view (np.ndarray, not as_strided: see
+    :func:`_dw_conv`). It is C-order because a reshape of the view alone
+    can return a strided view (when a padded row is k wide, say), which
+    matmul and einsum sum in another order.
+    """
+    n, c, h, w = xd.shape
+    xp = xd
+    if p:
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=xd.dtype)
+        xp[:, :, p : p + h, p : p + w] = xd
+    sn, sc, sh, sw = xp.strides
+    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, 0,
+                      (sn, sc, sh * d, sw * d, sh * s, sw * s))
+    return view.copy()
+
+
 # The row-padded depthwise kernel works on tiles of (sample, channel)
 # planes holding about this many output elements, so that each tile's
-# planes and accumulator stay in L2. A conv whose tap windows fit in one
-# tile runs on a copy of them instead (see _dw).
+# planes and accumulator stay in L2. A conv whose tap windows fit in an
+# eighth of a tile runs on a copy of them instead (see _dw).
 _DW_TILE = 1 << 16
 
 
@@ -250,89 +256,55 @@ def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
     in the layout its size calls for.
 
-    A conv whose tap windows, n*c*k*k*ho*wo elements, fit in one kernel
-    tile (``_DW_TILE``) and that has more than one output a plane runs on
-    a compact copy of its live taps' windows (:func:`_dw_window`); every
-    other one on row-padded planes (:func:`_dw_conv`), which copies no
-    window. On small planes the row-padded layout computes outputs it
-    then crops (2.2x the needed ones at dilation 7 on 6x6) and taps that
-    read only zeros (eight of nine there); on large planes a k*k-fold
-    copy of the input would cost more memory traffic than the conv. With
-    one output a plane, einsum would sum the taps as a dot product, in
-    another order. The two layouts give the same bits.
+    A conv whose tap windows, n*c*k*k*ho*wo elements, fit in an eighth of
+    a kernel tile (``_DW_TILE``) and that has more than one output a
+    plane runs on a compact copy of its taps' windows
+    (:func:`_dw_window`); every other one on row-padded planes
+    (:func:`_dw_conv`), which copies no window. On small planes the
+    row-padded layout computes outputs it then crops (2.2x the needed
+    ones at dilation 7 on 6x6); on larger ones the k*k-fold copy of the
+    input costs more than that, at dilation 1 from about an eighth of a
+    tile on. With one output a plane, einsum would sum the taps as a dot
+    product, in another order. The two layouts give the same bits.
     Returns the output and ``weight_grad(grad) -> (c, k, k)``.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
     ho, wo = h + 2 * p - span, w + 2 * p - span
-    kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE else _dw_conv
+    kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE // 8 else _dw_conv
     return kernel(xd, taps, d, p, bias, ho, wo)
 
 
-def _live_taps(size: int, out: int, k: int, d: int, p: int) -> tuple[int, int]:
-    """The range [t0, t1) of taps along one axis whose window touches the
-    input: tap t reads positions t*d - p .. t*d - p + out - 1 of an axis
-    ``size`` long."""
-    t0 = max(0, -((out - 1 - p) // d))  # ceil((p - out + 1) / d)
-    t1 = min(k, (size + p - 1) // d + 1)
-    return t0, max(t0, t1)
-
-
 def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
-    """Stride-1 depthwise conv on a compact copy of its live taps' windows.
+    """Stride-1 depthwise conv on a compact copy of its taps' windows.
 
-    A tap is live when its window touches the input; the live taps are
-    the rectangle [u0, u1) x [v0, v1) of :func:`_live_taps`. Their
-    windows are one C-order copy (n, c, u, v, ho*wo) of a strided view of
-    the padded planes, trimmed to what the live windows read. The sums
+    The windows are :func:`_windows`' copy, (n, c, k, k, ho*wo). The sums
     are those of :func:`_dw_conv`, with the taps and bias indexed per
-    channel: one einsum over all live taps, or at d = 1 one sum per
-    column of them (one einsum that keeps the column axis), the columns
-    then added in order. Each output sums the same products in the same
-    order as there, less the dead taps' products, which are zeros: a
-    partial sum starts at +0 and never becomes -0, so adding a zero of
-    either sign changes no bit of it. (Where a dead tap is not finite,
-    its 0 * tap is NaN in :func:`_dw_conv` but is never computed here.)
-    The weight gradient copies the windows again, so a tape keeps no
-    buffer of the conv, and is one dot product per plane and live tap;
-    dead taps get 0.
+    channel: one einsum over all taps, or at d = 1 one sum per column of
+    them (one einsum that keeps the column axis), the columns then added
+    in order. Each output sums the same products in the same order as
+    there, so the two give the same bits, NaN from a non-finite tap that
+    reads only padding included. The weight gradient copies the windows
+    again, so a tape keeps no buffer of the conv, and is one dot product
+    per plane and tap.
     """
-    n, c, h, w = xd.shape
-    k = taps.shape[-1]
-    (u0, u1), (v0, v1) = _live_taps(h, ho, k, d, p), _live_taps(w, wo, k, d, p)
-    nu, nv, l = u1 - u0, v1 - v0, ho * wo
+    n, c = xd.shape[:2]
+    k, l = taps.shape[-1], ho * wo
 
     def windows():
-        # the padded planes from row u0*d - p and column v0*d - p of the
-        # input, as far as the live windows reach
-        r0, c0 = u0 * d - p, v0 * d - p
-        xs = np.zeros((n, c, (nu - 1) * d + ho, (nv - 1) * d + wo), dtype=xd.dtype)
-        hs, ws = xs.shape[2:]
-        xs[:, :, max(0, -r0) : min(h, r0 + hs) - r0, max(0, -c0) : min(w, c0 + ws) - c0] = (
-            xd[:, :, max(0, r0) : r0 + hs, max(0, c0) : c0 + ws])
-        sn, sc, sh, sw = xs.strides
-        view = np.ndarray((n, c, nu, nv, ho, wo), xs.dtype, xs, 0,
-                          (sn, sc, sh * d, sw * d, sh, sw))
-        return view.copy().reshape(n, c, nu, nv, l)
+        return _windows(xd, k, d, 1, p, ho, wo).reshape(n, c, k, k, l)
 
-    live = taps[:, u0:u1, v0:v1]
-    if not (nu and nv):  # no tap touches the input (einsum leaves such an output unset)
-        out = np.zeros((n, c, l), dtype=xd.dtype)
-    elif d == 1:
-        out = np.add.reduce(np.einsum("ncuvl,cuv->ncvl", windows(), live), axis=2)
+    if d == 1:
+        out = np.add.reduce(np.einsum("ncuvl,cuv->ncvl", windows(), taps), axis=2)
     else:
-        out = np.einsum("ncuvl,cuv->ncl", windows(), live)
+        out = np.einsum("ncuvl,cuv->ncl", windows(), taps)
     if bias is not None:
         np.add(out, bias.reshape(1, c, 1), out=out)
 
     def weight_grad(grad):
-        dw = np.zeros((c, k, k), dtype=grad.dtype)
-        if nu and nv:
-            dw[:, u0:u1, v0:v1] = np.matmul(
-                windows().reshape(n, c, nu * nv, l), grad.reshape(n, c, l, 1)
-            ).sum(axis=0).reshape(c, nu, nv)
-        return dw
+        dw = np.matmul(windows().reshape(n, c, k * k, l), grad.reshape(n, c, l, 1))
+        return dw.sum(axis=0).reshape(c, k, k)
 
     return out.reshape(n, c, ho, wo), weight_grad
 

@@ -374,3 +374,20 @@ def test_forward_with_one_overridden_parameter_uses_it():
         twin.set_params(params)
         assert np.array_equal(twin.forward(x).data, probed), name
     assert np.array_equal(block.forward(x, block.params()).data, base)
+
+
+@pytest.mark.parametrize("registry,name,value,blamed", [
+    ("params", "mscf.scale0.w", np.nan, "MscfBlock"),  # not SpatialAttention, which reads it
+    ("buffers", "bn.running_var", -1.0, "GmcfBottleneck"),  # not GConvBlock
+])
+def test_debug_finite_names_the_block_that_produced_the_non_finite_value(
+        registry, name, value, blamed):
+    block = GmcfBottleneck(GmcfConfig(c=8), Rng(40))
+    tensors = getattr(block, registry)()
+    bad = tensors[name].data.copy()
+    bad.flat[0] = value
+    getattr(block, f"set_{registry}")({**tensors, name: Tensor(bad)})
+    x = Rng(41).tensor((1, 8, 6, 6))
+    with np.errstate(invalid="ignore"), pytest.raises(AssertionError) as info:
+        block.forward(x)
+    assert str(info.value) == f"{blamed} produced non-finite values"

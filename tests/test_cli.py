@@ -211,6 +211,13 @@ def _prefixed_output(case):
     write_tensor(case / "output.vrft", Tensor(np.concatenate([y.data, y.data])))
 
 
+def _set_first(path, value):
+    """Rewrite the tensor file at ``path`` with its first element set to ``value``."""
+    a = read_tensor(path).data.copy()
+    a.flat[0] = value
+    write_tensor(path, Tensor(a))
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda case: _drop_last_line(case / "params.manifest"),
     lambda case: _edit_meta(case / "meta.json", block="mscf"),
@@ -219,8 +226,10 @@ def _prefixed_output(case):
         (case / "buffers.manifest").read_text().replace("bn.running_var\t", "bn.running_vax\t")),
     lambda case: _edit_meta(case / "meta.json", dtype="f32"),
     _prefixed_output,
+    lambda case: _set_first(case / "mscf.scale0.w.vrft", np.nan),
+    lambda case: _set_first(case / "bn.running_var.vrft", -1.0),
 ], ids=["param-missing", "block-changed", "buffer-width", "buffer-renamed", "f64-as-f32",
-        "longer-output"])
+        "longer-output", "nan-param", "negative-running-var"])
 def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, corrupt):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",

@@ -315,7 +315,7 @@ def _with_signed_zeros(rng, a):
 
 @settings(max_examples=150, deadline=None)
 @given(case=dw_layout_cases())
-# no live tap: every row tap of this 2x2 kernel reads padding only
+# every row tap of this 2x2 kernel reads padding only
 @example(case=((1, 3, 2, 5), 2, 3, 1, True, np.longdouble, 0))
 def test_depthwise_window_and_row_padded_layouts_give_the_same_bits(case):
     # the probe-sized convs run the window layout, so conv2d's random-spec
@@ -348,15 +348,32 @@ def test_depthwise_window_and_row_padded_layouts_give_the_same_bits(case):
         assert (np.abs(dw_w - dw_p) <= bound[:, None, None]).all()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_depthwise_layouts_agree_on_a_non_finite_tap_that_reads_only_padding(bad):
+    # at dilation 7 on 6x6 planes only the centre tap reaches the input;
+    # the corner tap reads padding only, and 0 * inf is NaN in both layouts
+    rng = Rng(5)
+    for dtype in (np.float32, np.float64, np.longdouble):
+        x = rng.uniform((1, 2, 6, 6), -1.0, 1.0).astype(dtype)
+        taps = rng.uniform((2, 3, 3), -1.0, 1.0).astype(dtype)
+        taps[0, 0, 0] = bad
+        out_w = ops._dw_window(x, taps, 7, 7, None, 6, 6)[0]
+        out_p = ops._dw_conv(x, taps, 7, 7, None, 6, 6)[0]
+        assert np.isnan(out_w[0, 0]).all() and np.isfinite(out_w[0, 1]).all()
+        assert np.array_equal(out_w, out_p, equal_nan=True)
+
+
 @pytest.mark.parametrize("shape,window", [
     # the benchmark's forward and train convs: MSCF's branches and GConv's gate
     ((1, 64, 80, 80), False), ((1, 42, 80, 80), False),
     ((4, 128, 20, 20), False), ((4, 85, 20, 20), False),
     ((1, 32, 40, 40), False), ((1, 21, 40, 40), False),
-    # the gradient probes' (gmcf at 8 channels, 6x6)
+    # the gradient probes' (gmcf at 8 channels, 6x6): 0.04 and 0.025 of a tile
     ((1, 8, 6, 6), True), ((1, 5, 6, 6), True),
     # one output a plane, whose taps einsum would sum as a dot product
     ((2, 8, 1, 1), False),
+    # either side of the boundary, an eighth of a tile: 0.11 and 0.14 of one
+    ((1, 8, 10, 10), True), ((1, 16, 8, 8), False),
 ])
 def test_depthwise_layout_follows_conv_size(shape, window, monkeypatch):
     calls = set()
