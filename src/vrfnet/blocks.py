@@ -100,7 +100,12 @@ class GConvBlock(ParamBlock):
         g = self._conv(p, "dw", x_prime)
         gated = sigmoid_gate(g) if self.cfg.activation == "sigmoid_gate" else relu(g)
         restored = self._conv(p, "restore", hadamard(gated, v))
-        del both, x_prime, v, g, gated  # release the expansion before the residual add
+        # release the expansion before the residual add, not before the
+        # restore conv: together with the bottleneck's release, that
+        # earlier release changes how glibc reuses and trims its heap, and
+        # a bottleneck's eval forward at 80x80 then page-faults hundreds of
+        # times a step.
+        del both, x_prime, v, g, gated
         return add(x, dropout(restored, self._dropout, mode))
 
 
@@ -137,6 +142,7 @@ class GmcfBottleneck(ParamBlock):
         if mode == "train":  # eval reads the block and never writes it
             bufs["bn.running_mean"], bufs["bn.running_var"] = mean, var
         y1 = add(x, dropout(normed, self._dropout, mode))
+        del m, normed  # release MSCF's output and its normed copy before GConv runs
         return self._children["gconv"].forward(y1, sub_params(params, "gconv."), mode)
 
 
@@ -164,11 +170,14 @@ class GmcfBlock(ParamBlock):
         p = self.resolve(params)
         both = self._conv(p, "cv1", x)
         branches = [slice_channels(both, 0, self.ch), slice_channels(both, self.ch, 2 * self.ch)]
+        del both  # the slices copy it at batch > 1 (at batch 1 they are views of it)
         for i in range(self.cfg.n_bottlenecks):
             branches.append(
                 self._children[f"m{i}"].forward(branches[-1], sub_params(params, f"m{i}."), mode)
             )
-        return self._conv(p, "cv2", concat_channels(branches))
+        cat = concat_channels(branches)
+        del branches  # release every branch before cv2 runs
+        return self._conv(p, "cv2", cat)
 
 
 class ConvLayer(ParamBlock):

@@ -12,6 +12,11 @@ Adjoints are accumulated in the tensor's own dtype. The accumulation
 order is deterministic: reverse execution order across nodes, and for
 each op the input order as written in its adjoint rule.
 
+A tape is differentiated once. :meth:`Tape.backward` frees the graph as
+it walks it: it takes each op's adjoint off the tape before running the
+op's rule, and drops the rule, with the activations it saved, once it
+has run. Only the leaf adjoints live until they are returned.
+
 The ops that do work also report their cost to the :func:`counting`
 context, if one is open (see :mod:`vrfnet.profiler` for the cost table).
 """
@@ -89,6 +94,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -112,7 +118,14 @@ class Tape:
 
         Returns a dict keyed by leaf node id; leaves the loss does not
         depend on get zero gradients. Raises if the loss is not scalar
-        (an all-axes sum as the final node makes any objective scalar).
+        (an all-axes sum as the final node makes any objective scalar);
+        a loss that is rejected leaves the tape as it was.
+
+        The tape can be differentiated only once; a second call raises
+        ValueError. The walk frees what it has used: each op's adjoint
+        is taken off the tape before the op's rule runs, and the rule,
+        with the arrays it saved, is dropped once it has run. Node
+        values stay on the tape.
         """
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
@@ -120,6 +133,9 @@ class Tape:
             raise ShapeError(
                 f"loss must be scalar with shape {_SCALAR_SHAPE}, got {loss.tensor.shape}"
             )
+        if self._consumed:
+            raise ValueError("this tape was already differentiated; record a new one")
+        self._consumed = True
 
         adjoints: dict[int, np.ndarray] = {
             loss.id: np.ones(_SCALAR_SHAPE, dtype=loss.tensor.dtype)
@@ -133,10 +149,12 @@ class Tape:
             adjoints[ref.id] = grad if cur is None else cur + grad
 
         for node in reversed(self._nodes):
-            grad = adjoints.get(node.id)
-            if grad is None or node._backward is None:
+            if node.is_leaf:
                 continue
-            node._backward(grad, accumulate)
+            grad = adjoints.pop(node.id, None)
+            if grad is not None:
+                node._backward(grad, accumulate)
+            node._backward = None
 
         out: dict[int, Tensor] = {}
         for node in self._nodes:

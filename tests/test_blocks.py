@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +24,7 @@ from vrfnet import (
     oracle_block,
 )
 from vrfnet.config import block_config
-from vrfnet.layers import sub_params
+from vrfnet.layers import ParamBlock, sub_params
 
 
 def _zero_biases(block):
@@ -239,6 +241,37 @@ def test_gmcf_block_matches_composed_oracle():
 def test_gmcf_block_rejects_fractional_hidden_width():
     with pytest.raises(ConfigError, match="integer"):
         GmcfBlock(GmcfConfig(c=8, e=0.3))
+
+
+def test_gmcf_block_releases_intermediates_at_their_last_use():
+    # batch 2, so the cv1 slices are copies rather than views of its output
+    block = GmcfBlock(GmcfConfig(c=8), Rng(34))
+    bottleneck = block._children["m0"]
+    mscf, gconv = bottleneck._children["mscf"], bottleneck._children["gconv"]
+    x = Rng(35).tensor((2, 8, 6, 6))
+    want = block.forward(x)
+    out, alive = {}, {}
+
+    def conv(p, name, xin):
+        if name == "cv2":
+            alive["cv1 output at cv2"] = out["cv1"]() is not None
+        y = ParamBlock._conv(block, p, name, xin)
+        out[name] = weakref.ref(y.data)
+        return y
+
+    def mscf_forward(xin, params=None, mode="eval"):
+        y = type(mscf).forward(mscf, xin, params, mode)
+        out["mscf"] = weakref.ref(y.data)
+        return y
+
+    def gconv_forward(xin, params=None, mode="eval"):
+        alive["mscf output in gconv"] = out["mscf"]() is not None
+        return type(gconv).forward(gconv, xin, params, mode)
+
+    block._conv, mscf.forward, gconv.forward = conv, mscf_forward, gconv_forward
+    got = block.forward(x)
+    assert alive == {"cv1 output at cv2": False, "mscf output in gconv": False}
+    npt.assert_array_equal(got.data, want.data)
 
 
 # ---------------------------------------------------------------- cross-block invariants

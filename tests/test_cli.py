@@ -218,6 +218,13 @@ def _set_first(path, value):
     write_tensor(path, Tensor(a))
 
 
+def _set_all_to_max(path):
+    """Rewrite the tensor file at ``path`` with every element the largest
+    finite value of its dtype: finite, but the forward overflows."""
+    a = read_tensor(path).data
+    write_tensor(path, Tensor(np.full_like(a, np.finfo(a.dtype).max)))
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda case: _drop_last_line(case / "params.manifest"),
     lambda case: _edit_meta(case / "meta.json", block="mscf"),
@@ -228,8 +235,9 @@ def _set_first(path, value):
     _prefixed_output,
     lambda case: _set_first(case / "mscf.scale0.w.vrft", np.nan),
     lambda case: _set_first(case / "bn.running_var.vrft", -1.0),
+    lambda case: _set_all_to_max(case / "mscf.scale0.w.vrft"),
 ], ids=["param-missing", "block-changed", "buffer-width", "buffer-renamed", "f64-as-f32",
-        "longer-output", "nan-param", "negative-running-var"])
+        "longer-output", "nan-param", "negative-running-var", "overflowing-param"])
 def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, corrupt):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
