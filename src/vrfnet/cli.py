@@ -327,13 +327,18 @@ def cmd_golden(args) -> int:
             if name.endswith("running_var") and (t.data < 0).any():
                 raise FormatError(f"{case_dir}: {name} has negative variances")
         # finite values can still overflow the forward: that is a failed
-        # case, reported below or by debug_finite, not a numpy warning
+        # case, not a numpy warning. debug_finite names the block that
+        # overflowed, but python -O compiles it out, so the output is
+        # checked here too.
         try:
             with np.errstate(all="ignore"):
                 ref = (oracle_block(meta.block, bcfg, x, block.params(), block.buffers(), "eval")
                        if args.use_oracle else block.forward(x, mode="eval"))
+            overflow = None if np.isfinite(ref.data).all() else "output has non-finite values"
         except AssertionError as exc:  # debug_finite
-            print(f"FAIL {case_dir.name}: {exc}", file=sys.stderr)
+            overflow = str(exc)
+        if overflow:
+            print(f"FAIL {case_dir.name}: {overflow}", file=sys.stderr)
             failures.append(case_dir.name)
             continue
         expected = (ref.shape, dtype)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-from .tape import tally, tape_of, value_of
+from .tape import Node, tally, tape_of, value_of
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -62,8 +62,11 @@ def hadamard(a, b):
         return out
 
     def backward(g, acc):
-        acc(a, _unbroadcast(g * tb.data, ta.shape))
-        acc(b, _unbroadcast(g * ta.data, tb.shape))
+        # a constant operand wants no adjoint: its product is not formed
+        if isinstance(a, Node):
+            acc(a, _unbroadcast(g * tb.data, ta.shape))
+        if isinstance(b, Node):
+            acc(b, _unbroadcast(g * ta.data, tb.shape))
 
     return tape.record(out, "hadamard", backward)
 
@@ -156,6 +159,7 @@ def select_scales(cat, mask, x):
         gx = g * tx.data
         acc(cat, (gx[:, None] * tm.data[:, :, None]).reshape(tc.shape))
         acc(mask, np.einsum("nchw,nschw->nshw", gx, stack))
+        del gx  # freed before x's gradient is formed
         acc(x, g * s)
 
     return tape.record(out, "select_scales", backward)

@@ -13,7 +13,12 @@ windows fit in an eighth of a cache-sized tile (the gradient probes' 6x6
 planes) sums over a compact copy of its taps' windows, and any larger
 one over cache-sized tiles of row-padded planes, which copy nothing per
 tap but compute a few outputs per row that are cropped. Both give the
-same bits.
+same bits. The backward is one pass of the same kernel over the output
+gradient with the taps flipped: the pass's sums are the input gradient,
+and its per-tap dot products with the input the weight gradient, taps
+flipped back. So a tape keeps the conv's input and taps but no padded
+layout of the input, and without an input gradient to take the pass
+only lays the output gradient out.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. Its columns are
 the same window copy (``_windows``: one strided copy of a window view of
@@ -226,33 +231,46 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     """A stride-1 depthwise conv as a sum of shifted slices.
 
     No im2col columns: each tap multiplies a strided window of the
-    padded planes (see :func:`_dw`). The input gradient is the same
-    kernel run on the output gradient with the taps flipped, and the
-    weight gradient is one dot product per plane and tap.
+    padded planes (see :func:`_dw`). The forward keeps no layout of its
+    input: its planes or windows are freed when it returns, and the
+    adjoint saves only the input and the taps. The adjoint is one pass
+    of the same kernel over the output gradient with the taps flipped,
+    the adjoint of a correlation being the flipped correlation. The pass
+    gives the input gradient, and its ``weight_grad`` applied to the
+    input gives the weight gradient with its taps flipped: tap (u, v) of
+    the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the pass's
+    tap (k-1-u, k-1-v) pairs the same values. Without an input gradient
+    to take, the pass only lays the gradient out.
     Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
     """
     n, c, h, width = xd.shape
     k, d, p = spec.k, spec.dilation, spec.padding
     taps = wd.reshape(c, k, k)
-    out, weight_grad = _dw(xd, taps, d, p, bd)
+    out = _dw(xd, taps, d, p, bd)[0]
 
     def vjp(grad, want_x, want_w):
-        dx = dw = None
-        if want_x:
-            # padding d(k-1) - p maps the output back onto the input; a
-            # negative one is padding 0 and a crop
-            q = d * (k - 1) - p
-            dx = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)[0]
-            if q < 0:
-                dx = dx[:, :, -q : h - q, -q : width - q]
+        if not (want_x or want_w):
+            return None, None
+        # padding d(k-1) - p maps the output back onto the input; a
+        # negative one is padding 0, the pass's output then being the
+        # input zero-padded by -q
+        q = d * (k - 1) - p
+        dx, weight_grad = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None, want_x)
+        dw = None
+        if want_x and q < 0:
+            dx = dx[:, :, -q : h - q, -q : width - q]
         if want_w:
-            dw = weight_grad(grad).reshape(spec.weight_shape)
+            xq = xd
+            if q < 0:
+                xq = np.zeros((n, c, h - 2 * q, width - 2 * q), dtype=xd.dtype)
+                xq[:, :, -q : h - q, -q : width - q] = xd
+            dw = weight_grad(xq)[:, ::-1, ::-1].reshape(spec.weight_shape)
         return dx, dw
 
     return out, vjp
 
 
-def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
+def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, sums: bool = True):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
     in the layout its size calls for.
 
@@ -266,17 +284,21 @@ def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     input costs more than that, at dilation 1 from about an eighth of a
     tile on. With one output a plane, einsum would sum the taps as a dot
     product, in another order. The two layouts give the same bits.
-    Returns the output and ``weight_grad(grad) -> (c, k, k)``.
+    Returns the output and ``weight_grad(y) -> (c, k, k)``: per tap, the
+    sum over outputs of y (shaped like the output) times the padded
+    input that tap reads. With ``sums`` false the kernel only lays
+    ``xd`` out and returns no output: ``weight_grad`` alone.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
     ho, wo = h + 2 * p - span, w + 2 * p - span
     kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE // 8 else _dw_conv
-    return kernel(xd, taps, d, p, bias, ho, wo)
+    return kernel(xd, taps, d, p, bias, ho, wo, sums)
 
 
-def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
+def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int,
+               sums: bool = True):
     """Stride-1 depthwise conv on a compact copy of its taps' windows.
 
     The windows are :func:`_windows`' copy, (n, c, k, k, ho*wo). The sums
@@ -285,9 +307,9 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     them (one einsum that keeps the column axis), the columns then added
     in order. Each output sums the same products in the same order as
     there, so the two give the same bits, NaN from a non-finite tap that
-    reads only padding included. The weight gradient copies the windows
-    again, so a tape keeps no buffer of the conv, and is one dot product
-    per plane and tap.
+    reads only padding included. ``weight_grad`` copies the windows
+    again, so nothing of the layout outlives the call, and is one dot
+    product per plane and tap.
     """
     n, c = xd.shape[:2]
     k, l = taps.shape[-1], ho * wo
@@ -295,21 +317,23 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     def windows():
         return _windows(xd, k, d, 1, p, ho, wo).reshape(n, c, k, k, l)
 
+    def weight_grad(y):
+        dw = np.matmul(windows().reshape(n, c, k * k, l), y.reshape(n, c, l, 1))
+        return dw.sum(axis=0).reshape(c, k, k)
+
+    if not sums:
+        return None, weight_grad
     if d == 1:
         out = np.add.reduce(np.einsum("ncuvl,cuv->ncvl", windows(), taps), axis=2)
     else:
         out = np.einsum("ncuvl,cuv->ncl", windows(), taps)
     if bias is not None:
         np.add(out, bias.reshape(1, c, 1), out=out)
-
-    def weight_grad(grad):
-        dw = np.matmul(windows().reshape(n, c, k * k, l), grad.reshape(n, c, l, 1))
-        return dw.sum(axis=0).reshape(c, k, k)
-
     return out.reshape(n, c, ho, wo), weight_grad
 
 
-def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
+def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int,
+             sums: bool = True):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
 
     Plane q (sample q // c, channel q % c) becomes row q of ``planes``,
@@ -328,8 +352,8 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     the whole tile, where it broadcasts along rows l long (numpy buffers a
     per-plane broadcast over the cropped rows when a plane is under 8192
     elements, which was slower), and the spare columns are cropped last.
-    The weight gradient of plane q and tap (u, v) is one dot product of
-    the output gradient, laid out ``row`` wide, with that tap's slice.
+    ``weight_grad`` of plane q and tap (u, v) is one dot product of y,
+    laid out ``row`` wide, with that tap's slice; it holds the planes.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
@@ -342,10 +366,22 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     # them, it left a hole below itself, and the heap was trimmed and
     # faulted back in every step (fwd-gmcf-c64-hw80: about 600 page
     # faults a step, against 14).
-    out = np.empty((nc, ho, wo), dtype=xd.dtype)
+    out = np.empty((nc, ho, wo), dtype=xd.dtype) if sums else None
     planes = np.zeros((nc, size), dtype=xd.dtype)
     start = p + p * row
     planes[:, start : start + h * row].reshape(nc, h, row)[:, :, :w] = xd.reshape(nc, h, w)
+
+    def weight_grad(y):
+        yp = np.zeros((nc, 1, l), dtype=y.dtype)
+        yp.reshape(nc, ho, row)[:, :, :wo] = y.reshape(nc, ho, wo)
+        dwt = np.empty((k * k, nc), dtype=y.dtype)
+        for t in range(k * k):
+            s = (t // k * row + t % k) * d
+            dwt[t] = np.matmul(yp, planes[:, s : s + l, None]).reshape(-1)
+        return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
+
+    if not sums:
+        return None, weight_grad
     wt = np.tile(taps, (n, 1, 1))  # per-plane taps: wt[q] is taps[q % c]
     bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None]
     tile = max(1, _DW_TILE // l)
@@ -369,16 +405,6 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
         if bt is not None:
             np.add(ac, bt[a:z], out=ac)
         out[a:z] = ac.reshape(z - a, ho, row)[:, :, :wo]
-
-    def weight_grad(grad):
-        gp = np.zeros((nc, 1, l), dtype=grad.dtype)
-        gp.reshape(nc, ho, row)[:, :, :wo] = grad.reshape(nc, ho, wo)
-        dwt = np.empty((k * k, nc), dtype=grad.dtype)
-        for t in range(k * k):
-            s = (t // k * row + t % k) * d
-            dwt[t] = np.matmul(gp, planes[:, s : s + l, None]).reshape(-1)
-        return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
-
     return out.reshape(n, c, ho, wo), weight_grad
 
 
@@ -546,7 +572,9 @@ def dropout(x, state: DropoutState, mode: str = "eval"):
         return x
 
     tx = value_of(x)
-    keep = (state.rng.random(tx.shape) >= state.p).astype(tx.dtype)
+    # a bool mask, one byte an element: x * keep casts it to 0 or 1 in
+    # x's dtype, which gives the bits of a float mask
+    keep = state.rng.random(tx.shape) >= state.p
     inv = tx.dtype.type(1.0 / (1.0 - state.p))
     out = Tensor.wrap(tx.data * keep * inv)
     tape = tape_of(x)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vrfnet
 from vrfnet import Tensor, read_tensor, write_tensor
 from vrfnet.cli import main
 
@@ -247,6 +252,26 @@ def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, co
     assert main(["golden", "verify", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "gmcf" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_golden_verify_names_an_overflowing_forward_with_asserts_compiled_out(tmp_path, flags):
+    # python -O compiles out debug_finite's assert; the verify forward's
+    # output is then checked for non-finite values by golden verify itself
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8", "--dtype", "f32"]) == 0
+    _set_all_to_max(out / "gmcf" / "mscf.scale0.w.vrft")
+    src = str(Path(vrfnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, *flags, "-m", "vrfnet.cli", "golden", "verify",
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("FAIL gmcf: ")
+    assert proc.stderr.endswith("non-finite values\n"), proc.stderr
+    if not flags:
+        assert "MscfBlock" in proc.stderr  # debug_finite names the block
 
 
 def _rewrite_input(case, f):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -290,14 +291,16 @@ def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatc
 
 
 @st.composite
-def dw_layout_cases(draw):
+def dw_layout_cases(draw, pads=("zero", "same", "over")):
     """A stride-1 depthwise conv of more than one output a plane (h != w),
-    with zeros of both signs among its inputs, taps and bias."""
+    with zeros of both signs among its inputs, taps and bias. ``pads``
+    names the paddings drawn from: 0, half of d(k-1), d(k-1) ("full") or
+    past it."""
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 8))
     k, d = draw(st.sampled_from([1, 2, 3, 5])), draw(st.integers(1, 7))
     span = d * (k - 1)
-    pad = draw(st.sampled_from(["zero", "same", "over"]))
-    p = {"zero": 0, "same": span // 2, "over": span + draw(st.integers(1, 2))}[pad]
+    pad = draw(st.sampled_from(list(pads)))
+    p = {"zero": 0, "same": span // 2, "full": span, "over": span + draw(st.integers(1, 2))}[pad]
     lo = max(1, span + 1 - 2 * p)
     h, w = lo + draw(st.integers(0, 7)), lo + draw(st.integers(0, 7))
     if h == w:
@@ -361,6 +364,88 @@ def test_depthwise_layouts_agree_on_a_non_finite_tap_that_reads_only_padding(bad
         out_p = ops._dw_conv(x, taps, 7, 7, None, 6, 6)[0]
         assert np.isnan(out_w[0, 0]).all() and np.isfinite(out_w[0, 1]).all()
         assert np.array_equal(out_w, out_p, equal_nan=True)
+
+
+def test_taped_row_padded_depthwise_conv_holds_no_padded_copy_of_its_input():
+    # the row-padded planes of (1, 8, 40, 40) at d=7 are 1.6x the input;
+    # the adjoint keeps the input and the taps, which the tape holds anyway
+    c = 8
+    spec = ConvSpec.same(c, c, 3, dilation=7, groups=c)
+    x = Rng(40).tensor((1, c, 40, 40))
+    w, b = ops.init_conv_params(spec, Rng(41), np.float64)
+    assert c * spec.k**2 * 40 * 40 > ops._DW_TILE // 8  # the row-padded layout
+    tape = Tape()
+    leaves = [tape.leaf(t) for t in (x, w, b)]
+    conv2d(*leaves, spec)  # first-call caches are not the record's memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv2d(*leaves, spec)
+        held = tracemalloc.get_traced_memory()[0] - before - y.tensor.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < x.data.nbytes, f"the record holds {held} B beyond its output"
+
+
+def _depthwise_case(rng, shape, k, d, p, dtype):
+    """Input, weights, output gradient and ConvSpec of a bias-free
+    stride-1 depthwise conv, with zeros of both signs in all three."""
+    n, c, h, w = shape
+    spec = ConvSpec(c, c, k, 1, d, c, p, False)
+    ho, wo = spec.out_hw(h, w)
+    x, wt, g = (_with_signed_zeros(rng, rng.uniform(s, -2.0, 2.0)).astype(dtype)
+                for s in (shape, spec.weight_shape, (n, c, ho, wo)))
+    return x, wt, g, spec
+
+
+@pytest.mark.parametrize("window", [True, False], ids=["window", "row-padded"])
+@pytest.mark.parametrize("p", [2, 4, 6], ids=["pad-below", "pad-equal", "pad-above"])
+def test_depthwise_weight_gradient_alone_runs_no_input_gradient_sums(window, p, monkeypatch):
+    # d(k-1) = 4: the input-gradient pass runs at padding 2 and 0, and at
+    # padding 0 on an output 2 wider on each side
+    monkeypatch.setattr(ops, "_DW_TILE", 1 << 40 if window else 0)
+    x, wt, g, spec = _depthwise_case(Rng(42 + p), (2, 3, 7, 9), 3, 2, p, np.float64)
+    _, vjp = ops._depthwise(x, wt, None, spec, *g.shape[2:])
+    dx, dw = vjp(g, True, True)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a[0]) or einsum(*a, **kw))
+    no_dx, dw_alone = vjp(g, False, True)
+    assert no_dx is None and calls == []
+    assert np.array_equal(dw_alone, dw) and np.array_equal(np.signbit(dw_alone), np.signbit(dw))
+    assert np.array_equal(vjp(g, True, False)[0], dx) and calls  # the spy sees the sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dw_layout_cases(pads=("zero", "same", "full", "over")), window=st.booleans(),
+       want_x=st.booleans())
+# padding past d(k-1) at d = 1, where the pass's output is the input
+# zero-padded by one on each side
+@example(case=((2, 3, 4, 6), 3, 1, 3, False, np.longdouble, 0), window=False, want_x=False)
+def test_depthwise_weight_gradient_from_the_input_gradient_pass_matches_the_forward_layout(
+        case, window, want_x):
+    # the vjp takes the weight gradient from the input-gradient pass over
+    # the output gradient; the forward kernel's weight_grad takes it from
+    # the forward's own layout of the input. Both pair the same values
+    # in the same order, so longdouble gives the same bits; f32 and f64
+    # BLAS dots over shifted ranges stay within a dot product's bound.
+    (n, c, h, w), k, d, p, _, dtype, seed = case
+    rng = Rng(seed)
+    x, wt, g, spec = _depthwise_case(rng, (n, c, h, w), k, d, p, dtype)
+    ho, wo = g.shape[2:]
+    taps = wt.reshape(c, k, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_DW_TILE", 1 << 40 if window else 0)
+        kernel = ops._dw_window if window else ops._dw_conv
+        want = kernel(x, taps, d, p, None, ho, wo)[1](g)
+        got = ops._depthwise(x, wt, None, spec, ho, wo)[1](g, want_x, True)[1].reshape(c, k, k)
+    assert got.dtype == dtype
+    if dtype is np.longdouble:
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        terms = n * ho * wo
+        bound = 2 * terms * np.finfo(dtype).eps * np.abs(g).sum(axis=(0, 2, 3)) * np.abs(x).max()
+        assert (np.abs(got - want) <= bound[:, None, None]).all()
 
 
 @pytest.mark.parametrize("shape,window", [
@@ -590,6 +675,31 @@ def test_dropout_gradient():
         return sum_all(dropout(t, state, "train"))
 
     assert finite_diff_check(f, x) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_saves_a_byte_mask_with_the_bits_of_a_float_mask(dtype):
+    rng, p = Rng(22), 0.3
+    shape = (1, 4, 64, 64)
+    x = _with_signed_zeros(rng, rng.uniform(shape, -2.0, 2.0)).astype(dtype)
+    probe = _with_signed_zeros(rng, rng.uniform(shape, -2.0, 2.0)).astype(dtype)
+    tape = Tape()
+    leaf = tape.leaf(Tensor.wrap(x))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = dropout(leaf, DropoutState(p, Rng(23)), "train")
+        held = tracemalloc.get_traced_memory()[0] - before - y.tensor.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < x.size + 4096, f"the record holds {held} B for {x.size} elements"
+    grad = tape.backward(sum_all(hadamard(y, Tensor.wrap(probe))))[leaf.id].data
+    # the float mask of the parent, drawn from the same stream
+    keep = (Rng(23).random(shape) >= p).astype(dtype)
+    inv = dtype(1.0 / (1.0 - p))
+    for got, want in ((y.tensor.data, x * keep * inv), (grad, probe * keep * inv)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_depthwise_vs_standard_weight_count_ratio():

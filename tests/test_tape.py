@@ -106,6 +106,26 @@ def test_backward_drops_the_arrays_an_adjoint_saved():
     assert grads[x.id].shape == (1, 2, 3, 3)
 
 
+@pytest.mark.parametrize("node_first", [True, False])
+def test_hadamard_adjoint_forms_no_product_for_a_constant_operand(node_first):
+    # the backward holds the loss's adjoint, broadcast to the product's
+    # shape, and the node's gradient g * r; the constant's g * x, which
+    # nothing would take, would be a third array of that size
+    tape = Tape()
+    tx, r = Rng(22).tensor((1, 8, 64, 64)), Rng(23).tensor((1, 8, 64, 64))
+    x = tape.leaf(tx)
+    loss = sum_all(hadamard(x, r) if node_first else hadamard(r, x))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * tx.data.nbytes, f"backward peak {peak} B for {tx.data.nbytes} B arrays"
+    npt.assert_array_equal(grads[x.id].data, r.data)
+
+
 def test_backward_frees_a_later_adjoint_before_an_earlier_rule_runs():
     tape = Tape()
     tx = Rng(19).tensor((1, 2, 3, 3))
