@@ -80,7 +80,8 @@ def sum_all(x):
         return out
 
     def backward(g, acc):
-        acc(x, np.broadcast_to(g, tx.shape).copy())
+        # a read-only view: the tape copies it before adding into it
+        acc(x, np.broadcast_to(g, tx.shape))
 
     return tape.record(out, "sum_all", backward)
 
@@ -94,7 +95,8 @@ def channel_avg_max(x):
     across runs. The mean is the sum divided in place by c, as
     ``np.mean`` computes it, without its Python wrapper. The max routes
     its gradient to the first maximal channel at each pixel; the adjoint
-    writes one dx buffer.
+    fills one dx buffer with the mean's share by broadcast and adds the
+    max's share at the argmax.
     """
     tx = value_of(x)
     c = tx.shape[1]
@@ -111,9 +113,10 @@ def channel_avg_max(x):
     argmax = tx.data.argmax(axis=1)[:, None]  # first max per pixel
 
     def backward(g, acc):
-        dx = np.repeat(g[:, 0:1] / c, c, axis=1)
-        at_max = np.take_along_axis(dx, argmax, axis=1)
-        np.put_along_axis(dx, argmax, at_max + g[:, 1:2], axis=1)
+        dx = np.empty(tx.shape, dtype=tx.dtype)
+        g_mean = g[:, 0:1] / c
+        dx[...] = g_mean
+        np.put_along_axis(dx, argmax, g_mean + g[:, 1:2], axis=1)
         acc(x, dx)
 
     return tape.record(out, "channel_avg_max", backward)
@@ -211,7 +214,8 @@ def concat_channels(parts):
 
 def slice_channels(x, start: int, stop: int):
     """Channel slice x[:, start:stop]: a view of x where that is contiguous
-    (batch 1), otherwise a copy."""
+    (batch 1), otherwise a copy. The adjoint is added into that channel
+    range of x's adjoint alone."""
     tx = value_of(x)
     if not (0 <= start < stop <= tx.shape[1]):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for shape {tx.shape}")
@@ -221,8 +225,6 @@ def slice_channels(x, start: int, stop: int):
         return out
 
     def backward(g, acc):
-        dx = np.zeros_like(tx.data)
-        dx[:, start:stop] = g
-        acc(x, dx)
+        acc(x, g, slice(start, stop))
 
     return tape.record(out, "slice_channels", backward)

@@ -25,7 +25,11 @@ the same window copy (``_windows``: one strided copy of a window view of
 the padded input); a 1x1 conv reads its input as the columns. A product
 of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
 f32 and f64, and in longdouble a loop about twice as fast as matmul's
-generic one, with the same sums in the same order. All ops are
+generic one, with the same sums in the same order.
+Every conv's input gradient is its lowering run on the output
+gradient: a stride-1 conv of it with the taps flipped, after s - 1 zeros
+go between its rows and columns for a stride s (``_input_grad``; a 1x1
+conv's is one product with the transposed taps). All ops are
 differentiable under the tape; relu's subgradient at 0 is taken as 0.
 """
 
@@ -154,6 +158,10 @@ def conv2d(x, w, b, spec: ConvSpec):
 def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     """Any conv as im2col columns times a matmul per (sample, group) block.
 
+    The input gradient is the same lowering run on the output gradient
+    (:func:`_input_grad`), as for a depthwise conv; a pointwise conv's is
+    one product of the transposed taps with the gradient. The weight
+    gradient is the gradient times the forward's columns.
     Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
     """
     n, cin, h, width = xd.shape
@@ -180,23 +188,59 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
         go = grad.reshape(n, g, cog, l)
         dx = dw = None
         if want_x:
-            dcols = np.matmul(wm.transpose(0, 2, 1), go)
             if pointwise:
-                dx = dcols.reshape(n, cin, h, width)
+                dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(n, cin, h, width)
             else:
-                dcols = dcols.reshape(n, cin, k, k, ho, wo)
-                dxp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=grad.dtype)
-                for u in range(k):
-                    for v in range(k):
-                        dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[
-                            :, :, u, v
-                        ]
-                dx = dxp[:, :, p : p + h, p : p + width] if p else dxp
+                dx = _input_grad(grad, wd, spec, h, width)
         if want_w:
             dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
         return dx, dw
 
     return out, vjp
+
+
+def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+    """The input gradient (n, c_in, h, w) of the conv ``spec`` for its
+    output gradient ``grad``: a stride-1 conv of the gradient.
+
+    Output (i, j) of the conv reads the zero-padded input at row
+    i*s + u*d for tap row u, so input row y receives g[i] * w[u] wherever
+    y + p = i*s + u*d. Laid out with s - 1 zeros between its rows (and
+    columns) and padded by q = d(k-1) - p, the gradient then holds g[i]
+    at row y + u'*d for the flipped tap u' = k-1-u: input row y is a
+    stride-1 correlation, at dilation d, of that layout with the flipped
+    taps, each group's in and out channels swapped (Dumoulin & Visin,
+    *A guide to convolution arithmetic*, 2016). A negative q is a crop:
+    the gradient is laid out unpadded and every window starts -q rows
+    and columns in, past outputs that read only the forward's padding.
+    The sums run one kernel row at a time: a row's windows,
+    (n, c_out, k, h, w), hold k taps a position where all rows' would
+    hold k*k, and one matmul per row multiplies them by that row's taps.
+    The rows' products are added in order.
+    """
+    n, c_out, ho, wo = grad.shape
+    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    cig, cog, span = spec.c_in // g, c_out // g, d * (k - 1)
+    q = span - p
+    a, crop = max(q, 0), max(-q, 0)
+    gz = np.zeros((n, c_out, h + span + 2 * crop, w + span + 2 * crop), dtype=grad.dtype)
+    gz[:, :, a : a + s * ho : s, a : a + s * wo : s] = grad
+    # taps[u] (g, cig, cog*k): row u of the flipped taps, in channel by
+    # (out channel, tap column), the order of a row's windows
+    taps = wd.reshape(g, cog, cig, k, k)[:, :, :, ::-1, ::-1].transpose(3, 0, 2, 1, 4)
+    taps = taps.reshape(k, g, cig, cog * k)
+    sn, sc, sh, sw = gz.strides
+    dx = part = None
+    for u in range(k):
+        rows = np.ndarray((n, c_out, k, h, w), gz.dtype, gz, (crop + u * d) * sh + crop * sw,
+                          (sn, sc, sw * d, sh, sw)).copy()
+        rows = rows.reshape(n, g, cog * k, h * w)
+        if dx is None:
+            dx = np.matmul(taps[u], rows)
+        else:
+            part = np.matmul(taps[u], rows, out=part)
+            np.add(dx, part, out=dx)
+    return dx.reshape(n, spec.c_in, h, w)
 
 
 def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
@@ -210,10 +254,12 @@ def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -
     matmul and einsum sum in another order.
     """
     n, c, h, w = xd.shape
-    xp = xd
     if p:
         xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=xd.dtype)
         xp[:, :, p : p + h, p : p + w] = xd
+    else:
+        # the view needs one buffer, which a broadcast adjoint is not
+        xp = np.ascontiguousarray(xd)
     sn, sc, sh, sw = xp.strides
     view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, 0,
                       (sn, sc, sh * d, sw * d, sh * s, sw * s))
@@ -512,12 +558,18 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
+    axes = (0, 2, 3)
+    m = n * h * w
     if mode == "train":
-        m = n * h * w
         if m < 2:
             raise ValueError("train-mode batch norm needs n*h*w >= 2 (variance undefined)")
-        mean = tx.data.mean(axis=(0, 2, 3), keepdims=True, dtype=tx.dtype)
-        var = tx.data.var(axis=(0, 2, 3), keepdims=True, dtype=tx.dtype)
+        # the sums divided in place by m, as np.mean and np.var compute
+        # them: np.var's own centred copy is the one x - mean below
+        mean = np.add.reduce(tx.data, axis=axes, keepdims=True, dtype=tx.dtype)
+        np.true_divide(mean, m, out=mean)
+        centred = tx.data - mean
+        var = np.add.reduce(np.square(centred), axis=axes, keepdims=True, dtype=tx.dtype)
+        np.true_divide(var, m, out=var)
         rm, rv = running_mean.data, running_var.data
         running_mean = Tensor.wrap((1 - momentum) * rm + momentum * mean.astype(rm.dtype))
         running_var = Tensor.wrap(
@@ -526,10 +578,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     else:
         mean = running_mean.data.astype(tx.dtype)
         var = running_var.data.astype(tx.dtype)
+        centred = tx.data - mean
 
     inv_std = 1.0 / np.sqrt(var + tx.dtype.type(eps))
-    xhat = (tx.data - mean) * inv_std
-    out = Tensor.wrap(tg.data * xhat + tb.data)
+    xhat = np.multiply(centred, inv_std, out=centred)
+    y = tg.data * xhat
+    out = Tensor.wrap(np.add(y, tb.data, out=y))
     tally(eltwise=2 * out.size)
 
     tape = tape_of(x, gamma, beta)
@@ -537,17 +591,23 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
         return out, running_mean, running_var
 
     def backward(g, acc):
+        # g * xhat is formed once: its channel sums are gamma's adjoint and
+        # g's are beta's; over m, they are the two means train mode's x
+        # adjoint subtracts (np.mean's sums and division)
+        gx = g * xhat
+        sum_gx = np.add.reduce(gx, axis=axes, keepdims=True)
+        sum_g = np.add.reduce(g, axis=axes, keepdims=True)
         if isinstance(gamma, Node):
-            acc(gamma, (g * xhat).sum(axis=(0, 2, 3), keepdims=True))
+            acc(gamma, sum_gx)
         if isinstance(beta, Node):
-            acc(beta, g.sum(axis=(0, 2, 3), keepdims=True))
+            acc(beta, sum_g)
         if isinstance(x, Node):
             if mode == "eval":
                 acc(x, g * tg.data * inv_std)
             else:
-                gm = g.mean(axis=(0, 2, 3), keepdims=True)
-                gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-                acc(x, tg.data * inv_std * (g - gm - xhat * gxm))
+                dx = np.subtract(g, sum_g / m)
+                np.subtract(dx, np.multiply(xhat, sum_gx / m, out=gx), out=dx)
+                acc(x, np.multiply(tg.data * inv_std, dx, out=dx))
 
     return tape.record(out, "batch_norm", backward), running_mean, running_var
 

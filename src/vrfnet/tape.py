@@ -17,6 +17,16 @@ it walks it: it takes each op's adjoint off the tape before running the
 op's rule, and drops the rule, with the activations it saved, once it
 has run. Only the leaf adjoints live until they are returned.
 
+The first array an op hands for an input becomes that input's adjoint
+as it is: it may be a view (of the op's own adjoint, or a read-only
+broadcast), and the tape never writes into it. The tape owns the arrays
+it allocates: the sum that a second contribution forms, and the
+zero-filled adjoint that a channel range (``slice_channels``) is
+written into. Every later contribution is added into an owned adjoint
+in place, with the same bits as the out-of-place sum. An owned leaf
+adjoint is returned without a copy. A contribution whose shape is not
+its target's raises :class:`~vrfnet.tensor.ShapeError`.
+
 The ops that do work also report their cost to the :func:`counting`
 context, if one is open (see :mod:`vrfnet.profiler` for the cost table).
 """
@@ -108,7 +118,10 @@ class Tape:
     def record(self, tensor: Tensor, op: str, backward: Callable) -> Node:
         """Append an op result. ``backward(grad, accumulate)`` distributes
         the adjoint ``grad`` (ndarray) to the op's inputs via
-        ``accumulate(input_ref, ndarray)``."""
+        ``accumulate(input_ref, ndarray)``, or via
+        ``accumulate(input_ref, ndarray, channels)`` for the adjoint of
+        the channel range ``input[:, channels]`` (a slice) alone. The rule
+        must not write into ``grad`` or into an array it has handed on."""
         node = Node(tensor, self, len(self._nodes), op, backward, False)
         self._nodes.append(node)
         return node
@@ -140,13 +153,36 @@ class Tape:
         adjoints: dict[int, np.ndarray] = {
             loss.id: np.ones(_SCALAR_SHAPE, dtype=loss.tensor.dtype)
         }
+        owned: set[int] = set()  # ids whose adjoint the tape allocated
 
-        def accumulate(ref, grad: np.ndarray) -> None:
+        def accumulate(ref, grad: np.ndarray, channels: slice | None = None) -> None:
             if not isinstance(ref, Node):
                 return  # constant input: no adjoint wanted
-            assert grad.shape == ref.tensor.shape, (grad.shape, ref.tensor.shape)
+            shape = ref.tensor.shape
+            if channels is not None:
+                shape = (shape[0], len(range(*channels.indices(shape[1])))) + shape[2:]
+            if grad.shape != shape:
+                raise ShapeError(f"adjoint of shape {grad.shape} for {ref}; expected {shape}")
             cur = adjoints.get(ref.id)
-            adjoints[ref.id] = grad if cur is None else cur + grad
+            if channels is None:
+                if cur is None:
+                    adjoints[ref.id] = grad
+                elif ref.id in owned:
+                    np.add(cur, grad, out=cur)
+                else:
+                    adjoints[ref.id] = cur + grad
+                    owned.add(ref.id)
+                return
+            if cur is None:
+                cur = np.zeros(ref.tensor.shape, dtype=ref.tensor.dtype)
+                cur[:, channels] = grad
+            else:
+                if ref.id not in owned:
+                    cur = cur.copy()
+                part = cur[:, channels]
+                np.add(part, grad, out=part)
+            adjoints[ref.id] = cur
+            owned.add(ref.id)
 
         for node in reversed(self._nodes):
             if node.is_leaf:
@@ -162,8 +198,8 @@ class Tape:
                 grad = adjoints.get(node.id)
                 if grad is None:
                     out[node.id] = Tensor.wrap(np.zeros_like(node.tensor.data))
-                else:
-                    out[node.id] = Tensor(grad)
+                else:  # an array an op handed over may be a view: it is copied
+                    out[node.id] = Tensor.wrap(grad if node.id in owned else grad.copy())
         return out
 
 

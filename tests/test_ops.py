@@ -218,7 +218,8 @@ def loop_im2col(xd, wd, bd, spec, ho, wo, grad):
 @example(case=(ConvSpec(3, 5, 1), (1, 3, 4, 5), 2))
 def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
     # the strided-copy columns hold the same values, and a single block's
-    # 2-D dot sums the same products in the same order as the 4-D matmul
+    # 2-D dot sums the same products in the same order as the 4-D matmul;
+    # the input gradient sums in another order (see the test below)
     spec, (_, c, h, w), seed = case
     rng = Rng(seed)
     ho, wo = spec.out_hw(h, w)
@@ -230,11 +231,43 @@ def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
             xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
             bd = None if b is None else b.astype(dtype)
             out, vjp = ops._im2col(xd, wd, bd, spec, ho, wo)
-            dx, dw = vjp(gd, True, True)
-            ref_out, ref_dx, ref_dw = loop_im2col(xd, wd, bd, spec, ho, wo, gd)
-            for got, want in ((out, ref_out), (dx, ref_dx), (dw, ref_dw)):
+            dw = vjp(gd, False, True)[1]
+            ref_out, _, ref_dw = loop_im2col(xd, wd, bd, spec, ho, wo, gd)
+            for got, want in ((out, ref_out), (dw, ref_dw)):
                 # array_equal, not tobytes(): longdouble carries padding bytes
                 assert got.dtype == dtype and np.array_equal(got, want), (spec, n, dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=conv_cases())
+@example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0))  # the spatial-attention mask conv
+@example(case=(ConvSpec(3, 4, 3, 2, 2, 1, 1), (1, 3, 9, 8), 1))  # strided and dilated
+@example(case=(ConvSpec(2, 2, 3, 2, 1, 2, 4), (1, 2, 3, 4), 2))  # strided, padded past d(k-1)
+def test_im2col_input_gradient_matches_the_loop_scatter_to_a_dot_product_bound(case):
+    # The input gradient is a conv of the output gradient, summed by
+    # kernel rows; the loop scatters the columns' gradient tap by tap.
+    # Each sums the m = c_out/g * k * k products g * w that reach an
+    # input element (fewer at the edges and for a stride), so each is
+    # within gamma_m * S of the exact sum, S = sum |g| |w| over those
+    # products and gamma_m = m u / (1 - m u) with u = eps / 2 (Higham,
+    # Accuracy and Stability of Numerical Algorithms, sec. 3.1). Their
+    # difference is then at most 2 gamma_m S <= (m + 1) eps S; S is the
+    # loop's input gradient of |g| and |w|, exact to a few ulp.
+    spec, (_, c, h, w), seed = case
+    rng = Rng(seed)
+    ho, wo = spec.out_hw(h, w)
+    m = spec.c_out // spec.groups * spec.k * spec.k
+    for n in (1, 2):
+        x, wt = rng.uniform((n, c, h, w)), rng.uniform(spec.weight_shape)
+        grad = rng.uniform((n, spec.c_out, ho, wo))
+        for dtype in (np.float32, np.float64, np.longdouble):
+            xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
+            dx = ops._im2col(xd, wd, None, spec, ho, wo)[1](gd, True, False)[0]
+            ref_dx = loop_im2col(xd, wd, None, spec, ho, wo, gd)[1]
+            size = loop_im2col(xd, np.abs(wd), None, spec, ho, wo, np.abs(gd))[1]
+            bound = (m + 1) * np.finfo(dtype).eps * size
+            assert dx.dtype == dtype and dx.shape == ref_dx.shape, (spec, n, dtype)
+            assert (np.abs(dx - ref_dx) <= bound).all(), (spec, n, dtype)
 
 
 def _dw_tiles(spec, shape):
@@ -615,6 +648,61 @@ def test_batch_norm_matches_loop_oracle():
         0.9 * 1.0 + 0.1 * x.data.var(axis=(0, 2, 3)) * m / (m - 1),
         rtol=1e-12,
     )
+
+
+def _batch_norm_train_formula(x, gamma, beta, rm, rv, g):
+    """Train-mode batch norm by np.mean and np.var, and its adjoint for
+    the output gradient g with g * xhat formed twice: output, running
+    stats, and the x, gamma and beta gradients."""
+    axes = (0, 2, 3)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
+    var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
+    new_rm = (1 - BN_MOMENTUM) * rm + BN_MOMENTUM * mean.astype(rm.dtype)
+    new_rv = (1 - BN_MOMENTUM) * rv + BN_MOMENTUM * (var.astype(rv.dtype) * m / (m - 1))
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
+    xhat = (x - mean) * inv_std
+    dx = gamma * inv_std * (g - g.mean(axis=axes, keepdims=True)
+                            - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+    return (gamma * xhat + beta, new_rm, new_rv, dx, (g * xhat).sum(axis=axes, keepdims=True),
+            g.sum(axis=axes, keepdims=True))
+
+
+@st.composite
+def batch_norm_cases(draw):
+    n, h, w = draw(st.integers(1, 2)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if n * h * w < 2:
+        w = 2
+    shape = (n, draw(st.integers(1, 3)), h, w)
+    return shape, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=batch_norm_cases())
+@example(case=((1, 2, 1, 2), np.float32, 0))  # n*h*w = 2
+@example(case=((2, 3, 1, 1), np.float64, 1))
+def test_batch_norm_train_keeps_the_bits_of_np_var_and_two_products(case):
+    shape, dtype, seed = case
+    rng = Rng(seed)
+    stat = (1, shape[1], 1, 1)
+    x = _with_signed_zeros(rng, rng.uniform(shape, -3, 3)).astype(dtype)
+    x[:, 0] = x[0, 0, 0, 0]  # one channel of equal values, some signed zeros
+    gamma = _with_signed_zeros(rng, rng.uniform(stat, -2, 2)).astype(dtype)
+    beta = _with_signed_zeros(rng, rng.uniform(stat)).astype(dtype)
+    rm, rv = rng.uniform(stat).astype(dtype), rng.uniform(stat, 0.5, 2).astype(dtype)
+    g = _with_signed_zeros(rng, rng.uniform(shape)).astype(dtype)
+    tape = Tape()
+    xn, gn, bn = (tape.leaf(Tensor.wrap(a.copy())) for a in (x, gamma, beta))
+    y, new_rm, new_rv = batch_norm(xn, gn, bn, Tensor.wrap(rm.copy()), Tensor.wrap(rv.copy()),
+                                   BN_EPS, BN_MOMENTUM, "train")
+    # the product's adjoint is 1 * g, which has g's bits
+    grads = tape.backward(sum_all(hadamard(y, Tensor.wrap(g.copy()))))
+    got = (y.tensor.data, new_rm.data, new_rv.data, grads[xn.id].data, grads[gn.id].data,
+           grads[bn.id].data)
+    want = _batch_norm_train_formula(x, gamma, beta, rm, rv, g)
+    for name, a, b in zip(("y", "running mean", "running var", "dx", "dgamma", "dbeta"),
+                          got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, shape, dtype)
 
 
 def test_batch_norm_train_rejects_single_element_stats():

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import vrfnet
 from vrfnet import (
     GConvBlock,
     GconvConfig,
@@ -12,6 +18,7 @@ from vrfnet import (
     GmcfConfig,
     MscfBlock,
     MscfConfig,
+    Node,
     Rng,
     ShapeError,
     Tape,
@@ -307,3 +314,138 @@ def test_select_scales_adjoints_match_exact_differences(scales, c, which):
         return sum_all(hadamard(select_scales(bound["cat"], bound["mask"], bound["x"]), probe))
 
     assert finite_diff_check(loss, inputs[which], h=1.0) < 1e-9, which
+
+
+_MISSHAPEN = textwrap.dedent("""
+    import numpy as np
+    from vrfnet import ShapeError, Tape, Tensor, sum_all
+
+    def run(handed):
+        tape = Tape()
+        x = tape.leaf(Tensor(np.ones((1, 2, 3, 3))))
+
+        def rule(g, acc):
+            for args in handed:
+                acc(x, *args)
+
+        y = tape.record(Tensor(np.ones((1, 2, 3, 3))), "probe", rule)
+        try:
+            grad = tape.backward(sum_all(y))[x.id]
+        except ShapeError:
+            return "ShapeError"
+        return f"gradient sums to {grad.data.sum():g}"
+
+    good, bad = (np.ones((1, 2, 3, 3)),), (np.ones((1, 1, 1, 1)),)
+    # as the first adjoint, as the second (a new sum), as the third (an
+    # add in place), and one channel too few for a channel range
+    for handed in ([bad], [good, bad], [good, good, bad], [(np.ones((1, 1, 3, 3)), slice(0, 2))]):
+        print(run(handed))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_backward_rejects_a_misshapen_adjoint_with_asserts_compiled_out(flags):
+    src = str(Path(vrfnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _MISSHAPEN], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ShapeError"] * 4
+
+
+def _spy_on_adjoints(monkeypatch):
+    """From now on, every array a recorded rule hands the tape is made
+    read-only and kept with a copy of it, per target node id, and the
+    adjoint each rule receives is kept too."""
+    handed, received = {}, {}
+    record = Tape.record
+
+    def spied_record(tape, tensor, op, backward):
+        def spied(grad, acc):
+            received[node.id] = grad.copy()
+
+            def spy(ref, arr, *channels):
+                if isinstance(ref, Node):
+                    arr.setflags(write=False)
+                    handed.setdefault(ref.id, []).append((arr, arr.copy(), channels))
+                acc(ref, arr, *channels)
+
+            backward(grad, spy)
+
+        node = record(tape, tensor, op, spied)
+        return node
+
+    monkeypatch.setattr(Tape, "record", spied_record)
+    return handed, received
+
+
+def _out_of_place(shape, dtype, handed):
+    """The adjoint as the sum of what was handed, in order, each sum a new
+    array; a channel range adds into that range alone."""
+    total = None
+    for arr, _, channels in handed:
+        if not channels:
+            total = arr if total is None else total + arr
+            continue
+        full = np.zeros(shape, dtype) if total is None else total.copy()
+        full[:, channels[0]] = arr if total is None else total[:, channels[0]] + arr
+        total = full
+    return total
+
+
+def _probe(shape, dtype, seed):
+    """Values in [-2, 2], about a fifth each +0 and -0: a sum that starts
+    from a +0 instead of taking the first array as it is changes a -0."""
+    rng = Rng(seed)
+    a, z = rng.uniform(shape, -2, 2), rng.random(shape)
+    a[z < 0.2] = 0.0
+    a[z > 0.8] = -0.0
+    return Tensor.wrap(a.astype(dtype))
+
+
+_ALIASING_GRAPHS = {
+    # sum_all's read-only broadcast, handed twice by add(a, a) and once more
+    "add_self": lambda a, b, p: sum_all(add(add(a, a), a)),
+    # add hands the same g to both operands first; each is added to later
+    "add_g_to_both": lambda a, b, p: sum_all(
+        add(hadamard(a, b), hadamard(add(a, b), p(a.tensor.shape, 1)))),
+    # views of concat's adjoint: two for a, one for b
+    "concat_views": lambda a, b, p: sum_all(
+        hadamard(concat_channels([a, b, a]), p((a.tensor.shape[0], 12, 3, 3), 2))),
+    # both halves and a middle range of a after a whole adjoint (the
+    # backward walks the records in reverse); a range of b first
+    "slice_halves": lambda a, b, p: sum_all(add(
+        concat_channels([
+            add(hadamard(slice_channels(a, 0, 2), p((a.tensor.shape[0], 2, 3, 3), 4)),
+                hadamard(slice_channels(a, 2, 4), slice_channels(b, 1, 3))),
+            slice_channels(a, 1, 3),
+        ]),
+        hadamard(a, p(a.tensor.shape, 3)))),
+    # a leaf whose adjoint is the broadcast itself
+    "sum_all_view": lambda a, b, p: sum_all(a),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(_ALIASING_GRAPHS))
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_adds_in_place_only_into_adjoints_it_allocated(graph, n, dtype, monkeypatch):
+    # an array an op hands the tape may be a view of another adjoint, or
+    # be handed to several inputs: the tape must leave it as it is, and
+    # its in-place sums must give the bits of the out-of-place ones
+    handed, received = _spy_on_adjoints(monkeypatch)
+    tape = Tape()
+    a = tape.leaf(_probe((n, 4, 3, 3), dtype, 40))
+    b = tape.leaf(_probe((n, 4, 3, 3), dtype, 41))
+    grads = tape.backward(_ALIASING_GRAPHS[graph](a, b, lambda s, k: _probe(s, dtype, 50 + k)))
+    for items in handed.values():
+        for arr, copy, _ in items:
+            assert arr.tobytes() == copy.tobytes(), "the tape wrote into an array an op handed it"
+    assert a.id in handed
+    for node_id, items in handed.items():
+        got = grads[node_id].data if node_id in grads else received[node_id]
+        want = _out_of_place(got.shape, dtype, items)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (graph, node_id)
+    if b.id not in handed:
+        npt.assert_array_equal(grads[b.id].data, np.zeros((n, 4, 3, 3)))
