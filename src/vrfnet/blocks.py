@@ -62,8 +62,11 @@ class MscfBlock(ParamBlock):
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
         p = self.resolve(params)
-        # the concat's buffer is the (n, S, c, h, w) stack select_scales reads
-        cat = concat_channels([self._conv(p, f"scale{i}", x) for i in range(self.cfg.n_scales)])
+        # the concat's buffer is the (n, S, c, h, w) stack select_scales
+        # reads; each branch is copied into it as it is computed
+        scales = self.cfg.n_scales
+        cat = concat_channels((self._conv(p, f"scale{i}", x) for i in range(scales)),
+                              scales * self.cfg.c)
         mask = self._children["sa"].forward(cat, sub_params(params, "sa."))
         y = select_scales(cat, mask, x)
         del cat, mask  # release the concat before channel attention runs
@@ -100,11 +103,12 @@ class GConvBlock(ParamBlock):
         g = self._conv(p, "dw", x_prime)
         gated = sigmoid_gate(g) if self.cfg.activation == "sigmoid_gate" else relu(g)
         restored = self._conv(p, "restore", hadamard(gated, v))
-        # release the expansion before the residual add, not before the
-        # restore conv: together with the bottleneck's release, that
-        # earlier release changes how glibc reuses and trims its heap, and
-        # a bottleneck's eval forward at 80x80 then page-faults hundreds of
-        # times a step.
+        # release the expansion and the gate after the restore conv, not
+        # each at its last use: the earlier releases change how glibc
+        # reuses and trims its heap, and in one of three checkout
+        # directories a gmcf-block's eval forward at 20x20 then
+        # page-faulted 840-870 times a step, against 20, and ran 7-15%
+        # slower.
         del both, x_prime, v, g, gated
         return add(x, dropout(restored, self._dropout, mode))
 
@@ -175,7 +179,7 @@ class GmcfBlock(ParamBlock):
             branches.append(
                 self._children[f"m{i}"].forward(branches[-1], sub_params(params, f"m{i}."), mode)
             )
-        cat = concat_channels(branches)
+        cat = concat_channels(branches, len(branches) * self.ch)
         del branches  # release every branch before cv2 runs
         return self._conv(p, "cv2", cat)
 
@@ -229,15 +233,19 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
         tape = Tape()
         xn = tape.leaf(x, "input")
         pnodes = {k: tape.leaf(t, k) for k, t in params.items()}
-        loss = sum_all(block.forward(xn, pnodes, mode))
-        grads = tape.backward(loss)
+        grads = tape.backward(sum_all(block.forward(xn, pnodes, mode)))
+        x_grad = grads[xn.id]
+        param_grads = {k: grads[node.id] for k, node in pnodes.items()}
+        # the tape keeps every node's value, and each node the tape: all
+        # of it is freed before the probes run
+        del tape, xn, pnodes, grads
 
         fd_x = x.astype(fd_dtype)
         fd_params = {k: t.astype(fd_dtype) for k, t in params.items()}
 
         errors: dict[str, float] = {}
         errors["input"] = fd_max_rel_err(
-            lambda t: block.forward(t, fd_params, mode).data.sum(), fd_x, grads[xn.id], h
+            lambda t: block.forward(t, fd_params, mode).data.sum(), fd_x, x_grad, h
         )
         for name in params:
             def loss_at(t, _name=name):
@@ -245,7 +253,7 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
                 bound[_name] = t
                 return block.forward(fd_x, bound, mode).data.sum()
 
-            errors[name] = fd_max_rel_err(loss_at, fd_params[name], grads[pnodes[name].id], h)
+            errors[name] = fd_max_rel_err(loss_at, fd_params[name], param_grads[name], h)
         return errors
     finally:
         block.set_buffers(buffers)

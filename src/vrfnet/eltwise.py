@@ -95,12 +95,13 @@ def channel_avg_max(x):
     across runs. The mean is the sum divided in place by c, as
     ``np.mean`` computes it, without its Python wrapper. The max routes
     its gradient to the first maximal channel at each pixel; the adjoint
-    fills one dx buffer with the mean's share by broadcast and adds the
-    max's share at the argmax.
+    fills one dx buffer with the mean's share by broadcast and writes
+    the max's share at the argmax, one flat-index assignment whose
+    indices the forward forms from ``argmax``.
     """
     tx = value_of(x)
-    c = tx.shape[1]
-    buf = np.empty((tx.shape[0], 2) + tx.shape[2:], dtype=tx.dtype)
+    n, c, h, w = tx.shape
+    buf = np.empty((n, 2, h, w), dtype=tx.dtype)
     mean = np.add.reduce(tx.data, axis=1, keepdims=True, out=buf[:, 0:1])
     np.true_divide(mean, c, out=mean)
     np.max(tx.data, axis=1, keepdims=True, out=buf[:, 1:2])
@@ -110,13 +111,18 @@ def channel_avg_max(x):
     if tape is None:
         return out
 
-    argmax = tx.data.argmax(axis=1)[:, None]  # first max per pixel
+    # the flat index in x of each pixel's first max: its sample's offset
+    # plus its channel's plus the pixel's
+    flat = tx.data.argmax(axis=1)
+    flat *= h * w
+    flat += np.arange(0, tx.size, c * h * w).reshape(n, 1, 1)
+    flat += np.arange(h * w).reshape(h, w)
 
     def backward(g, acc):
         dx = np.empty(tx.shape, dtype=tx.dtype)
         g_mean = g[:, 0:1] / c
         dx[...] = g_mean
-        np.put_along_axis(dx, argmax, g_mean + g[:, 1:2], axis=1)
+        dx.reshape(-1)[flat] = (g_mean + g[:, 1:2]).reshape(flat.shape)
         acc(x, dx)
 
     return tape.record(out, "channel_avg_max", backward)
@@ -181,35 +187,52 @@ def spatial_mean(x):
         return out
 
     def backward(g, acc):
-        acc(x, np.broadcast_to(g / hw, tx.shape).copy())
+        # a read-only view: the tape copies it before adding into it
+        acc(x, np.broadcast_to(g / hw, tx.shape))
 
     return tape.record(out, "spatial_mean", backward)
 
 
-def concat_channels(parts):
-    """Concatenate along the channel axis."""
-    parts = list(parts)
-    tensors = [value_of(p) for p in parts]
-    ref = tensors[0]
-    for t in tensors[1:]:
-        if t.dtype != ref.dtype:
-            raise TypeError("concat dtype mismatch")
-        if (t.shape[0], t.shape[2], t.shape[3]) != (ref.shape[0], ref.shape[2], ref.shape[3]):
-            raise ShapeError(f"concat needs matching (n,h,w): {t.shape} vs {ref.shape}")
-    out = Tensor.wrap(np.concatenate([t.data for t in tensors], axis=1))
-    tape = tape_of(*parts)
-    if tape is None:
-        return out
+def concat_channels(parts, channels: int):
+    """Concatenate along the channel axis into one buffer ``channels`` wide.
 
-    widths = [t.shape[1] for t in tensors]
+    ``parts`` may be any iterable: each part is copied in as it arrives
+    and not held afterwards unless it is a tape node, so a generator of
+    branch outputs holds one branch at a time besides the buffer.
+    """
+    out = None
+    kept = []  # the parts that are nodes, and the widths of the others
+    off = 0
+    for part in parts:
+        t = value_of(part)
+        if out is None:
+            out = np.empty((t.shape[0], channels) + t.shape[2:], dtype=t.dtype)
+        elif t.dtype != out.dtype:
+            raise TypeError("concat dtype mismatch")
+        elif (t.shape[0],) + t.shape[2:] != (out.shape[0],) + out.shape[2:]:
+            raise ShapeError(f"concat needs matching (n,h,w): {t.shape} vs {out.shape}")
+        c = t.shape[1]
+        if off + c > channels:
+            raise ShapeError(f"concat parts are wider than the {channels} channels given")
+        out[:, off : off + c] = t.data
+        off += c
+        kept.append(part if isinstance(part, Node) else c)
+        del part, t  # the next part is computed without this one
+    if out is None or off != channels:
+        raise ShapeError(f"concat parts are {off} channels wide, not {channels}")
+    res = Tensor.wrap(out)
+    tape = tape_of(*kept)
+    if tape is None:
+        return res
 
     def backward(g, acc):
         off = 0
-        for p, c in zip(parts, widths):
-            acc(p, g[:, off : off + c])
+        for part in kept:
+            c = part if isinstance(part, int) else part.tensor.shape[1]
+            acc(part, g[:, off : off + c])
             off += c
 
-    return tape.record(out, "concat_channels", backward)
+    return tape.record(res, "concat_channels", backward)
 
 
 def slice_channels(x, start: int, stop: int):

@@ -11,14 +11,16 @@ degenerate matmul, and a multiply-then-add loop over taps makes two
 passes per tap. The layout follows the conv's size: one whose tap
 windows fit in an eighth of a cache-sized tile (the gradient probes' 6x6
 planes) sums over a compact copy of its taps' windows, and any larger
-one over cache-sized tiles of row-padded planes, which copy nothing per
-tap but compute a few outputs per row that are cropped. Both give the
-same bits. The backward is one pass of the same kernel over the output
-gradient with the taps flipped: the pass's sums are the input gradient,
-and its per-tap dot products with the input the weight gradient, taps
-flipped back. So a tape keeps the conv's input and taps but no padded
-layout of the input, and without an input gradient to take the pass
-only lays the output gradient out.
+one over row-padded planes, which copy nothing per tap but compute a
+few outputs per row that are cropped. Those planes are laid out one
+cache-sized tile at a time, each tile just before it is summed, into
+one tile-sized buffer whose zero padding is written once. Both layouts
+give the same bits, at any tile size. The backward is one pass of the
+same kernel over the output gradient with the taps flipped: the pass's
+sums are the input gradient, and its per-tap dot products with the
+input the weight gradient, taps flipped back. So a tape keeps the
+conv's input and taps but no padded layout of the input, and without
+an input gradient to take the pass only lays the output gradient out.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. Its columns are
 the same window copy (``_windows``: one strided copy of a window view of
@@ -266,10 +268,11 @@ def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -
     return view.copy()
 
 
-# The row-padded depthwise kernel works on tiles of (sample, channel)
-# planes holding about this many output elements, so that each tile's
-# planes and accumulator stay in L2. A conv whose tap windows fit in an
-# eighth of a tile runs on a copy of them instead (see _dw).
+# The row-padded depthwise kernel lays out and sums one tile of (sample,
+# channel) planes at a time, in one buffer, the tile holding about this
+# many output elements, so that its planes and accumulator stay in L2.
+# A conv whose tap windows fit in an eighth of a tile runs on a copy of
+# them instead (see _dw).
 _DW_TILE = 1 << 16
 
 
@@ -382,61 +385,79 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
              sums: bool = True):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
 
-    Plane q (sample q // c, channel q % c) becomes row q of ``planes``,
-    stored in rows ``row`` wide: p zero rows above and below, zeros right
-    of each row and none left of it, plus p leading zeros. Tap (u, v) of
-    output pixel (i, j) then sits at flat offset (i + u*d)*row + j + v*d
-    (a reach left of column 0 lands in the previous row's zeros), so each
-    tap reads one contiguous slice of l = ho*row elements. One view of a
-    tile of planes holds every tap's slice, axis (u, v) stepping to tap
-    (u, v): shape (planes, k, k, l), strides (plane, row*d, d, 1)
-    elements. One einsum multiplies it by the per-plane taps and sums
-    over (u, v) into an output tile ``row`` wide, in one pass. At d = 1 a
-    tap column's stride equals the pixel stride and einsum then iterates
-    in a slow order (about 10x slower on 80x80 f32 planes), so there each
-    of the k columns of taps is its own einsum, and the columns are added. The bias is added to
-    the whole tile, where it broadcasts along rows l long (numpy buffers a
+    Plane q (sample q // c, channel q % c) is laid out as a row of
+    ``planes``, stored in rows ``row`` wide: p zero rows above and below,
+    zeros right of each row and none left of it, plus p leading zeros.
+    Tap (u, v) of output pixel (i, j) then sits at flat offset
+    (i + u*d)*row + j + v*d (a reach left of column 0 lands in the
+    previous row's zeros), so each tap reads one contiguous slice of
+    l = ho*row elements. ``planes`` holds one tile of planes, about
+    ``_DW_TILE`` outputs: its zeros are written once, and each tile's
+    planes are copied into the same interior just before the tile is
+    summed, so the padding stays zero and the layout of all n*c planes
+    never exists at once. One view of the tile holds every tap's slice,
+    axis (u, v) stepping to tap (u, v): shape (planes, k, k, l), strides
+    (plane, row*d, d, 1) elements. One einsum multiplies it by the
+    per-plane taps and sums over (u, v) into an output tile ``row`` wide,
+    in one pass. At d = 1 a tap column's stride equals the pixel stride
+    and einsum then iterates in a slow order (about 10x slower on 80x80
+    f32 planes), so there each of the k columns of taps is its own
+    einsum, and the columns are added. The bias is added to the whole
+    tile, where it broadcasts along rows l long (numpy buffers a
     per-plane broadcast over the cropped rows when a plane is under 8192
     elements, which was slower), and the spare columns are cropped last.
     ``weight_grad`` of plane q and tap (u, v) is one dot product of y,
-    laid out ``row`` wide, with that tap's slice; it holds the planes.
+    laid out ``row`` wide a tile at a time, with that tap's slice. It
+    lays each tile of planes out again, unless one tile holds them all:
+    then the layout made here serves it.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
     nc, row = n * c, max(w + p, wo)
     l, size = ho * row, (h + 2 * p) * row + span
-    # the output, which outlives the call, is allocated before the planes
-    # and tile buffers, which an eval forward frees on return: glibc then
-    # finds them at the top of its heap for the next op. Allocated after
-    # them, it left a hole below itself, and the heap was trimmed and
-    # faulted back in every step (fwd-gmcf-c64-hw80: about 600 page
-    # faults a step, against 14).
+    tile = min(max(1, _DW_TILE // l), nc)
+    # the output, which outlives the call, is allocated before the tile
+    # buffers, which an eval forward frees on return: glibc then finds
+    # them at the top of its heap for the next op. Allocated after them,
+    # it can leave a hole below itself, and the heap is then trimmed and
+    # faulted back in every step (fwd-gmcfblock-c256-hw20, in one of three
+    # checkout directories: 845 page faults a step against 18)
     out = np.empty((nc, ho, wo), dtype=xd.dtype) if sums else None
-    planes = np.zeros((nc, size), dtype=xd.dtype)
+    planes = np.zeros((tile, size), dtype=xd.dtype)
     start = p + p * row
-    planes[:, start : start + h * row].reshape(nc, h, row)[:, :, :w] = xd.reshape(nc, h, w)
+    interior = planes[:, start : start + h * row].reshape(tile, h, row)[:, :, :w]
+    xq = xd.reshape(nc, h, w)
+    if tile == nc:
+        interior[...] = xq
 
     def weight_grad(y):
-        yp = np.zeros((nc, 1, l), dtype=y.dtype)
-        yp.reshape(nc, ho, row)[:, :, :wo] = y.reshape(nc, ho, wo)
+        yq = y.reshape(nc, ho, wo)
+        yp = np.zeros((tile, 1, l), dtype=y.dtype)
+        ys = yp.reshape(tile, ho, row)[:, :, :wo]
         dwt = np.empty((k * k, nc), dtype=y.dtype)
-        for t in range(k * k):
-            s = (t // k * row + t % k) * d
-            dwt[t] = np.matmul(yp, planes[:, s : s + l, None]).reshape(-1)
+        for a in range(0, nc, tile):
+            z = min(a + tile, nc)
+            if tile < nc:
+                interior[: z - a] = xq[a:z]
+            ys[: z - a] = yq[a:z]
+            for t in range(k * k):
+                s = (t // k * row + t % k) * d
+                dwt[t, a:z] = np.matmul(yp[: z - a], planes[: z - a, s : s + l, None]).reshape(-1)
         return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
 
     if not sums:
         return None, weight_grad
     wt = np.tile(taps, (n, 1, 1))  # per-plane taps: wt[q] is taps[q % c]
     bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None]
-    tile = max(1, _DW_TILE // l)
-    acc = np.empty((min(tile, nc), l), dtype=xd.dtype)
+    acc = np.empty((tile, l), dtype=xd.dtype)
     cols = [slice(v, v + 1) for v in range(k)] if d == 1 else [slice(0, k)]
     tmp = np.empty_like(acc) if len(cols) > 1 else None
     e = planes.itemsize
     for a in range(0, nc, tile):
         z = min(a + tile, nc)
+        if tile < nc:
+            interior[: z - a] = xq[a:z]
         ac = acc[: z - a]
         for j, vs in enumerate(cols):
             # np.ndarray, not as_strided, which copies the array interface
@@ -444,7 +465,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
             # gradient-check sweep of a (1, 8, 6, 6) block rose from 0.33
             # to 1.24 MiB
             view = np.ndarray((z - a, k, vs.stop - vs.start, l), planes.dtype, planes,
-                              (a * size + vs.start * d) * e, (size * e, row * d * e, d * e, e))
+                              vs.start * d * e, (size * e, row * d * e, d * e, e))
             np.einsum("quvl,quv->ql", view, wt[a:z, :, vs], out=tmp[: z - a] if j else ac)
             if j:
                 np.add(ac, tmp[: z - a], out=ac)

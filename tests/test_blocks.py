@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import traced_memory
 from vrfnet import (
     ConfigError,
     ConvLayer,
@@ -23,6 +24,7 @@ from vrfnet import (
     conv2d,
     oracle_block,
 )
+from vrfnet import ops
 from vrfnet.config import block_config
 from vrfnet.layers import ParamBlock, sub_params
 
@@ -85,11 +87,32 @@ def test_mscf_mask_convexity_bound():
     x = Rng(8).tensor((1, 8, 6, 6), -2, 2)
     p = block.params()
     feats = [block._conv(p, f"scale{i}", x) for i in range(cfg.n_scales)]
-    mask = block._children["sa"].forward(concat_channels(feats),
+    mask = block._children["sa"].forward(concat_channels(feats, cfg.n_scales * cfg.c),
                                          {k[3:]: v for k, v in p.items() if k.startswith("sa.")})
     fused = sum(mask.data[:, i : i + 1] * feats[i].data for i in range(cfg.n_scales))
     bound = sum(np.abs(f.data) for f in feats)
     assert np.all(np.abs(fused) <= bound + 1e-12)
+
+
+def test_mscf_eval_forward_holds_its_stack_and_one_branch():
+    # the branches are copied into the stack as they are computed; held
+    # together with it, they would be twice its size again
+    c, h = 128, 40
+    block = MscfBlock(MscfConfig(c=c), Rng(70), np.float32)
+    x = Rng(71).tensor((1, c, h, h)).astype(np.float32)
+    block.forward(x)  # first-call caches are not the forward's memory
+    with traced_memory() as mem:
+        block.forward(x)
+        peak = mem.peak()
+    branch = x.data.nbytes
+    # slack: a branch conv's tile of row-padded planes and its accumulator
+    # at the widest dilation (7: 34 planes of 54 rows 47 wide), and an
+    # eighth of a branch
+    row = h + 7
+    tile = ops._DW_TILE // (h * row)
+    slack = 4 * tile * ((h + 14) * row + 14 + h * row) + branch // 8
+    bound = block.cfg.n_scales * branch + branch + slack
+    assert peak <= bound, f"peak {peak} B against stack, branch and slack {bound} B"
 
 
 # ---------------------------------------------------------------- GConv

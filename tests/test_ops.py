@@ -1,10 +1,11 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from conftest import traced_memory
 
 from vrfnet import (
     ConvSpec,
@@ -410,14 +411,54 @@ def test_taped_row_padded_depthwise_conv_holds_no_padded_copy_of_its_input():
     tape = Tape()
     leaves = [tape.leaf(t) for t in (x, w, b)]
     conv2d(*leaves, spec)  # first-call caches are not the record's memory
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         y = conv2d(*leaves, spec)
-        held = tracemalloc.get_traced_memory()[0] - before - y.tensor.data.nbytes
-    finally:
-        tracemalloc.stop()
+        held = mem.held() - y.tensor.data.nbytes
     assert held < x.data.nbytes, f"the record holds {held} B beyond its output"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize("k,d,p", [(3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 2, 1), (2, 3, 0)],
+                         ids=["d1-same", "d3-same", "pad-over", "pad-under", "even-k"])
+def test_row_padded_depthwise_results_do_not_depend_on_the_tile(k, d, p, dtype, monkeypatch):
+    # one plane a tile; tiles of 2 and 4 of the 9 planes, whose budget ends
+    # inside a plane, whose last tile is partial and whose tiles cross from
+    # one sample into the next; and one tile of every plane
+    x, wt, g, spec = _depthwise_case(Rng(60 + k + d + p), (3, 3, 9, 11), k, d, p, dtype)
+    b = _with_signed_zeros(Rng(61), Rng(61).uniform((1, 3, 1, 1), -1.0, 1.0)).astype(dtype)
+    ho, wo = g.shape[2:]
+    taps = wt.reshape(3, k, k)
+    plane = ho * max(11 + p, wo)  # the outputs a plane of the forward computes
+    results = []
+    for budget in (plane, 2 * plane + plane // 2, 4 * plane + plane // 2, 9 * plane):
+        monkeypatch.setattr(ops, "_DW_TILE", budget)
+        out, weight_grad = ops._dw_conv(x, taps, d, p, b, ho, wo)
+        y, vjp = ops._depthwise(x, wt, b, spec, ho, wo)
+        results.append((out, weight_grad(g), y) + vjp(g, True, True))
+    for got in results[:-1]:
+        for a, want in zip(got, results[-1], strict=True):
+            assert a.dtype == dtype
+            assert np.array_equal(a, want) and np.array_equal(np.signbit(a), np.signbit(want))
+
+
+def test_row_padded_depthwise_forward_holds_one_tile_of_planes():
+    # 64 planes of 40x40 at d=7 make two tiles, the last one partial;
+    # the whole row-padded layout would be 1.6x the input
+    c, h, d = 64, 40, 7
+    spec = ConvSpec.same(c, c, 3, dilation=d, groups=c)
+    x = Rng(62).tensor((1, c, h, h)).astype(np.float32)
+    w, b = ops.init_conv_params(spec, Rng(63), np.float32)
+    row, size = h + spec.padding, (h + 2 * spec.padding) * (h + spec.padding) + 2 * d
+    tile = ops._DW_TILE // (h * row)
+    assert 1 < c / tile < 2
+    conv2d(x, w, b, spec)  # first-call caches are not the forward's memory
+    with traced_memory() as mem:
+        y = conv2d(x, w, b, spec)
+        peak = mem.peak()
+    # the slack covers numpy's iteration buffers (about 37 KB here) and
+    # the per-plane taps and bias
+    bound = y.data.nbytes + 4 * tile * (size + h * row) + 64 * 1024
+    assert peak <= bound, f"peak {peak} B against its output, one tile and accumulator {bound} B"
 
 
 def _depthwise_case(rng, shape, k, d, p, dtype):
@@ -773,13 +814,9 @@ def test_dropout_saves_a_byte_mask_with_the_bits_of_a_float_mask(dtype):
     probe = _with_signed_zeros(rng, rng.uniform(shape, -2.0, 2.0)).astype(dtype)
     tape = Tape()
     leaf = tape.leaf(Tensor.wrap(x))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         y = dropout(leaf, DropoutState(p, Rng(23)), "train")
-        held = tracemalloc.get_traced_memory()[0] - before - y.tensor.data.nbytes
-    finally:
-        tracemalloc.stop()
+        held = mem.held() - y.tensor.data.nbytes
     assert held < x.size + 4096, f"the record holds {held} B for {x.size} elements"
     grad = tape.backward(sum_all(hadamard(y, Tensor.wrap(probe))))[leaf.id].data
     # the float mask of the parent, drawn from the same stream

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import vrfnet
+from conftest import traced_memory
 from vrfnet import (
     GConvBlock,
     GconvConfig,
@@ -122,13 +122,9 @@ def test_hadamard_adjoint_forms_no_product_for_a_constant_operand(node_first):
     tx, r = Rng(22).tensor((1, 8, 64, 64)), Rng(23).tensor((1, 8, 64, 64))
     x = tape.leaf(tx)
     loss = sum_all(hadamard(x, r) if node_first else hadamard(r, x))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         grads = tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        peak = mem.peak()
     assert peak < 2.5 * tx.data.nbytes, f"backward peak {peak} B for {tx.data.nbytes} B arrays"
     npt.assert_array_equal(grads[x.id].data, r.data)
 
@@ -163,18 +159,15 @@ def test_backward_peak_stays_close_to_what_the_forward_holds(shape):
     block = GmcfBottleneck(GmcfConfig(c=8), Rng(20), np.float64)
     x = Rng(21).tensor(shape)
     block.forward(x, mode="train")  # first-call caches are not the forward's memory
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         tape = Tape()
         xn = tape.leaf(x, "input")
         pn = {k: tape.leaf(t, k) for k, t in block.params().items()}
         loss = sum_all(block.forward(xn, pn, "train"))
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+        held = mem.held()
+        mem.reset_peak()
         grads = tape.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        peak = mem.peak()
     assert len(grads) == 1 + len(pn)
     assert peak / held < 1.5, f"backward peak {peak} B is {peak / held:.2f}x the forward's {held} B"
 
@@ -286,7 +279,7 @@ def _pair():
             hadamard(select_scales(t, hadamard(t, t), slice_channels(t, 1, 2)), _bcast()))),
         ("spatial_mean", lambda t: sum_all(spatial_mean(t))),
         ("concat_slice", lambda t: sum_all(
-            hadamard(slice_channels(concat_channels([t, t]), 2, 5), _other()))),
+            hadamard(slice_channels(concat_channels([t, t], 6), 2, 5), _other()))),
     ],
 )
 def test_registered_op_gradients(name, f):
@@ -411,7 +404,7 @@ _ALIASING_GRAPHS = {
         add(hadamard(a, b), hadamard(add(a, b), p(a.tensor.shape, 1)))),
     # views of concat's adjoint: two for a, one for b
     "concat_views": lambda a, b, p: sum_all(
-        hadamard(concat_channels([a, b, a]), p((a.tensor.shape[0], 12, 3, 3), 2))),
+        hadamard(concat_channels([a, b, a], 12), p((a.tensor.shape[0], 12, 3, 3), 2))),
     # both halves and a middle range of a after a whole adjoint (the
     # backward walks the records in reverse); a range of b first
     "slice_halves": lambda a, b, p: sum_all(add(
@@ -419,7 +412,7 @@ _ALIASING_GRAPHS = {
             add(hadamard(slice_channels(a, 0, 2), p((a.tensor.shape[0], 2, 3, 3), 4)),
                 hadamard(slice_channels(a, 2, 4), slice_channels(b, 1, 3))),
             slice_channels(a, 1, 3),
-        ]),
+        ], 4),
         hadamard(a, p(a.tensor.shape, 3)))),
     # a leaf whose adjoint is the broadcast itself
     "sum_all_view": lambda a, b, p: sum_all(a),

@@ -148,6 +148,35 @@ def test_channel_max_gradient_goes_to_first_maximal_channel():
     npt.assert_array_equal(grad, np.broadcast_to(grad[:, :, :1, :1], grad.shape))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c=st.integers(1, 9),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    dtype=st.sampled_from([np.float32, np.float64, np.longdouble]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_channel_max_adjoint_keeps_the_bits_of_put_along_axis(n, c, h, w, dtype, ties, seed):
+    # the adjoint writes the max's share by flat index; the formula it
+    # replaced put it along the channel axis at the forward's argmax
+    rng = Rng(seed)
+    x = rng.uniform((n, c, h, w), -2.0, 2.0)
+    if ties:
+        x = np.floor(2.0 * x) / 2.0  # equal values across channels: ties for the max
+    x = x.astype(dtype)
+    g = rng.uniform((n, 2, h, w), -2.0, 2.0).astype(dtype)
+    tape = Tape()
+    leaf = tape.leaf(Tensor.wrap(x))
+    got = tape.backward(sum_all(hadamard(channel_avg_max(leaf), Tensor.wrap(g))))[leaf.id].data
+    want = np.empty_like(x)
+    g_mean = g[:, 0:1] / c
+    want[...] = g_mean
+    np.put_along_axis(want, x.argmax(axis=1)[:, None], g_mean + g[:, 1:2], axis=1)
+    assert _same_bits(got, want)
+
+
 def _composed_mscf_epilogue(cat, mask, x):
     """Pooling and scale selection as the separate ops MSCF ran before
     they were fused: avg and max as two reductions and a concat, then a
@@ -155,7 +184,7 @@ def _composed_mscf_epilogue(cat, mask, x):
     pooled = concat_channels([
         Tensor.wrap(cat.data.mean(axis=1, keepdims=True, dtype=cat.dtype)),
         Tensor.wrap(cat.data.max(axis=1, keepdims=True)),
-    ])
+    ], 2)
     c = x.shape[1]
     fused = None
     for i in range(mask.shape[1]):
