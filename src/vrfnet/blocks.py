@@ -174,7 +174,7 @@ class GmcfBlock(ParamBlock):
         p = self.resolve(params)
         both = self._conv(p, "cv1", x)
         branches = [slice_channels(both, 0, self.ch), slice_channels(both, self.ch, 2 * self.ch)]
-        del both  # the slices copy it at batch > 1 (at batch 1 they are views of it)
+        del both  # the slices are views of it: its buffer goes with them, before cv2 runs
         for i in range(self.cfg.n_bottlenecks):
             branches.append(
                 self._children[f"m{i}"].forward(branches[-1], sub_params(params, f"m{i}."), mode)

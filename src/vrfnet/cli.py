@@ -114,7 +114,14 @@ def cmd_gradcheck(args) -> int:
 
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-5
     block = _make_block(cfg)
-    x = Rng(cfg.seed + 1).tensor(cfg.resolved_input_shape(), -2.0, 2.0, cfg.np_dtype)
+    shape = cfg.resolved_input_shape()
+    n, _, h, w = shape
+    # the buffers are batch norm's running statistics; in train mode it
+    # normalizes with the variance over n*h*w values
+    if args.mode == "train" and block.buffers() and n * h * w < 2:
+        raise ConfigError(f"train mode needs n*h*w >= 2 for batch norm's variance, "
+                          f"got input shape {shape}")
+    x = Rng(cfg.seed + 1).tensor(shape, -2.0, 2.0, cfg.np_dtype)
     errors = block_gradient_errors(block, x, mode=args.mode)
 
     lines, failures = [], []
@@ -211,8 +218,11 @@ def cmd_profile(args) -> int:
 
     import tempfile
 
-    from .profiler import cost_report, count_params, ffn_cost, format_table
+    from .profiler import BENCH_MIN_REPS, cost_report, count_params, ffn_cost, format_table
     from .vrft import manifest_element_count, write_manifest
+
+    if args.reps and args.reps < BENCH_MIN_REPS:
+        raise ConfigError(f"--reps must be 0 (no timing) or >= {BENCH_MIN_REPS}, got {args.reps}")
 
     block = _make_block(cfg)
     shape = cfg.resolved_input_shape(default_hw=20)

@@ -7,6 +7,7 @@ loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -254,7 +255,9 @@ def validate_run_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"input_shape channel dim {cfg.input_shape[1]} != channels {cfg.channels}"
             )
-    if cfg.tolerance is not None and cfg.tolerance < 0:
-        raise ConfigError("tolerance must be >= 0")
+    # NaN compares false both ways: every check against it would fail,
+    # yet no comparison of it with 0 rejects it
+    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {cfg.tolerance!r}")
     if cfg.block is not None:
         cfg.build_block_config()

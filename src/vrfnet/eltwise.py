@@ -72,9 +72,14 @@ def hadamard(a, b):
 
 
 def sum_all(x):
-    """Sum over all axes, returned as a (1,1,1,1) scalar tensor."""
+    """Sum over all axes, returned as a (1,1,1,1) scalar tensor.
+
+    The sum runs over the elements in C order, flattened: numpy's pairwise
+    sum of a channel slice's view would group them by sample, so a view
+    is flattened into a copy and sums to the bits of its C-order copy.
+    """
     tx = value_of(x)
-    out = Tensor.wrap(tx.data.sum(dtype=tx.dtype).reshape(1, 1, 1, 1))
+    out = Tensor.wrap(tx.data.reshape(-1).sum(dtype=tx.dtype).reshape(1, 1, 1, 1))
     tape = tape_of(x)
     if tape is None:
         return out
@@ -236,9 +241,9 @@ def concat_channels(parts, channels: int):
 
 
 def slice_channels(x, start: int, stop: int):
-    """Channel slice x[:, start:stop]: a view of x where that is contiguous
-    (batch 1), otherwise a copy. The adjoint is added into that channel
-    range of x's adjoint alone."""
+    """Channel slice x[:, start:stop]: a view of x at every batch size,
+    each sample of it one C-contiguous block (see :class:`Tensor`). The
+    adjoint is added into that channel range of x's adjoint alone."""
     tx = value_of(x)
     if not (0 <= start < stop <= tx.shape[1]):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for shape {tx.shape}")

@@ -24,7 +24,9 @@ an input gradient to take the pass only lays the output gradient out.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. Its columns are
 the same window copy (``_windows``: one strided copy of a window view of
-the padded input); a 1x1 conv reads its input as the columns. A product
+the padded input); a 1x1 conv reads its input as the columns. Columns
+that would exceed four kernel tiles are built and multiplied one band of
+output rows at a time. A product
 of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
 f32 and f64, and in longdouble a loop about twice as fast as matmul's
 generic one, with the same sums in the same order.
@@ -160,45 +162,70 @@ def conv2d(x, w, b, spec: ConvSpec):
 def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     """Any conv as im2col columns times a matmul per (sample, group) block.
 
+    Where the columns of all outputs, n*c_in*k*k*ho*wo elements, would
+    exceed four kernel tiles (``_DW_TILE``), they are built one band of
+    output rows at a time, each band times the taps in one product, so
+    the conv holds one band of columns. Each output is the same dot
+    product either way.
     The input gradient is the same lowering run on the output gradient
     (:func:`_input_grad`), as for a depthwise conv; a pointwise conv's is
     one product of the transposed taps with the gradient. The weight
-    gradient is the gradient times the forward's columns.
+    gradient is the gradient times the forward's columns, which a banded
+    conv builds again in full.
     Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
     """
-    n, cin, h, width = xd.shape
+    n, cin = xd.shape[:2]
     k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
-    cog, m, l = spec.c_out // g, spec.fan_in, ho * wo
-
-    pointwise = k == 1 and s == 1 and p == 0
-    # a 1x1 conv's input already is its own columns
-    cols = (xd if pointwise else _windows(xd, k, d, s, p, ho, wo)).reshape(n, g, m, l)
+    cog, m = spec.c_out // g, spec.fan_in
     wm = wd.reshape(g, cog, m)
 
-    if n * g == 1:
-        # one block: the same gemm as matmul in f32 and f64, and in
-        # longdouble about half the time of matmul's generic loop on the
-        # gradient probes' convs
-        out = np.dot(wm[0], cols[0, 0])
+    pointwise = k == 1 and s == 1 and p == 0
+    rows = ho if pointwise else max(1, 4 * _DW_TILE // (n * cin * k * k * wo))
+    if rows >= ho:
+        # a 1x1 conv's input already is its own columns
+        cols = (xd if pointwise else _windows(_padded(xd, p), k, d, s, ho, wo))
+        cols = cols.reshape(n, g, m, ho * wo)
+        out = _product(wm, cols)
     else:
-        out = np.matmul(wm, cols)
+        cols = None
+        xp = _padded(xd, p)
+        out = np.empty((n, g, cog, ho, wo), dtype=xd.dtype)
+        for i in range(0, ho, rows):
+            r = min(rows, ho - i)
+            # unnamed, so each band's columns are freed before the next's are built
+            band = _product(wm, _windows(xp, k, d, s, r, wo, i).reshape(n, g, m, r * wo))
+            out[:, :, :, i : i + r] = band.reshape(n, g, cog, r, wo)
     out = out.reshape(n, spec.c_out, ho, wo)
     if bd is not None:
         np.add(out, bd, out=out)
 
     def vjp(grad, want_x, want_w):
-        go = grad.reshape(n, g, cog, l)
+        go = grad.reshape(n, g, cog, -1)
         dx = dw = None
         if want_x:
             if pointwise:
-                dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(n, cin, h, width)
+                dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(xd.shape)
             else:
-                dx = _input_grad(grad, wd, spec, h, width)
+                dx = _input_grad(grad, wd, spec, *xd.shape[2:])
         if want_w:
-            dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
+            c = cols
+            if c is None:  # a banded conv's columns, all of them
+                c = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
+                c = c.reshape(n, g, -1, ho * wo)
+            dw = np.matmul(go, c.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
         return dx, dw
 
     return out, vjp
+
+
+def _product(wm: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The taps ``wm`` (g, c_out/g, m) times the columns ``cols`` (n, g, m, l),
+    a matmul per (sample, group) block. One block is one 2-D dot: the same
+    gemm as matmul in f32 and f64, and in longdouble about half the time of
+    matmul's generic loop on the gradient probes' convs."""
+    if cols.shape[0] * cols.shape[1] == 1:
+        return np.dot(wm[0], cols[0, 0])
+    return np.matmul(wm, cols)
 
 
 def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int) -> np.ndarray:
@@ -245,25 +272,32 @@ def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int
     return dx.reshape(n, spec.c_in, h, w)
 
 
-def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -> np.ndarray:
-    """Every tap's window of ``xd`` (n, c, h, w) zero-padded by ``p``: a C-order
-    copy (n, c, k, k, ho, wo) whose element (u, v, i, j) is the padded
-    input at row u*d + i*s, column v*d + j*s.
+def _padded(xd: np.ndarray, p: int) -> np.ndarray:
+    """``xd`` (n, c, h, w) zero-padded by ``p`` along h and w, in one buffer:
+    the window view of :func:`_windows` needs one, which a broadcast
+    adjoint or a channel slice is not."""
+    if not p:
+        return np.ascontiguousarray(xd)
+    n, c, h, w = xd.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=xd.dtype)
+    xp[:, :, p : p + h, p : p + w] = xd
+    return xp
+
+
+def _windows(xp: np.ndarray, k: int, d: int, s: int, ho: int, wo: int, top: int = 0) -> np.ndarray:
+    """Every tap's window of the padded input ``xp`` (n, c, H, W) for ``ho``
+    output rows from row ``top`` on: a C-order copy (n, c, k, k, ho, wo)
+    whose element (u, v, i, j) is xp at row u*d + (top + i)*s, column
+    v*d + j*s.
 
     The copy is of one strided view (np.ndarray, not as_strided: see
     :func:`_dw_conv`). It is C-order because a reshape of the view alone
     can return a strided view (when a padded row is k wide, say), which
     matmul and einsum sum in another order.
     """
-    n, c, h, w = xd.shape
-    if p:
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=xd.dtype)
-        xp[:, :, p : p + h, p : p + w] = xd
-    else:
-        # the view needs one buffer, which a broadcast adjoint is not
-        xp = np.ascontiguousarray(xd)
+    n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, 0,
+    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, top * s * sh,
                       (sn, sc, sh * d, sw * d, sh * s, sw * s))
     return view.copy()
 
@@ -272,7 +306,8 @@ def _windows(xd: np.ndarray, k: int, d: int, s: int, p: int, ho: int, wo: int) -
 # channel) planes at a time, in one buffer, the tile holding about this
 # many output elements, so that its planes and accumulator stay in L2.
 # A conv whose tap windows fit in an eighth of a tile runs on a copy of
-# them instead (see _dw).
+# them instead (see _dw). An im2col conv whose columns would exceed four
+# tiles builds them a band of output rows at a time (see _im2col).
 _DW_TILE = 1 << 16
 
 
@@ -364,7 +399,7 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     k, l = taps.shape[-1], ho * wo
 
     def windows():
-        return _windows(xd, k, d, 1, p, ho, wo).reshape(n, c, k, k, l)
+        return _windows(_padded(xd, p), k, d, 1, ho, wo).reshape(n, c, k, k, l)
 
     def weight_grad(y):
         dw = np.matmul(windows().reshape(n, c, k * k, l), y.reshape(n, c, l, 1))
@@ -409,7 +444,9 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     ``weight_grad`` of plane q and tap (u, v) is one dot product of y,
     laid out ``row`` wide a tile at a time, with that tap's slice. It
     lays each tile of planes out again, unless one tile holds them all:
-    then the layout made here serves it.
+    then the layout made here serves it. Planes are copied in from the
+    4-D ``xd`` and ``y`` a sample's run of channels at a time
+    (:func:`_fill`), so a channel slice is read where it lies.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
@@ -427,20 +464,18 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     planes = np.zeros((tile, size), dtype=xd.dtype)
     start = p + p * row
     interior = planes[:, start : start + h * row].reshape(tile, h, row)[:, :, :w]
-    xq = xd.reshape(nc, h, w)
     if tile == nc:
-        interior[...] = xq
+        _fill(interior, xd, 0, nc)
 
     def weight_grad(y):
-        yq = y.reshape(nc, ho, wo)
         yp = np.zeros((tile, 1, l), dtype=y.dtype)
         ys = yp.reshape(tile, ho, row)[:, :, :wo]
         dwt = np.empty((k * k, nc), dtype=y.dtype)
         for a in range(0, nc, tile):
             z = min(a + tile, nc)
             if tile < nc:
-                interior[: z - a] = xq[a:z]
-            ys[: z - a] = yq[a:z]
+                _fill(interior, xd, a, z)
+            _fill(ys, y, a, z)
             for t in range(k * k):
                 s = (t // k * row + t % k) * d
                 dwt[t, a:z] = np.matmul(yp[: z - a], planes[: z - a, s : s + l, None]).reshape(-1)
@@ -457,7 +492,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     for a in range(0, nc, tile):
         z = min(a + tile, nc)
         if tile < nc:
-            interior[: z - a] = xq[a:z]
+            _fill(interior, xd, a, z)
         ac = acc[: z - a]
         for j, vs in enumerate(cols):
             # np.ndarray, not as_strided, which copies the array interface
@@ -473,6 +508,20 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
             np.add(ac, bt[a:z], out=ac)
         out[a:z] = ac.reshape(z - a, ho, row)[:, :, :wo]
     return out.reshape(n, c, ho, wo), weight_grad
+
+
+def _fill(dst: np.ndarray, src: np.ndarray, a: int, z: int) -> None:
+    """Copy planes a..z of ``src`` (n, c, h, w), plane q being channel q % c
+    of sample q // c, into ``dst[:z - a]``, one sample's run of channels
+    at a time. (A reshape of ``src`` to (n*c, h, w) would copy all of a
+    channel slice, whose samples are not adjacent.)"""
+    c = src.shape[1]
+    q = a
+    while q < z:
+        i, ch = divmod(q, c)
+        m = min(z - q, c - ch)
+        dst[q - a : q - a + m] = src[i, ch : ch + m]
+        q += m
 
 
 def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:

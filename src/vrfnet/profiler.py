@@ -94,11 +94,15 @@ def count_macs(block: ParamBlock, input_shape) -> int:
     return count_costs(block, input_shape).macs
 
 
+# the fewest timed runs whose quartiles bench reports
+BENCH_MIN_REPS = 3
+
+
 def bench(block: ParamBlock, input_shape, reps: int, warmup: int = 2,
           seed: int = 0, threads: str | None = None) -> dict:
     """Median/IQR wall time of eval-mode forward over ``reps`` runs."""
-    if reps < 3:
-        raise ValueError("bench needs reps >= 3")
+    if reps < BENCH_MIN_REPS:
+        raise ValueError(f"bench needs reps >= {BENCH_MIN_REPS}")
     x = Rng(seed).tensor(input_shape, dtype=_block_dtype(block))
     for _ in range(warmup):
         block.forward(x)

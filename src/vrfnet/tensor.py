@@ -1,7 +1,8 @@
 """Dense rank-4 tensors in (batch, channel, height, width) layout.
 
-Everything in this library moves through :class:`Tensor`: a frozen,
-C-contiguous float32/float64 array of rank 4. Lower-rank data (biases,
+Everything in this library moves through :class:`Tensor`: a frozen
+float32/float64 array of rank 4 whose samples are each one C-contiguous
+block, so a channel slice is a view at any batch size. Lower-rank data (biases,
 per-channel scales) is stored with unit dims, e.g. a bias vector for
 ``c`` output channels lives in shape ``(1, c, 1, 1)`` so it broadcasts
 along batch and spatial axes.
@@ -24,9 +25,13 @@ class ShapeError(ValueError):
 class Tensor:
     """Immutable dense rank-4 array, row-major (n, c, h, w).
 
-    The constructor copies its input; internal code that owns a fresh
-    array uses :meth:`Tensor.wrap` to avoid the copy. The underlying
-    buffer is marked read-only either way.
+    Each sample ``data[i]`` is one C-contiguous block, and no two samples
+    overlap: the strides are C order's within a sample, and the batch
+    stride is at least a sample's size. So a channel range of a tensor
+    (``slice_channels``) is a view of it. The constructor copies its
+    input into C order; internal code that owns a fresh array uses
+    :meth:`Tensor.wrap` to avoid the copy. The underlying buffer is
+    marked read-only either way.
     """
 
     __slots__ = ("data",)
@@ -37,9 +42,14 @@ class Tensor:
 
     @classmethod
     def wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Adopt ``arr`` without copying. Caller must not keep a writable ref."""
+        """Adopt ``arr`` without copying if its samples are each one
+        C-contiguous block (see :class:`Tensor`); any other layout (a
+        spatial crop, a transpose, overlapping samples) is copied into C
+        order. Caller must not keep a writable ref."""
+        if not (arr.flags.c_contiguous or _samples_contiguous(arr)):
+            arr = np.ascontiguousarray(arr)
         t = object.__new__(cls)
-        t.data = _checked(np.ascontiguousarray(arr), _INTERNAL)
+        t.data = _checked(arr, _INTERNAL)
         return t
 
     @property
@@ -64,6 +74,16 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
+
+
+def _samples_contiguous(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is rank 4 with C order's strides within a sample
+    and a batch stride of at least one sample."""
+    if arr.ndim != 4:
+        return False
+    _, c, h, w = arr.shape
+    e = arr.itemsize
+    return arr.strides[1:] == (h * w * e, w * e, e) and arr.strides[0] >= c * h * w * e
 
 
 def _checked(arr: np.ndarray, allowed=_ALLOWED) -> np.ndarray:

@@ -136,6 +136,54 @@ def test_oracle_diff_dtype_from_file_or_flag(tmp_path, monkeypatch, file_dtype, 
     assert seen == {np.dtype(want)}
 
 
+def _one_line_config_error(capsys, *keys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert all(key in err for key in keys), err
+
+
+@pytest.mark.parametrize("command", [["gradcheck", *GC_ARGS], ["oracle-diff", "--specs", "2"]],
+                         ids=["gradcheck", "oracle-diff"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, command, tol, where):
+    # every comparison with NaN is false: without the check, gradcheck
+    # printed FAIL on every line and then passed "within nan"
+    if where == "flag":
+        args = ["--tol", tol]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerance": float(tol)}))  # NaN or Infinity in the JSON
+        args = ["--config", str(cfg)]
+    assert main([*command, *args]) == 2
+    _one_line_config_error(capsys, "tolerance", tol)
+
+
+@pytest.mark.parametrize("reps", ["1", "2", "-1"])
+def test_profile_rejects_too_few_reps_as_a_config_error(capsys, reps):
+    assert main(["profile", "--block", "gconv", "--channels", "6", "--reps", reps]) == 2
+    _one_line_config_error(capsys, "--reps", reps)
+
+
+def test_profile_times_three_reps(capsys):
+    assert main(["profile", "--block", "gconv", "--channels", "6",
+                 "--input-shape", "1,6,4,4", "--reps", "3"]) == 0
+    payload = json.loads([l for l in capsys.readouterr().out.splitlines() if l.startswith("{")][0])
+    assert payload["timing"]["reps"] == 3
+
+
+@pytest.mark.parametrize("block,shape,rc", [
+    ("gmcf", "1,8,1,1", 2), ("gmcf-block", "1,8,1,1", 2),
+    ("gmcf", "1,8,1,2", 0),  # n*h*w = 2
+    ("gconv", "1,8,1,1", 0),  # no batch norm
+])
+def test_train_gradcheck_needs_two_values_a_channel_for_batch_norm(capsys, block, shape, rc):
+    assert main(["gradcheck", "--block", block, "--channels", "8", "--input-shape", shape,
+                 "--mode", "train"]) == rc
+    if rc:
+        _one_line_config_error(capsys, "n*h*w >= 2", shape.replace(",", ", "))
+
+
 def test_oracle_diff_zero_tolerance_fails(capsys):
     rc = main(["oracle-diff", "--specs", "10", "--seed", "3", "--skip-blocks", "--tol", "0"])
     assert rc == 1

@@ -271,6 +271,80 @@ def test_im2col_input_gradient_matches_the_loop_scatter_to_a_dot_product_bound(c
             assert (np.abs(dx - ref_dx) <= bound).all(), (spec, n, dtype)
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=conv_cases(), tile=st.sampled_from([0, 40, 400]))
+# the spatial-attention mask conv at 6x5, one and two rows a band
+@example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0), tile=0)
+@example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0), tile=100)
+def test_banded_im2col_columns_give_the_products_of_all_columns(case, tile):
+    # a band's product takes the same dot product for each output as the
+    # product of all columns. In longdouble numpy sums them in the same
+    # order; in f32 and f64 BLAS may pick another kernel for a band's
+    # size, which sums in another order, within a dot product's rounding
+    # bound (m + 1) eps S, S = sum |w| |x| over the m products. The
+    # gradients take all columns either way: the same bits.
+    spec, (_, c, h, w), seed = case
+    rng = Rng(seed)
+    ho, wo = spec.out_hw(h, w)
+    for n in (1, 2):
+        x, wt = rng.uniform((n, c, h, w)), rng.uniform(spec.weight_shape)
+        b = rng.uniform(spec.bias_shape) if spec.bias else None
+        grad = rng.uniform((n, spec.c_out, ho, wo))
+        for dtype in (np.float32, np.float64, np.longdouble):
+            xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
+            bd = None if b is None else b.astype(dtype)
+            results = []
+            with pytest.MonkeyPatch.context() as mp:
+                for budget in (1 << 40, tile):
+                    mp.setattr(ops, "_DW_TILE", budget)
+                    out, vjp = ops._im2col(xd, wd, bd, spec, ho, wo)
+                    results.append((out,) + vjp(gd, True, True))
+                    size = ops._im2col(np.abs(xd), np.abs(wd), None, spec, ho, wo)[0]
+            (out, dx, dw), (out_b, dx_b, dw_b) = results
+            assert out_b.dtype == dtype and out_b.shape == out.shape
+            if dtype is np.longdouble:
+                assert np.array_equal(out_b, out), (spec, n)
+            else:
+                bound = (spec.fan_in + 1) * np.finfo(dtype).eps * size
+                if bd is not None:  # the bias is added after the product: one more rounding
+                    bound = bound + np.finfo(dtype).eps * np.abs(out)
+                assert (np.abs(out_b - out) <= bound).all(), (spec, n, dtype)
+            assert np.array_equal(dx_b, dx) and np.array_equal(dw_b, dw), (spec, n, dtype)
+
+
+@pytest.mark.parametrize("shape,bands", [
+    # the spatial-attention mask convs of the benchmark's workloads: only
+    # the 80x80 one's columns (2.5 MB in f32) exceed four tiles, and its
+    # bands are 33, 33 and 14 rows
+    ((1, 2, 80, 80), 3), ((1, 2, 40, 40), 1), ((4, 2, 20, 20), 1), ((1, 2, 6, 6), 1),
+])
+def test_im2col_bands_follow_the_size_of_the_columns(shape, bands, monkeypatch):
+    calls = []
+    windows = ops._windows
+    monkeypatch.setattr(ops, "_windows", lambda *a: calls.append(a[4]) or windows(*a))
+    spec = ConvSpec.same(2, 3, 7)
+    w, b = ops.init_conv_params(spec, Rng(1), np.float32)
+    conv2d(Tensor(np.zeros(shape, dtype=np.float32)), w, b, spec)
+    assert len(calls) == bands and sum(calls) == shape[2]
+
+
+def test_banded_mask_conv_holds_one_band_of_columns():
+    spec = ConvSpec.same(2, 3, 7)
+    x = Rng(70).tensor((1, 2, 80, 80)).astype(np.float32)
+    w, b = ops.init_conv_params(spec, Rng(71), np.float32)
+    conv2d(x, w, b, spec)  # first-call caches are not the forward's memory
+    with traced_memory() as mem:
+        y = conv2d(x, w, b, spec)
+        peak = mem.peak()
+    rows = 4 * ops._DW_TILE // (2 * 49 * 80)
+    band = 4 * 2 * 49 * rows * 80
+    padded = 4 * 2 * 86 * 86
+    # the output, the padded input, one band of columns and its product,
+    # and 64 KB for numpy's iteration buffers
+    bound = y.data.nbytes + padded + band + 4 * 3 * rows * 80 + 64 * 1024
+    assert peak <= bound < 4 * 2 * 49 * 80 * 80, f"peak {peak} B, bound {bound} B"
+
+
 def _dw_tiles(spec, shape):
     """The number of tiles the depthwise kernel splits ``shape``'s planes
     into, and the planes in a partial last tile (0 if it is full), by

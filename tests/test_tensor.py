@@ -80,10 +80,11 @@ def test_slice_channels_views_contiguous_slices():
     a, b = slice_channels(one, 2, 5), slice_channels(two, 2, 5)
     npt.assert_array_equal(a.data, one.data[:, 2:5])
     npt.assert_array_equal(b.data, two.data[:, 2:5])
-    assert np.shares_memory(a.data, one.data)  # batch 1: a view, no copy
-    assert not np.shares_memory(b.data, two.data)
-    assert a.data.flags.c_contiguous and b.data.flags.c_contiguous
-    assert not a.data.flags.writeable
+    # a view, no copy, at every batch size
+    assert np.shares_memory(a.data, one.data) and np.shares_memory(b.data, two.data)
+    assert a.data.flags.c_contiguous  # batch 1: the view is C-contiguous
+    assert all(sample.flags.c_contiguous for sample in b.data)  # batch 2: each sample is
+    assert not a.data.flags.writeable and not b.data.flags.writeable
 
 
 def test_shape_mismatch_error_names_both_shapes():
