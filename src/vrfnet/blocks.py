@@ -212,7 +212,7 @@ def build_block(kind: str, cfg, rng: Rng | None = None, dtype=np.float64) -> Par
 
 
 def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
-                          h: float = 1e-6, fd_dtype=np.longdouble) -> "dict[str, float]":
+                          h: float = 1e-6) -> "dict[str, float]":
     """Finite-difference check of every parameter and the input.
 
     The tape gradient of sum(output) is computed once in the input's own
@@ -240,8 +240,8 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
         # of it is freed before the probes run
         del tape, xn, pnodes, grads
 
-        fd_x = x.astype(fd_dtype)
-        fd_params = {k: t.astype(fd_dtype) for k, t in params.items()}
+        fd_x = x.astype(np.longdouble)
+        fd_params = {k: t.astype(np.longdouble) for k, t in params.items()}
 
         errors: dict[str, float] = {}
         errors["input"] = fd_max_rel_err(

@@ -11,9 +11,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 GOLDEN_META = "meta.json"
+# default tolerances, where neither --tol nor the config file sets one:
+# gradcheck's bounds the max relative error of f64 finite differences,
+# and oracle-diff's and golden --use-oracle's the max abs difference of
+# f32 outputs from the f64 oracle
+GRADCHECK_TOL = 1e-5
+ORACLE_TOL = 1e-6
 
 
 def _apply_thread_cap() -> str | None:
@@ -112,7 +119,7 @@ def cmd_gradcheck(args) -> int:
     from .blocks import block_gradient_errors
     from .tensor import Rng
 
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-5
+    tol = cfg.tolerance if cfg.tolerance is not None else GRADCHECK_TOL
     block = _make_block(cfg)
     shape = cfg.resolved_input_shape()
     n, _, h, w = shape
@@ -160,12 +167,17 @@ def _grid_specs(rng, count: int):
 def cmd_oracle_diff(args) -> int:
     cfg = _run_config(args, dtype="f32")  # the tolerance is an f32 bound
     from .blocks import build_block
-    from .config import BLOCK_KINDS, block_config
+    from .config import BLOCK_KINDS, ConfigError, block_config
     from .ops import conv2d
     from .oracle import compare, oracle_block, oracle_conv2d
     from .tensor import Rng
 
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
+    if args.specs < 0:
+        raise ConfigError(f"--specs must be >= 0, got {args.specs}")
+    if args.specs == 0 and args.skip_blocks:
+        raise ConfigError("--specs 0 with --skip-blocks compares nothing")
+
+    tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
     dtype = cfg.np_dtype
     rng = Rng(cfg.seed)
     lines: list[str] = []
@@ -181,7 +193,7 @@ def cmd_oracle_diff(args) -> int:
         report = compare(f"conv2d[{spec.k}x{spec.k} d{spec.dilation} g{spec.groups}]",
                          fast, ref, cfg.seed)
         report.shapes = [x.shape, spec.weight_shape]
-        lines.append(report.to_json())
+        lines.append(json.dumps(asdict(report), sort_keys=True))
         worst = max(worst, report.max_abs_diff)
         if report.max_abs_diff > tol:
             failed = True
@@ -194,7 +206,7 @@ def cmd_oracle_diff(args) -> int:
         fast = block.forward(x, mode="eval")
         ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
         report = compare(kind, fast, ref, cfg.seed)
-        lines.append(report.to_json())
+        lines.append(json.dumps(asdict(report), sort_keys=True))
         worst = max(worst, report.max_abs_diff)
         if report.max_abs_diff > tol:
             failed = True
@@ -240,7 +252,7 @@ def cmd_profile(args) -> int:
     manifest_params = manifest_element_count(manifest)
     if tmp is not None:
         tmp.cleanup()
-    payload = report.to_json_dict()
+    payload = asdict(report)
     payload["manifest_params"] = manifest_params
 
     reports = [report]
@@ -250,9 +262,9 @@ def cmd_profile(args) -> int:
     print(format_table(reports))
     print(json.dumps(payload, sort_keys=True))
     if args.compare_ffn:
-        print(json.dumps(reports[1].to_json_dict(), sort_keys=True))
+        print(json.dumps(asdict(reports[1]), sort_keys=True))
     _emit(cfg.out_dir, "profile.jsonl",
-          [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports])
+          [json.dumps(asdict(r), sort_keys=True) for r in reports])
 
     if manifest_params != count_params(block):
         print(f"param count mismatch: analytic {count_params(block)} vs manifest "
@@ -286,7 +298,7 @@ def cmd_golden(args) -> int:
         write_tensor,
     )
 
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
+    tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
 
     if args.direction == "generate":
         for i, kind in enumerate([cfg.block] if cfg.block else BLOCK_KINDS):
@@ -307,8 +319,11 @@ def cmd_golden(args) -> int:
         return 0
 
     # verify
+    cases = sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists())
+    if not cases:
+        raise ConfigError(f"{out_dir} holds no golden case (a directory with {GOLDEN_META})")
     failures = []
-    for case_dir in sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists()):
+    for case_dir in cases:
         meta = read_golden_meta(case_dir / GOLDEN_META)
         dtype = np.dtype(meta.np_dtype)
         bcfg = meta.build_block_config()

@@ -19,8 +19,7 @@ give the same bits, at any tile size. The backward is one pass of the
 same kernel over the output gradient with the taps flipped: the pass's
 sums are the input gradient, and its per-tap dot products with the
 input the weight gradient, taps flipped back. So a tape keeps the
-conv's input and taps but no padded layout of the input, and without
-an input gradient to take the pass only lays the output gradient out.
+conv's input and taps but no padded layout of the input.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. Its columns are
 the same window copy (``_windows``: one strided copy of a window view of
@@ -323,8 +322,7 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     gives the input gradient, and its ``weight_grad`` applied to the
     input gives the weight gradient with its taps flipped: tap (u, v) of
     the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the pass's
-    tap (k-1-u, k-1-v) pairs the same values. Without an input gradient
-    to take, the pass only lays the gradient out.
+    tap (k-1-u, k-1-v) pairs the same values.
     Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
     """
     n, c, h, width = xd.shape
@@ -333,15 +331,13 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     out = _dw(xd, taps, d, p, bd)[0]
 
     def vjp(grad, want_x, want_w):
-        if not (want_x or want_w):
-            return None, None
         # padding d(k-1) - p maps the output back onto the input; a
         # negative one is padding 0, the pass's output then being the
         # input zero-padded by -q
         q = d * (k - 1) - p
-        dx, weight_grad = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None, want_x)
+        dx, weight_grad = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)
         dw = None
-        if want_x and q < 0:
+        if q < 0:
             dx = dx[:, :, -q : h - q, -q : width - q]
         if want_w:
             xq = xd
@@ -349,12 +345,12 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
                 xq = np.zeros((n, c, h - 2 * q, width - 2 * q), dtype=xd.dtype)
                 xq[:, :, -q : h - q, -q : width - q] = xd
             dw = weight_grad(xq)[:, ::-1, ::-1].reshape(spec.weight_shape)
-        return dx, dw
+        return dx if want_x else None, dw
 
     return out, vjp
 
 
-def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, sums: bool = True):
+def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
     in the layout its size calls for.
 
@@ -370,19 +366,17 @@ def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, sums: bool = Tru
     product, in another order. The two layouts give the same bits.
     Returns the output and ``weight_grad(y) -> (c, k, k)``: per tap, the
     sum over outputs of y (shaped like the output) times the padded
-    input that tap reads. With ``sums`` false the kernel only lays
-    ``xd`` out and returns no output: ``weight_grad`` alone.
+    input that tap reads.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
     ho, wo = h + 2 * p - span, w + 2 * p - span
     kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE // 8 else _dw_conv
-    return kernel(xd, taps, d, p, bias, ho, wo, sums)
+    return kernel(xd, taps, d, p, bias, ho, wo)
 
 
-def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int,
-               sums: bool = True):
+def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
     """Stride-1 depthwise conv on a compact copy of its taps' windows.
 
     The windows are :func:`_windows`' copy, (n, c, k, k, ho*wo). The sums
@@ -405,8 +399,6 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
         dw = np.matmul(windows().reshape(n, c, k * k, l), y.reshape(n, c, l, 1))
         return dw.sum(axis=0).reshape(c, k, k)
 
-    if not sums:
-        return None, weight_grad
     if d == 1:
         out = np.add.reduce(np.einsum("ncuvl,cuv->ncvl", windows(), taps), axis=2)
     else:
@@ -416,8 +408,7 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     return out.reshape(n, c, ho, wo), weight_grad
 
 
-def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int,
-             sums: bool = True):
+def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
     """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
 
     Plane q (sample q // c, channel q % c) is laid out as a row of
@@ -460,7 +451,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     # it can leave a hole below itself, and the heap is then trimmed and
     # faulted back in every step (fwd-gmcfblock-c256-hw20, in one of three
     # checkout directories: 845 page faults a step against 18)
-    out = np.empty((nc, ho, wo), dtype=xd.dtype) if sums else None
+    out = np.empty((nc, ho, wo), dtype=xd.dtype)
     planes = np.zeros((tile, size), dtype=xd.dtype)
     start = p + p * row
     interior = planes[:, start : start + h * row].reshape(tile, h, row)[:, :, :w]
@@ -481,8 +472,6 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
                 dwt[t, a:z] = np.matmul(yp[: z - a], planes[: z - a, s : s + l, None]).reshape(-1)
         return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
 
-    if not sums:
-        return None, weight_grad
     wt = np.tile(taps, (n, 1, 1))  # per-plane taps: wt[q] is taps[q % c]
     bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None]
     acc = np.empty((tile, l), dtype=xd.dtype)

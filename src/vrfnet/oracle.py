@@ -19,7 +19,6 @@ work is tallied with the same cost table the profiler documents.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,18 +38,6 @@ class OracleReport:
     max_rel_diff: float
     shapes: list = field(default_factory=list)
     seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "op": self.op,
-                "max_abs_diff": self.max_abs_diff,
-                "max_rel_diff": self.max_rel_diff,
-                "shapes": [list(s) for s in self.shapes],
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 def compare(op: str, fast: Tensor, ref: Tensor, seed: int | None = None) -> OracleReport:
@@ -93,9 +80,9 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
                     window = group[:, i * s : i * s + span : d, j * s : j * s + span : d]
                     out[ni, o, i, j] = bias + np.dot(window.reshape(-1), taps)
                     if counter is not None:
-                        counter.add_macs(taps_per_out)
+                        counter.macs += taps_per_out
     if counter is not None and bd is not None:
-        counter.add_eltwise(out.size)
+        counter.eltwise += out.size
     return Tensor.wrap(out)
 
 
@@ -106,7 +93,7 @@ def _sig(x: np.ndarray) -> np.ndarray:
 
 def _count(counter, n):
     if counter is not None:
-        counter.add_eltwise(n)
+        counter.eltwise += n
 
 
 def _f64(t: Tensor) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import ParamBlock
-from .ops import ConvSpec
+from .ops import ConvSpec, conv2d, init_conv_params, relu
 from .tape import OpCounter, counting
 from .tensor import Rng, zeros
 
@@ -49,18 +49,6 @@ class CostReport:
     eltwise_ops: int
     convention: str = CONVENTION
     timing: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "input_shape": list(self.input_shape),
-            "params": self.params,
-            "macs": self.macs,
-            "flops": self.flops,
-            "eltwise_ops": self.eltwise_ops,
-            "convention": self.convention,
-            "timing": self.timing,
-        }
 
 
 def count_params(block: ParamBlock) -> int:
@@ -98,12 +86,13 @@ def count_macs(block: ParamBlock, input_shape) -> int:
 BENCH_MIN_REPS = 3
 
 
-def bench(block: ParamBlock, input_shape, reps: int, warmup: int = 2,
-          seed: int = 0, threads: str | None = None) -> dict:
-    """Median/IQR wall time of eval-mode forward over ``reps`` runs."""
+def bench(block: ParamBlock, input_shape, reps: int, threads: str | None = None) -> dict:
+    """Median/IQR wall time of eval-mode forward over ``reps`` runs, after
+    two untimed ones."""
     if reps < BENCH_MIN_REPS:
         raise ValueError(f"bench needs reps >= {BENCH_MIN_REPS}")
-    x = Rng(seed).tensor(input_shape, dtype=_block_dtype(block))
+    warmup = 2
+    x = Rng(0).tensor(input_shape, dtype=_block_dtype(block))
     for _ in range(warmup):
         block.forward(x)
     samples = []
@@ -139,20 +128,20 @@ def cost_report(block: ParamBlock, input_shape, kind: str | None = None,
 
 def ffn_cost(c: int, input_shape) -> CostReport:
     """Baseline: a plain two-layer pointwise feed-forward with hidden
-    width 2c (conv1x1 -> relu -> conv1x1), for side-by-side comparison."""
-    n, _, h, w = input_shape
+    width 2c (conv1x1 -> relu -> conv1x1), for side-by-side comparison,
+    counted like a block: one forward of its ops on zero weights."""
     up = ConvSpec(c, 2 * c, 1)
     down = ConvSpec(2 * c, c, 1)
-    macs = conv_macs(up, n, h, w) + conv_macs(down, n, h, w)
-    hidden = n * 2 * c * h * w
-    eltwise = 2 * hidden + n * c * h * w  # up bias, relu, down bias
+    with counting() as counts:
+        hidden = relu(conv2d(zeros(input_shape), *init_conv_params(up, None, np.float64), up))
+        conv2d(hidden, *init_conv_params(down, None, np.float64), down)
     return CostReport(
         block="ffn-2c",
         input_shape=tuple(input_shape),
         params=up.param_count + down.param_count,
-        macs=macs,
-        flops=2 * macs,
-        eltwise_ops=eltwise,
+        macs=counts.macs,
+        flops=2 * counts.macs,
+        eltwise_ops=counts.eltwise,
     )
 
 

@@ -52,12 +52,6 @@ class OpCounter:
     macs: int = 0
     eltwise: int = 0
 
-    def add_macs(self, n: int) -> None:
-        self.macs += n
-
-    def add_eltwise(self, n: int) -> None:
-        self.eltwise += n
-
 
 _COUNTER: "ContextVar[OpCounter | None]" = ContextVar("vrfnet_op_counter", default=None)
 

@@ -184,6 +184,21 @@ def test_train_gradcheck_needs_two_values_a_channel_for_batch_norm(capsys, block
         _one_line_config_error(capsys, "n*h*w >= 2", shape.replace(",", ", "))
 
 
+@pytest.mark.parametrize("args,says", [
+    (["--specs", "-3", "--skip-blocks"], "--specs must be >= 0, got -3"),
+    (["--specs", "-1"], "--specs must be >= 0, got -1"),
+    (["--specs", "0", "--skip-blocks"], "compares nothing"),
+])
+def test_oracle_diff_with_nothing_to_compare_is_a_config_error(capsys, args, says):
+    assert main(["oracle-diff", *args]) == 2
+    _one_line_config_error(capsys, says)
+
+
+def test_oracle_diff_zero_specs_still_compares_the_blocks(capsys):
+    assert main(["oracle-diff", "--specs", "0"]) == 0
+    assert "oracle-diff passed: 4 comparisons" in capsys.readouterr().out
+
+
 def test_oracle_diff_zero_tolerance_fails(capsys):
     rc = main(["oracle-diff", "--specs", "10", "--seed", "3", "--skip-blocks", "--tol", "0"])
     assert rc == 1
@@ -362,6 +377,16 @@ def test_golden_verify_missing_out_dir_exits_2(tmp_path, capsys):
     assert main(["golden", "verify", "--out", str(tmp_path / "absent")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error") and err.count("\n") == 1
+
+
+def test_golden_verify_with_no_case_exits_2_naming_the_directory(tmp_path, capsys):
+    # an empty directory, and one whose subdirectory holds no meta.json
+    out = tmp_path / "gold"
+    out.mkdir()
+    for _ in range(2):
+        assert main(["golden", "verify", "--out", str(out)]) == 2
+        _one_line_config_error(capsys, str(out), "no golden case")
+        (out / "gconv").mkdir(exist_ok=True)
 
 
 @pytest.mark.parametrize("direction", ["generate", "verify"])

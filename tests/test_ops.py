@@ -546,24 +546,6 @@ def _depthwise_case(rng, shape, k, d, p, dtype):
     return x, wt, g, spec
 
 
-@pytest.mark.parametrize("window", [True, False], ids=["window", "row-padded"])
-@pytest.mark.parametrize("p", [2, 4, 6], ids=["pad-below", "pad-equal", "pad-above"])
-def test_depthwise_weight_gradient_alone_runs_no_input_gradient_sums(window, p, monkeypatch):
-    # d(k-1) = 4: the input-gradient pass runs at padding 2 and 0, and at
-    # padding 0 on an output 2 wider on each side
-    monkeypatch.setattr(ops, "_DW_TILE", 1 << 40 if window else 0)
-    x, wt, g, spec = _depthwise_case(Rng(42 + p), (2, 3, 7, 9), 3, 2, p, np.float64)
-    _, vjp = ops._depthwise(x, wt, None, spec, *g.shape[2:])
-    dx, dw = vjp(g, True, True)
-    calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a[0]) or einsum(*a, **kw))
-    no_dx, dw_alone = vjp(g, False, True)
-    assert no_dx is None and calls == []
-    assert np.array_equal(dw_alone, dw) and np.array_equal(np.signbit(dw_alone), np.signbit(dw))
-    assert np.array_equal(vjp(g, True, False)[0], dx) and calls  # the spy sees the sums
-
-
 @settings(max_examples=150, deadline=None)
 @given(case=dw_layout_cases(pads=("zero", "same", "full", "over")), window=st.booleans(),
        want_x=st.booleans())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -90,9 +91,11 @@ def test_oracle_mscf_differential():
 
 def test_oracle_report_json_line():
     report = compare("op", Rng(9).tensor((1, 1, 2, 2)), Rng(9).tensor((1, 1, 2, 2)), seed=3)
-    payload = json.loads(report.to_json())
+    # the line oracle-diff prints: the report's fields, shapes as lists
+    payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert payload["op"] == "op"
     assert payload["max_abs_diff"] == 0.0
+    assert payload["shapes"] == [[1, 1, 2, 2]]
     assert payload["seed"] == 3
 
 

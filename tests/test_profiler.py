@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from vrfnet import (
     GmcfConfig,
     OpCounter,
     Rng,
+    Tensor,
     bench,
     build_block,
     cost_report,
@@ -102,6 +106,11 @@ def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
     kind = data.draw(st.sampled_from(["mscf", "gconv", "gmcf", "gmcf-block"]))
     c = data.draw(st.sampled_from([4, 6, 8]) if kind == "gmcf-block" else st.integers(2, 8))
     width = c // 2 if kind == "gmcf-block" else c  # where channel attention runs
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    # tied: the input's channels repeat, and MSCF's branches share one
+    # dilation and scale 0's taps, so the channel max of the spatial
+    # attention compares equal features
+    tied = data.draw(st.booleans())
     n_scales = data.draw(st.integers(1, 4))
     mscf = {
         "n_scales": n_scales,
@@ -119,13 +128,21 @@ def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
         module = {"mscf": mscf, "gconv": gconv, "n_bottlenecks": data.draw(st.integers(0, 3))}
     shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(1, 6)),
              data.draw(st.integers(1, 6)))
+    if tied:
+        mscf["dilations"] = mscf["dilations"][:1] * n_scales
     cfg = block_config(kind, c, module)
-    block = build_block(kind, cfg, Rng(data.draw(st.integers(0, 2**16))))
+    block = build_block(kind, cfg, Rng(data.draw(st.integers(0, 2**16))), dtype)
+    x = Rng(1).tensor(shape, dtype=dtype)
+    if tied:
+        x = Tensor.wrap(x.data[:, [0] * c])
+        params = block.params()
+        block.set_params({k: params[re.sub(r"scale\d+", "scale0", k)] for k in params})
     counter = OpCounter()
-    oracle_block(kind, cfg, Rng(1).tensor(shape), block.params(), block.buffers(), "eval",
-                 counter)
+    ref = oracle_block(kind, cfg, x, block.params(), block.buffers(), "eval", counter)
     counts = count_costs(block, shape)
     assert (counts.macs, counts.eltwise) == (counter.macs, counter.eltwise)
+    diff = np.abs(block.forward(x, mode="eval").data - ref.data).max()
+    assert diff <= (1e-6 if dtype is np.float32 else 1e-12), diff
 
 
 def test_count_costs_leaves_block_untouched():
