@@ -1,7 +1,7 @@
 """Variable receptive-field neural blocks with a reverse-mode tape,
 brute-force oracles, and cost profiling, on dense NCHW tensors."""
 
-from .tensor import Rng, ShapeError, Tensor, full, zeros, zeros_like
+from .tensor import NonFiniteError, Rng, ShapeError, Tensor, full, zeros, zeros_like
 from .tape import Node, OpCounter, Tape, finite_diff_check, tape_of, value_of
 from .eltwise import (
     add,
@@ -53,7 +53,7 @@ __all__ = [
     "ChannelAttention", "ConfigError", "ConvLayer", "ConvSpec",
     "CostReport", "DropoutState", "FormatError", "GConvBlock", "GconvConfig",
     "GmcfBlock", "GmcfBottleneck", "GmcfConfig", "MscfBlock", "MscfConfig",
-    "Node", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
+    "Node", "NonFiniteError", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
     "SpatialAttention", "Tape", "Tensor",
     "add", "batch_norm", "bench", "block_config",
     "block_gradient_errors", "build_block", "channel_avg_max", "compare", "concat_channels",

@@ -22,7 +22,7 @@ from .tensor import Rng
 class SpatialAttention(ParamBlock):
     """sigmoid(conv([avg-map; max-map])) -> (n, mask_channels, h, w)."""
 
-    def __init__(self, mask_channels: int, kernel: int = 7, rng: Rng | None = None,
+    def __init__(self, mask_channels: int, kernel: int, rng: Rng | None = None,
                  dtype=np.float64):
         super().__init__()
         self.mask_channels = mask_channels
@@ -37,7 +37,7 @@ class SpatialAttention(ParamBlock):
 class ChannelAttention(ParamBlock):
     """Squeeze-excitation: sigmoid(expand(relu(reduce(gap(x))))) -> (n, c, 1, 1)."""
 
-    def __init__(self, c: int, ratio: int = 4, rng: Rng | None = None, dtype=np.float64):
+    def __init__(self, c: int, ratio: int, rng: Rng | None = None, dtype=np.float64):
         super().__init__()
         if c % ratio:
             raise ConfigError(f"channel attention: {c} channels not divisible by ratio {ratio}")

@@ -211,6 +211,12 @@ def build_block(kind: str, cfg, rng: Rng | None = None, dtype=np.float64) -> Par
     return cls(cfg, rng, dtype)
 
 
+def has_dropout(block: ParamBlock) -> bool:
+    """Whether a dropout site of ``block`` or of a child has p > 0."""
+    state = getattr(block, "_dropout", None)
+    return (state is not None and state.p > 0) or any(map(has_dropout, block._children.values()))
+
+
 def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
                           h: float = 1e-6) -> "dict[str, float]":
     """Finite-difference check of every parameter and the input.
@@ -220,13 +226,16 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
     evaluated in extended precision so the comparison is limited by the
     tape's rounding rather than by cancellation between f(t+h) and
     f(t-h). Returns max relative error per name ('input' plus each
-    parameter), denominator floored at 1e-8. Requires a deterministic
-    forward (dropout p must be 0). In train mode batch norm normalizes
-    with batch statistics; the running statistics its forwards update
-    are put back afterwards, so the block is left as it was.
+    parameter), denominator floored at 1e-8. In train mode each forward
+    draws new dropout masks, so a dropout p > 0 raises ValueError before
+    any forward runs, and batch norm normalizes with batch statistics:
+    the running statistics its forwards update are put back afterwards,
+    so the block is left as it was.
     """
     if x.dtype != np.float64:
         raise TypeError("gradient checks require float64 blocks and inputs")
+    if mode == "train" and has_dropout(block):
+        raise ValueError("train-mode gradient checks need dropout 0 (new masks every probe)")
     params = block.params()
     buffers = block.buffers()
     try:

@@ -116,7 +116,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck needs a block (use --block)")
     if cfg.dtype != "f64":
         raise ConfigError("gradcheck requires --dtype f64 (f32 finite differences are too noisy)")
-    from .blocks import block_gradient_errors
+    from .blocks import block_gradient_errors, has_dropout
     from .tensor import Rng
 
     tol = cfg.tolerance if cfg.tolerance is not None else GRADCHECK_TOL
@@ -128,6 +128,8 @@ def cmd_gradcheck(args) -> int:
     if args.mode == "train" and block.buffers() and n * h * w < 2:
         raise ConfigError(f"train mode needs n*h*w >= 2 for batch norm's variance, "
                           f"got input shape {shape}")
+    if args.mode == "train" and has_dropout(block):
+        raise ConfigError("train mode needs dropout 0 (new masks every forward); use --mode eval")
     x = Rng(cfg.seed + 1).tensor(shape, -2.0, 2.0, cfg.np_dtype)
     errors = block_gradient_errors(block, x, mode=args.mode)
 
@@ -287,7 +289,7 @@ def cmd_golden(args) -> int:
     from .blocks import build_block
     from .config import BLOCK_KINDS
     from .oracle import compare, oracle_block
-    from .tensor import Rng, ShapeError
+    from .tensor import NonFiniteError, Rng, ShapeError
     from .vrft import (
         FormatError,
         read_golden_meta,
@@ -340,12 +342,12 @@ def cmd_golden(args) -> int:
             # a file missing from a case is corrupt data; a missing --out
             # directory stays a usage error (main)
             raise FormatError(f"{case_dir}: missing {Path(exc.filename).name}") from None
-        want_x = (meta.input_shape, dtype)
-        if (x.shape, x.dtype) != want_x:
+        declared = (meta.input_shape, dtype)
+        if (x.shape, x.dtype) != declared:
             raise FormatError(f"{case_dir}: input.vrft is {x.shape} {x.dtype}, "
-                              f"meta.json says {want_x[0]} {want_x[1]}")
-        # checked before the forward, whose debug_finite invariant would
-        # otherwise fail on them with a traceback
+                              f"meta.json says {declared[0]} {declared[1]}")
+        # checked before the forward, whose debug_finite check would
+        # otherwise blame a block for them
         for name, t in {"input.vrft": x, **block.params(), **block.buffers()}.items():
             if not np.isfinite(t.data).all():
                 raise FormatError(f"{case_dir}: {name} has non-finite values")
@@ -353,17 +355,15 @@ def cmd_golden(args) -> int:
                 raise FormatError(f"{case_dir}: {name} has negative variances")
         # finite values can still overflow the forward: that is a failed
         # case, not a numpy warning. debug_finite names the block that
-        # overflowed, but python -O compiles it out, so the output is
-        # checked here too.
+        # overflowed; the oracle checks nothing, so its output is scanned.
         try:
             with np.errstate(all="ignore"):
                 ref = (oracle_block(meta.block, bcfg, x, block.params(), block.buffers(), "eval")
                        if args.use_oracle else block.forward(x, mode="eval"))
-            overflow = None if np.isfinite(ref.data).all() else "output has non-finite values"
-        except AssertionError as exc:  # debug_finite
-            overflow = str(exc)
-        if overflow:
-            print(f"FAIL {case_dir.name}: {overflow}", file=sys.stderr)
+            if args.use_oracle and not np.isfinite(ref.data).all():
+                raise NonFiniteError("output has non-finite values")
+        except NonFiniteError as exc:
+            print(f"FAIL {case_dir.name}: {exc}", file=sys.stderr)
             failures.append(case_dir.name)
             continue
         expected = (ref.shape, dtype)

@@ -103,6 +103,11 @@ class GmcfConfig:
             raise ConfigError("gmcf: sub-config channel widths must equal c")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("gmcf: dropout must be in [0, 1)")
+        # written so that NaN, which compares false both ways, fails them
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
+            raise ConfigError(f"gmcf: bn_eps must be a finite number > 0, got {self.bn_eps!r}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigError(f"gmcf: bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
         if self.n_bottlenecks < 0:
             raise ConfigError("gmcf: n_bottlenecks must be >= 0")
 

@@ -24,23 +24,21 @@ import numpy as np
 
 from .ops import ConvSpec, conv2d, init_conv_params
 from .tape import value_of
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import NonFiniteError, Rng, ShapeError, Tensor
 
 
 def debug_finite(forward):
-    """Debug-build invariant: finite inputs never produce NaN/Inf outputs.
-
-    A block fails it only when its input was finite, so a non-finite value
-    is reported by the innermost block that produced it, not by every
-    block downstream. The input is scanned only once the output check has
-    failed. The check compiles away under ``python -O``.
-    """
+    """Raise :class:`NonFiniteError` where a forward turns finite inputs
+    into NaN/Inf outputs, in every interpreter mode. A block fails it only
+    when its input was finite, so a non-finite value is reported by the
+    innermost block that produced it, not by every block downstream. The
+    input is scanned only once the output check has failed."""
 
     @functools.wraps(forward)
     def wrapper(self, x, params=None, mode="eval"):
         out = forward(self, x, params, mode)
-        assert np.isfinite(value_of(out).data).all() or not np.isfinite(value_of(x).data).all(), \
-            f"{type(self).__name__} produced non-finite values"
+        if not np.isfinite(value_of(out).data).all() and np.isfinite(value_of(x).data).all():
+            raise NonFiniteError(f"{type(self).__name__} produced non-finite values")
         return out
 
     return wrapper

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import Rng, ShapeError, Tensor
-from .tape import Node, tally, tape_of, value_of
+from .tape import tally, tape_of, value_of
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,7 @@ def conv2d(x, w, b, spec: ConvSpec):
     Bias is folded into the op (shape (1, c_out, 1, 1)); pass b=None iff
     spec.bias is False.
     """
-    tx, tw = value_of(x), value_of(w)
-    tb = value_of(b) if b is not None else None
+    tx, tw, tb = value_of(x), value_of(w), value_of(b)
     n, cin, h, width = tx.shape
     if cin != spec.c_in:
         raise ShapeError(f"input has {cin} channels, spec expects {spec.c_in}")
@@ -147,12 +146,10 @@ def conv2d(x, w, b, spec: ConvSpec):
         return res
 
     def backward(grad, acc):
-        dx, dw = vjp(grad, isinstance(x, Node), isinstance(w, Node))
-        if dx is not None:
-            acc(x, dx)
-        if dw is not None:
-            acc(w, dw)
-        if b is not None and isinstance(b, Node):
+        dx, dw = vjp(grad)
+        acc(x, dx)
+        acc(w, dw)
+        if b is not None:
             acc(b, grad.sum(axis=(0, 2, 3)).reshape(spec.bias_shape))
 
     return tape.record(res, "conv2d", backward)
@@ -171,7 +168,7 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     one product of the transposed taps with the gradient. The weight
     gradient is the gradient times the forward's columns, which a banded
     conv builds again in full.
-    Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
+    Returns the output and ``vjp(grad) -> (dx, dw)``.
     """
     n, cin = xd.shape[:2]
     k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
@@ -198,20 +195,17 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     if bd is not None:
         np.add(out, bd, out=out)
 
-    def vjp(grad, want_x, want_w):
+    def vjp(grad):
         go = grad.reshape(n, g, cog, -1)
-        dx = dw = None
-        if want_x:
-            if pointwise:
-                dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(xd.shape)
-            else:
-                dx = _input_grad(grad, wd, spec, *xd.shape[2:])
-        if want_w:
-            c = cols
-            if c is None:  # a banded conv's columns, all of them
-                c = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
-                c = c.reshape(n, g, -1, ho * wo)
-            dw = np.matmul(go, c.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
+        if pointwise:
+            dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(xd.shape)
+        else:
+            dx = _input_grad(grad, wd, spec, *xd.shape[2:])
+        c = cols
+        if c is None:  # a banded conv's columns, all of them
+            c = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
+            c = c.reshape(n, g, -1, ho * wo)
+        dw = np.matmul(go, c.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
         return dx, dw
 
     return out, vjp
@@ -323,29 +317,23 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     input gives the weight gradient with its taps flipped: tap (u, v) of
     the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the pass's
     tap (k-1-u, k-1-v) pairs the same values.
-    Returns the output and ``vjp(grad, want_x, want_w) -> (dx, dw)``.
+    Returns the output and ``vjp(grad) -> (dx, dw)``.
     """
     n, c, h, width = xd.shape
     k, d, p = spec.k, spec.dilation, spec.padding
     taps = wd.reshape(c, k, k)
     out = _dw(xd, taps, d, p, bd)[0]
 
-    def vjp(grad, want_x, want_w):
+    def vjp(grad):
         # padding d(k-1) - p maps the output back onto the input; a
         # negative one is padding 0, the pass's output then being the
         # input zero-padded by -q
         q = d * (k - 1) - p
         dx, weight_grad = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)
-        dw = None
         if q < 0:
             dx = dx[:, :, -q : h - q, -q : width - q]
-        if want_w:
-            xq = xd
-            if q < 0:
-                xq = np.zeros((n, c, h - 2 * q, width - 2 * q), dtype=xd.dtype)
-                xq[:, :, -q : h - q, -q : width - q] = xd
-            dw = weight_grad(xq)[:, ::-1, ::-1].reshape(spec.weight_shape)
-        return dx if want_x else None, dw
+        dw = weight_grad(xd if q >= 0 else _padded(xd, -q))[:, ::-1, ::-1]
+        return dx, dw.reshape(spec.weight_shape)
 
     return out, vjp
 
@@ -656,17 +644,14 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
         gx = g * xhat
         sum_gx = np.add.reduce(gx, axis=axes, keepdims=True)
         sum_g = np.add.reduce(g, axis=axes, keepdims=True)
-        if isinstance(gamma, Node):
-            acc(gamma, sum_gx)
-        if isinstance(beta, Node):
-            acc(beta, sum_g)
-        if isinstance(x, Node):
-            if mode == "eval":
-                acc(x, g * tg.data * inv_std)
-            else:
-                dx = np.subtract(g, sum_g / m)
-                np.subtract(dx, np.multiply(xhat, sum_gx / m, out=gx), out=dx)
-                acc(x, np.multiply(tg.data * inv_std, dx, out=dx))
+        acc(gamma, sum_gx)
+        acc(beta, sum_g)
+        if mode == "eval":
+            acc(x, g * tg.data * inv_std)
+        else:
+            dx = np.subtract(g, sum_g / m)
+            np.subtract(dx, np.multiply(xhat, sum_gx / m, out=gx), out=dx)
+            acc(x, np.multiply(tg.data * inv_std, dx, out=dx))
 
     return tape.record(out, "batch_norm", backward), running_mean, running_var
 

@@ -185,7 +185,7 @@ def oracle_gconv(x: Tensor, cfg: GconvConfig, params, prefix="", counter=None) -
     return Tensor.wrap(out)
 
 
-def oracle_gmcf_bottleneck(x: Tensor, cfg: GmcfConfig, params, buffers=None,
+def oracle_gmcf_bottleneck(x: Tensor, cfg: GmcfConfig, params, buffers,
                            mode="eval", prefix="", counter=None) -> Tensor:
     xd = _f64(x)
     m = oracle_mscf(Tensor.wrap(xd), cfg.mscf, params, prefix + "mscf.", counter).data
@@ -195,11 +195,8 @@ def oracle_gmcf_bottleneck(x: Tensor, cfg: GmcfConfig, params, buffers=None,
         mean = m.mean(axis=(0, 2, 3), keepdims=True)
         var = m.var(axis=(0, 2, 3), keepdims=True)
     else:
-        buffers = buffers or {}
-        mean = _f64(buffers[prefix + "bn.running_mean"]) if prefix + "bn.running_mean" in buffers \
-            else np.zeros_like(gamma)
-        var = _f64(buffers[prefix + "bn.running_var"]) if prefix + "bn.running_var" in buffers \
-            else np.ones_like(gamma)
+        mean = _f64(buffers[prefix + "bn.running_mean"])
+        var = _f64(buffers[prefix + "bn.running_var"])
     normed = gamma * (m - mean) / np.sqrt(var + cfg.bn_eps) + beta
     _count(counter, 2 * normed.size)
     y1 = xd + normed
@@ -207,7 +204,7 @@ def oracle_gmcf_bottleneck(x: Tensor, cfg: GmcfConfig, params, buffers=None,
     return oracle_gconv(Tensor.wrap(y1), cfg.gconv, params, prefix + "gconv.", counter)
 
 
-def oracle_gmcf_block(x: Tensor, cfg: GmcfConfig, params, buffers=None,
+def oracle_gmcf_block(x: Tensor, cfg: GmcfConfig, params, buffers,
                       mode="eval", counter=None) -> Tensor:
     xd = _f64(x)
     ch = cfg.hidden_width
@@ -231,7 +228,8 @@ def oracle_gmcf_block(x: Tensor, cfg: GmcfConfig, params, buffers=None,
 
 def oracle_block(kind: str, cfg, x: Tensor, params, buffers=None, mode="eval",
                  counter: OpCounter | None = None) -> Tensor:
-    """Recompute a whole block from primitive oracle ops."""
+    """Recompute a whole block from primitive oracle ops; in eval mode the
+    gmcf kinds read batch norm's running statistics from ``buffers``."""
     if kind == "mscf":
         return oracle_mscf(x, cfg, params, "", counter)
     if kind == "gconv":

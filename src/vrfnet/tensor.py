@@ -22,6 +22,10 @@ class ShapeError(ValueError):
     """A tensor shape violates an operation's contract."""
 
 
+class NonFiniteError(ValueError):
+    """A block turned finite inputs into NaN or Inf outputs."""
+
+
 class Tensor:
     """Immutable dense rank-4 array, row-major (n, c, h, w).
 

@@ -146,7 +146,7 @@ def test_criterion_5_gate_semantics_and_mask_range():
     assert sigmoid_gate(zero).item() == 0.0
     assert abs(sigmoid_gate(one).item() - GATE_AT_ONE) < 1e-6
 
-    sa = SpatialAttention(mask_channels=3, rng=Rng(6))
+    sa = SpatialAttention(mask_channels=3, kernel=7, rng=Rng(6))
     rng = Rng(7)
     for _ in range(1000):
         x = rng.tensor((1, 6, 5, 5), -2.0, 2.0)

@@ -19,7 +19,7 @@ def _sig(x):
 
 
 def test_spatial_attention_zero_weights_gives_half():
-    sa = SpatialAttention(mask_channels=3)  # zero init
+    sa = SpatialAttention(mask_channels=3, kernel=7)  # zero init
     x = Rng(1).tensor((1, 24, 8, 8))
     mask = sa.forward(x)
     npt.assert_array_equal(mask.data, np.full((1, 3, 8, 8), 0.5))
@@ -28,7 +28,7 @@ def test_spatial_attention_zero_weights_gives_half():
 def test_spatial_attention_constant_input_is_spatially_constant():
     from vrfnet.eltwise import channel_avg_max
 
-    sa = SpatialAttention(mask_channels=2, rng=Rng(2))
+    sa = SpatialAttention(mask_channels=2, kernel=7, rng=Rng(2))
     x = Tensor(np.full((1, 6, 13, 13), 3.25))
     npt.assert_array_equal(channel_avg_max(x).data, np.full((1, 2, 13, 13), 3.25))
     mask = sa.forward(x).data
@@ -38,7 +38,7 @@ def test_spatial_attention_constant_input_is_spatially_constant():
 
 
 def test_spatial_attention_matches_composed_oracle():
-    sa = SpatialAttention(mask_channels=3, rng=Rng(3))
+    sa = SpatialAttention(mask_channels=3, kernel=7, rng=Rng(3))
     x = Rng(4).tensor((1, 24, 8, 8))
     mask = sa.forward(x).data
 
@@ -55,7 +55,7 @@ def test_spatial_attention_matches_composed_oracle():
 def test_spatial_attention_channel_permutation_equivariance():
     from vrfnet.eltwise import channel_avg_max
 
-    sa = SpatialAttention(mask_channels=3, rng=Rng(5))
+    sa = SpatialAttention(mask_channels=3, kernel=7, rng=Rng(5))
     x = Rng(6).tensor((1, 12, 6, 6))
     perm = Rng(7)._gen.permutation(12)
     xp = Tensor(x.data[:, perm])
@@ -69,7 +69,7 @@ def test_spatial_attention_channel_permutation_equivariance():
 @given(seed=st.integers(0, 2**16), c=st.sampled_from([4, 8, 12]))
 def test_mask_and_weights_strictly_inside_unit_interval(seed, c):
     rng = Rng(seed)
-    sa = SpatialAttention(mask_channels=3, rng=rng)
+    sa = SpatialAttention(mask_channels=3, kernel=7, rng=rng)
     ca = ChannelAttention(c, ratio=4, rng=rng)
     x = rng.tensor((1, c, 6, 6), -2, 2)
     mask = sa.forward(x).data
@@ -116,7 +116,7 @@ def test_channel_attention_requires_divisible_ratio():
 
 def test_attention_gradients():
     rng = Rng(12)
-    sa = SpatialAttention(mask_channels=2, rng=rng)
+    sa = SpatialAttention(mask_channels=2, kernel=7, rng=rng)
     ca = ChannelAttention(8, ratio=4, rng=rng)
     x = rng.tensor((1, 8, 5, 5), -2, 2)
     assert finite_diff_check(lambda t: sum_all(sa.forward(t)), x) < 1e-5

@@ -1,9 +1,16 @@
+import ast
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import vrfnet
 from conftest import traced_memory
 from vrfnet import (
     ConfigError,
@@ -16,6 +23,7 @@ from vrfnet import (
     GmcfConfig,
     MscfBlock,
     MscfConfig,
+    NonFiniteError,
     Rng,
     ShapeError,
     Tensor,
@@ -215,6 +223,25 @@ def test_train_mode_gradient_check_leaves_running_stats():
     before = [t.data.tobytes() for t in block.buffers().values()]
     block_gradient_errors(block, Rng(37).tensor((1, 4, 3, 3)), mode="train")
     assert [t.data.tobytes() for t in block.buffers().values()] == before
+
+
+@pytest.mark.parametrize("kind,module", [
+    ("gconv", {"dropout": 0.5}),
+    ("gmcf", {"dropout": 0.5}),  # the bottleneck's own site
+    ("gmcf-block", {"gconv": {"dropout": 0.5}}),  # a site two blocks down
+])
+def test_train_gradient_check_rejects_dropout_and_leaves_the_block_as_it_was(kind, module):
+    # each train forward draws new masks, so every probe would see
+    # another function; the check refuses before any forward draws
+    cfg = block_config(kind, 8, module)
+    block, twin = build_block(kind, cfg, Rng(38)), build_block(kind, cfg, Rng(38))
+    x = Rng(39).tensor((1, 8, 4, 4))
+    with pytest.raises(ValueError, match="dropout"):
+        block_gradient_errors(block, x, mode="train")
+    # eval-mode dropout is the identity: that check is valid, and draws nothing
+    assert max(block_gradient_errors(block, x, mode="eval").values()) < 1e-5
+    # the same masks as the untouched twin's, so the dropout rngs did not move
+    assert np.array_equal(block.forward(x, mode="train").data, twin.forward(x, mode="train").data)
 
 
 # ---------------------------------------------------------------- GMCF block (C2f wrapper)
@@ -444,6 +471,43 @@ def test_debug_finite_names_the_block_that_produced_the_non_finite_value(
     bad.flat[0] = value
     getattr(block, f"set_{registry}")({**tensors, name: Tensor(bad)})
     x = Rng(41).tensor((1, 8, 6, 6))
-    with np.errstate(invalid="ignore"), pytest.raises(AssertionError) as info:
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as info:
         block.forward(x)
     assert str(info.value) == f"{blamed} produced non-finite values"
+
+
+_OVERFLOW = textwrap.dedent("""
+    import numpy as np
+    from vrfnet import ConvLayer, ConvSpec, NonFiniteError, Tensor
+
+    # max * 2 + max * -2 is inf - inf: finite operands, a NaN output
+    layer = ConvLayer(ConvSpec(2, 1, 1, bias=False))
+    layer.set_params({"conv.w": Tensor(np.full((1, 2, 1, 1), np.finfo(np.float64).max))})
+    x = Tensor(np.array([2.0, -2.0]).reshape(1, 2, 1, 1))
+    try:
+        with np.errstate(all="ignore"):
+            layer.forward(x)
+    except NonFiniteError as exc:
+        print(f"NonFiniteError: {exc}")
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_debug_finite_raises_with_asserts_compiled_out(flags):
+    src = str(Path(vrfnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _OVERFLOW], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NonFiniteError: ConvLayer produced non-finite values\n"
+
+
+def test_the_library_has_no_assert_statement():
+    # python -O compiles asserts out: a check written as one would make
+    # the optimized interpreter run another program
+    found = []
+    for path in sorted(Path(vrfnet.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -184,6 +184,33 @@ def test_train_gradcheck_needs_two_values_a_channel_for_batch_norm(capsys, block
         _one_line_config_error(capsys, "n*h*w >= 2", shape.replace(",", ", "))
 
 
+@pytest.mark.parametrize("module,key", [({"bn_eps": -2.0}, "bn_eps"),
+                                        ({"bn_momentum": 1.5}, "bn_momentum")])
+@pytest.mark.parametrize("command", [["golden", "generate"], ["profile"],
+                                     ["gradcheck", "--mode", "eval"]],
+                         ids=["golden", "profile", "gradcheck"])
+def test_batch_norm_hyperparameters_out_of_range_are_a_config_error(tmp_path, capsys, command,
+                                                                    module, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gmcf", "channels": 8, "dtype": "f64", "module": module}))
+    out = tmp_path / "gold"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    _one_line_config_error(capsys, key)
+    assert not out.exists()  # golden generate wrote no case
+
+
+@pytest.mark.parametrize("mode,rc", [("train", 2), ("eval", 0)])
+def test_train_gradcheck_with_dropout_is_a_config_error(tmp_path, capsys, mode, rc):
+    # a train forward draws new dropout masks, so every probe would see
+    # another function; eval-mode dropout is the identity
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gconv", "channels": 8, "dtype": "f64",
+                               "input_shape": [1, 8, 4, 4], "module": {"dropout": 0.5}}))
+    assert main(["gradcheck", "--config", str(cfg), "--mode", mode]) == rc
+    if rc:
+        _one_line_config_error(capsys, "dropout", "--mode eval")
+
+
 @pytest.mark.parametrize("args,says", [
     (["--specs", "-3", "--skip-blocks"], "--specs must be >= 0, got -3"),
     (["--specs", "-1"], "--specs must be >= 0, got -1"),
@@ -265,6 +292,20 @@ def test_golden_verify_malformed_meta_exits_1_with_one_line(tmp_path, capsys, co
     assert err.startswith("corrupt data") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("module,key", [({"bn_eps": -2.0}, "bn_eps"),
+                                        ({"bn_momentum": -0.5}, "bn_momentum")])
+def test_golden_verify_batch_norm_hyperparameters_out_of_range_are_corrupt_meta(
+        tmp_path, capsys, module, key):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8"]) == 0
+    _edit_meta(out / "gmcf" / "meta.json", module=module)
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and key in err and err.count("\n") == 1
+
+
 def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
@@ -319,8 +360,7 @@ def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, co
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_golden_verify_names_an_overflowing_forward_with_asserts_compiled_out(tmp_path, flags):
-    # python -O compiles out debug_finite's assert; the verify forward's
-    # output is then checked for non-finite values by golden verify itself
+    # debug_finite raises in both interpreter modes and names the block
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
                  "--channels", "8", "--dtype", "f32"]) == 0
@@ -333,8 +373,7 @@ def test_golden_verify_names_an_overflowing_forward_with_asserts_compiled_out(tm
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("FAIL gmcf: ")
     assert proc.stderr.endswith("non-finite values\n"), proc.stderr
-    if not flags:
-        assert "MscfBlock" in proc.stderr  # debug_finite names the block
+    assert "MscfBlock" in proc.stderr  # debug_finite names the block
 
 
 def _rewrite_input(case, f):

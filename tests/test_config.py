@@ -38,6 +38,24 @@ def test_gmcf_config_and_width_retargeting():
         GmcfConfig(c=16, mscf=MscfConfig(c=8))  # width mismatch
 
 
+@pytest.mark.parametrize("key,value", [
+    ("bn_eps", -2.0), ("bn_eps", 0.0), ("bn_eps", float("nan")), ("bn_eps", float("inf")),
+    ("bn_momentum", -0.1), ("bn_momentum", 1.5), ("bn_momentum", float("nan")),
+])
+def test_gmcf_rejects_batch_norm_hyperparameters_out_of_range(key, value):
+    # a negative eps takes the square root of a negative variance: the
+    # forward would give NaN from finite inputs
+    with pytest.raises(ConfigError, match=key):
+        GmcfConfig(c=8, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        block_config("gmcf-block", 8, {key: value})
+
+
+def test_gmcf_accepts_batch_norm_hyperparameters_at_the_edges_of_their_range():
+    for kw in ({"bn_eps": 1e-300}, {"bn_momentum": 0.0}, {"bn_momentum": 1.0}):
+        GmcfConfig(c=8, **kw)
+
+
 def test_width_retargeting_keeps_hyperparameters_and_rederives_hidden():
     cfg = GmcfConfig(c=16, mscf=MscfConfig(c=16, n_scales=1, dilations=(2,), use_ca=False),
                      gconv=GconvConfig(c=16, hidden=3, activation="relu"), dropout=0.2)

@@ -232,7 +232,7 @@ def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
             xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
             bd = None if b is None else b.astype(dtype)
             out, vjp = ops._im2col(xd, wd, bd, spec, ho, wo)
-            dw = vjp(gd, False, True)[1]
+            dw = vjp(gd)[1]
             ref_out, _, ref_dw = loop_im2col(xd, wd, bd, spec, ho, wo, gd)
             for got, want in ((out, ref_out), (dw, ref_dw)):
                 # array_equal, not tobytes(): longdouble carries padding bytes
@@ -263,7 +263,7 @@ def test_im2col_input_gradient_matches_the_loop_scatter_to_a_dot_product_bound(c
         grad = rng.uniform((n, spec.c_out, ho, wo))
         for dtype in (np.float32, np.float64, np.longdouble):
             xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
-            dx = ops._im2col(xd, wd, None, spec, ho, wo)[1](gd, True, False)[0]
+            dx = ops._im2col(xd, wd, None, spec, ho, wo)[1](gd)[0]
             ref_dx = loop_im2col(xd, wd, None, spec, ho, wo, gd)[1]
             size = loop_im2col(xd, np.abs(wd), None, spec, ho, wo, np.abs(gd))[1]
             bound = (m + 1) * np.finfo(dtype).eps * size
@@ -298,7 +298,7 @@ def test_banded_im2col_columns_give_the_products_of_all_columns(case, tile):
                 for budget in (1 << 40, tile):
                     mp.setattr(ops, "_DW_TILE", budget)
                     out, vjp = ops._im2col(xd, wd, bd, spec, ho, wo)
-                    results.append((out,) + vjp(gd, True, True))
+                    results.append((out,) + vjp(gd))
                     size = ops._im2col(np.abs(xd), np.abs(wd), None, spec, ho, wo)[0]
             (out, dx, dw), (out_b, dx_b, dw_b) = results
             assert out_b.dtype == dtype and out_b.shape == out.shape
@@ -508,7 +508,7 @@ def test_row_padded_depthwise_results_do_not_depend_on_the_tile(k, d, p, dtype, 
         monkeypatch.setattr(ops, "_DW_TILE", budget)
         out, weight_grad = ops._dw_conv(x, taps, d, p, b, ho, wo)
         y, vjp = ops._depthwise(x, wt, b, spec, ho, wo)
-        results.append((out, weight_grad(g), y) + vjp(g, True, True))
+        results.append((out, weight_grad(g), y) + vjp(g))
     for got in results[:-1]:
         for a, want in zip(got, results[-1], strict=True):
             assert a.dtype == dtype
@@ -547,13 +547,12 @@ def _depthwise_case(rng, shape, k, d, p, dtype):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=dw_layout_cases(pads=("zero", "same", "full", "over")), window=st.booleans(),
-       want_x=st.booleans())
+@given(case=dw_layout_cases(pads=("zero", "same", "full", "over")), window=st.booleans())
 # padding past d(k-1) at d = 1, where the pass's output is the input
 # zero-padded by one on each side
-@example(case=((2, 3, 4, 6), 3, 1, 3, False, np.longdouble, 0), window=False, want_x=False)
+@example(case=((2, 3, 4, 6), 3, 1, 3, False, np.longdouble, 0), window=False)
 def test_depthwise_weight_gradient_from_the_input_gradient_pass_matches_the_forward_layout(
-        case, window, want_x):
+        case, window):
     # the vjp takes the weight gradient from the input-gradient pass over
     # the output gradient; the forward kernel's weight_grad takes it from
     # the forward's own layout of the input. Both pair the same values
@@ -568,7 +567,7 @@ def test_depthwise_weight_gradient_from_the_input_gradient_pass_matches_the_forw
         mp.setattr(ops, "_DW_TILE", 1 << 40 if window else 0)
         kernel = ops._dw_window if window else ops._dw_conv
         want = kernel(x, taps, d, p, None, ho, wo)[1](g)
-        got = ops._depthwise(x, wt, None, spec, ho, wo)[1](g, want_x, True)[1].reshape(c, k, k)
+        got = ops._depthwise(x, wt, None, spec, ho, wo)[1](g)[1].reshape(c, k, k)
     assert got.dtype == dtype
     if dtype is np.longdouble:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
