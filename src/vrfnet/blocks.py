@@ -97,19 +97,30 @@ class GConvBlock(ParamBlock):
         """x + dropout(restore(gate(dw(x')) * v))."""
         p = self.resolve(params)
         h = self.cfg.hidden
+        # the gate's input and output are released at their last use, so an
+        # eval forward holds at most the expansion and three h-wide arrays
+        # (at the gate); a tape keeps every node's value whatever is
+        # released here
         both = self._conv(p, "proj", x)
         x_prime = slice_channels(both, 0, h)
         v = slice_channels(both, h, 2 * h)
+        del both  # the slices are views of it: its buffer goes with the last one
         g = self._conv(p, "dw", x_prime)
+        del x_prime
         gated = sigmoid_gate(g) if self.cfg.activation == "sigmoid_gate" else relu(g)
-        restored = self._conv(p, "restore", hadamard(gated, v))
-        # release the expansion and the gate after the restore conv, not
-        # each at its last use: the earlier releases change how glibc
-        # reuses and trims its heap, and in one of three checkout
-        # directories a gmcf-block's eval forward at 20x20 then
-        # page-faulted 840-870 times a step, against 20, and ran 7-15%
-        # slower.
-        del both, x_prime, v, g, gated
+        del g
+        prod = hadamard(gated, v)
+        del gated
+        restored = self._conv(p, "restore", prod)
+        # the expansion goes only now: the restore output is then placed
+        # above it, and the add's output, which outlives the forward, takes
+        # its place low in the heap. Released before the restore conv, the
+        # expansion's place went to the restore output and the add's output
+        # landed above it, splitting the free space: in 4-5 of 24 checkout
+        # directories glibc then trimmed and refaulted its heap in every
+        # step of a gmcf-block at 20x20 (about 740 page faults a step
+        # against 10, and 10% slower)
+        del v, prod
         return add(x, dropout(restored, self._dropout, mode))
 
 

@@ -256,6 +256,10 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.input_shape is not None:
         if len(cfg.input_shape) != 4 or any(int(d) < 1 for d in cfg.input_shape):
             raise ConfigError(f"input_shape must be 4 positive dims, got {cfg.input_shape}")
+        itemsize = np.dtype(DTYPES[cfg.dtype]).itemsize
+        if math.prod(int(d) for d in cfg.input_shape) * itemsize > np.iinfo(np.intp).max:
+            raise ConfigError(f"input_shape {cfg.input_shape} holds more {cfg.dtype} bytes "
+                              "than one array can index")
         if cfg.block is not None and cfg.input_shape[1] != cfg.channels:
             raise ConfigError(
                 f"input_shape channel dim {cfg.input_shape[1]} != channels {cfg.channels}"

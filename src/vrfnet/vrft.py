@@ -67,6 +67,8 @@ def read_header(path) -> tuple[np.dtype, tuple[int, int, int, int]]:
         raise FormatError(f"{path}: rank must be 4, got {rank}")
     if code not in _CODE_DTYPE:
         raise FormatError(f"{path}: unknown dtype code {code}")
+    if min(dims) < 1:
+        raise FormatError(f"{path}: dims must be >= 1, got {tuple(dims)}")
     dtype = _CODE_DTYPE[code]
     expected = _HEADER.size + dims[0] * dims[1] * dims[2] * dims[3] * dtype.itemsize
     if size != expected:

@@ -123,6 +123,46 @@ def test_mscf_eval_forward_holds_its_stack_and_one_branch():
     assert peak <= bound, f"peak {peak} B against stack, branch and slack {bound} B"
 
 
+def _eval_peak(block, x) -> int:
+    block.forward(x)  # first-call caches are not the forward's memory
+    with traced_memory() as mem:
+        block.forward(x)
+        return mem.peak()
+
+
+def _gconv_dw_tile(hw: int, itemsize: int) -> int:
+    """Bytes of one tile of GConv's row-padded 3x3 depthwise planes."""
+    row = hw + 1
+    return itemsize * (ops._DW_TILE // (hw * row)) * ((hw + 2) * row + 2)
+
+
+def test_gconv_eval_forward_peaks_at_its_gate():
+    # the gate holds the expansion (x', v), g, the sigmoid and its
+    # product: 5 h-wide arrays. Held until the restore conv, g and the
+    # gate would add its c-wide output on top
+    c, hw = 96, 40
+    block = GConvBlock(GconvConfig(c=c), Rng(72), np.float32)
+    x = Rng(73).tensor((1, c, hw, hw)).astype(np.float32)
+    peak = _eval_peak(block, x)
+    plane = x.data.nbytes // c
+    bound = 5 * block.cfg.hidden * plane + _gconv_dw_tile(hw, 4)
+    assert peak <= bound, f"peak {peak} B against the gate's 5h planes and a tile {bound} B"
+
+
+def test_gmcf_bottleneck_eval_peak_is_mscfs_and_one_output():
+    # GConv's phase holds its input and 5 h-wide arrays, about 4.3c, and
+    # MSCF's its stack and a branch, 4c and a tile; with GConv's
+    # intermediates held until the restore conv the bottleneck would
+    # hold 5.3c (at 160x160 that is 0.25 MiB above this bound)
+    c, hw = 32, 160
+    cfg = GmcfConfig(c=c)
+    x = Rng(75).tensor((1, c, hw, hw)).astype(np.float32)
+    peak = _eval_peak(GmcfBottleneck(cfg, Rng(74), np.float32), x)
+    mscf = _eval_peak(MscfBlock(cfg.mscf, Rng(74), np.float32), x)
+    bound = mscf + x.data.nbytes + _gconv_dw_tile(hw, 4)
+    assert peak <= bound, f"peak {peak} B against MSCF's {mscf} B, an output and a tile {bound} B"
+
+
 # ---------------------------------------------------------------- GConv
 
 def test_gconv_zero_weights_is_bit_exact_identity():

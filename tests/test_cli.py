@@ -159,6 +159,30 @@ def test_non_finite_tolerance_is_a_config_error(tmp_path, capsys, command, tol, 
     _one_line_config_error(capsys, "tolerance", tol)
 
 
+OVERSIZED = "1,8,1099511627776,1099511627776"
+
+
+@pytest.mark.parametrize("command", [["profile", "--block", "gmcf"],
+                                     ["gradcheck", "--block", "gmcf", "--dtype", "f64"]],
+                         ids=["profile", "gradcheck"])
+def test_input_shape_too_big_to_index_is_a_config_error(capsys, command):
+    # the check is on the shape: nothing of this size is allocated
+    assert main([*command, "--input-shape", OVERSIZED]) == 2
+    _one_line_config_error(capsys, "input_shape", "bytes")
+
+
+def test_failed_allocation_exits_2_with_one_line(monkeypatch, capsys):
+    from vrfnet.tensor import Rng
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(Rng, "tensor", no_memory)
+    assert main(["gradcheck", *GC_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("reps", ["1", "2", "-1"])
 def test_profile_rejects_too_few_reps_as_a_config_error(capsys, reps):
     assert main(["profile", "--block", "gconv", "--channels", "6", "--reps", reps]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
-from vrfnet.config import block_config
+from vrfnet.config import block_config, run_config
 
 
 def test_mscf_defaults_and_validation():
@@ -124,3 +124,15 @@ def test_run_config_rejects_unknown_and_invalid(tmp_path):
     bad_dtype.write_text(json.dumps({"dtype": "f16"}))
     with pytest.raises(ConfigError, match="dtype"):
         load_run_config(bad_dtype)
+
+
+@pytest.mark.parametrize("dtype,ok", [("f32", True), ("f64", False)])
+def test_input_shape_whose_bytes_overflow_an_array_index_is_a_config_error(dtype, ok):
+    # 2**30 * (2**31 - 1) elements: 2**63 - 2**32 bytes in f32, which an
+    # index reaches, and twice that in f64, which none does
+    raw = {"dtype": dtype, "input_shape": [1, 1, 2**30, 2**31 - 1]}
+    if ok:
+        assert run_config(raw, "run").input_shape == (1, 1, 2**30, 2**31 - 1)
+    else:
+        with pytest.raises(ConfigError, match="input_shape .* bytes"):
+            run_config(raw, "run")

@@ -1,7 +1,9 @@
+import struct
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import FormatError, Rng, read_manifest, read_tensor, write_manifest, write_tensor
 from vrfnet.vrft import manifest_element_count, read_header
@@ -88,8 +90,10 @@ def _corrupt_header(raw: bytes, offset: int, value: int) -> bytes:
     (lambda raw: _corrupt_header(raw, 6, 3), "rank"),
     (lambda raw: raw[:-1], "bytes"),
     (lambda raw: raw + b"\0" * 8, "bytes"),
+    # no payload, so the file size matches what the header declares
+    (lambda raw: raw[:7] + struct.pack("<4I", 1, 0, 1, 1), "dims"),
 ], ids=["truncated-header", "magic", "version", "dtype-code", "rank", "short-payload",
-        "long-payload"])
+        "long-payload", "zero-dim"])
 def test_every_reader_rejects_a_bad_header(tmp_path, corrupt, says):
     manifest = write_manifest(tmp_path, "params.manifest",
                               OrderedDict(t=Rng(6).tensor((1, 2, 2, 2))))
@@ -99,3 +103,59 @@ def test_every_reader_rejects_a_bad_header(tmp_path, corrupt, says):
         read_tensor(path)
     with pytest.raises(FormatError, match=says):
         manifest_element_count(manifest)
+
+
+_VALID = Rng(7).tensor((1, 2, 3, 2), dtype=np.float32)
+# (offset, struct format) of each header field after the magic
+_FIELDS = [(4, "<B"), (5, "<B"), (6, "<B"), (7, "<I"), (11, "<I"), (15, "<I"), (19, "<I")]
+
+
+def _valid_bytes(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.getbasetemp() / "valid.vrft"
+    write_tensor(path, _VALID)
+    return path.read_bytes()
+
+
+_edits = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 23 + _VALID.data.nbytes - 1)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 23 + _VALID.data.nbytes - 1),
+                                                   st.integers(0, 7)), min_size=1, max_size=4)),
+    # a field value, and whether to fit the payload to what the header
+    # then declares, so that the edit gets past the file-size check
+    st.tuples(st.just("field"), st.sampled_from(_FIELDS),
+              st.integers(0, 8) | st.integers(0, 0xFFFFFFFF), st.booleans()),
+)
+
+
+def _apply(raw: bytes, edit) -> bytes:
+    if edit[0] == "truncate":
+        return raw[: edit[1]]
+    if edit[0] == "flip":
+        out = bytearray(raw)
+        for byte, bit in edit[1]:
+            out[byte] ^= 1 << bit
+        return bytes(out)
+    _, (offset, fmt), value, fit = edit
+    value &= (1 << (8 * struct.calcsize(fmt))) - 1
+    out = raw[:offset] + struct.pack(fmt, value) + raw[offset + struct.calcsize(fmt):]
+    _, _, code, _, *dims = struct.unpack("<4sBBB4I", out[:23])
+    size = int(np.prod(dims, dtype=object)) * (8 if code == 1 else 4)
+    if fit and size <= 4096:
+        out = out[:23] + (out[23:] + bytes(size))[:size]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=_edits)
+@example(edit=("field", (11, "<I"), 0, True))  # a (1, 0, 3, 2) header and no payload
+def test_read_tensor_raises_only_format_error_on_corrupted_bytes(tmp_path_factory, edit):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.vrft"
+    path.write_bytes(_apply(_valid_bytes(tmp_path_factory), edit))
+    try:
+        t = read_tensor(path)
+    except FormatError:
+        return
+    # what reads back is what the header declares, over the whole file
+    dtype, dims = read_header(path)
+    assert t.shape == dims and min(dims) >= 1 and t.dtype == dtype.newbyteorder("=")
+    assert 23 + t.data.nbytes == path.stat().st_size
