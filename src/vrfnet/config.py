@@ -106,6 +106,8 @@ class GmcfConfig:
         # written so that NaN, which compares false both ways, fails them
         if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
             raise ConfigError(f"gmcf: bn_eps must be a finite number > 0, got {self.bn_eps!r}")
+        if not (math.isfinite(self.e) and self.e > 0):
+            raise ConfigError(f"gmcf: e must be a finite number > 0, got {self.e!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ConfigError(f"gmcf: bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
         if self.n_bottlenecks < 0:

@@ -1,8 +1,9 @@
 """Elementwise arithmetic, channel reductions, and shape plumbing.
 
-All ops here follow the dual-dispatch convention of :mod:`vrfnet.tape`:
-plain tensors in, plain tensor out; nodes in, node out (with the adjoint
-rule recorded). Binary ops broadcast only the second operand, and only
+Every op here computes its output, defines its adjoint rule, and
+returns through :func:`vrfnet.tape.emit`: plain tensors in, plain
+tensor out; nodes in, node out (with the rule recorded). Binary ops
+broadcast only the second operand, and only
 where its dim is 1: b may collapse batch and spatial axes freely, and
 its channel count must equal a's or be 1.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-from .tape import Node, tally, tape_of, value_of
+from .tape import Node, emit, tape_of, value_of
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -39,16 +40,12 @@ def add(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
     out = Tensor.wrap(ta.data + tb.data)
-    tally(eltwise=out.size)
-    tape = tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         acc(a, _unbroadcast(g, ta.shape))
         acc(b, _unbroadcast(g, tb.shape))
 
-    return tape.record(out, "add", backward)
+    return emit("add", out, (a, b), backward, eltwise=out.size)
 
 
 def hadamard(a, b):
@@ -56,10 +53,6 @@ def hadamard(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
     out = Tensor.wrap(ta.data * tb.data)
-    tally(eltwise=out.size)
-    tape = tape_of(a, b)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         # a constant operand wants no adjoint: its product is not formed
@@ -68,7 +61,7 @@ def hadamard(a, b):
         if isinstance(b, Node):
             acc(b, _unbroadcast(g * ta.data, tb.shape))
 
-    return tape.record(out, "hadamard", backward)
+    return emit("hadamard", out, (a, b), backward, eltwise=out.size)
 
 
 def sum_all(x):
@@ -80,15 +73,12 @@ def sum_all(x):
     """
     tx = value_of(x)
     out = Tensor.wrap(tx.data.reshape(-1).sum(dtype=tx.dtype).reshape(1, 1, 1, 1))
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         # a read-only view: the tape copies it before adding into it
         acc(x, np.broadcast_to(g, tx.shape))
 
-    return tape.record(out, "sum_all", backward)
+    return emit("sum_all", out, (x,), backward)
 
 
 def channel_avg_max(x):
@@ -102,7 +92,7 @@ def channel_avg_max(x):
     its gradient to the first maximal channel at each pixel; the adjoint
     fills one dx buffer with the mean's share by broadcast and writes
     the max's share at the argmax, one flat-index assignment whose
-    indices the forward forms from ``argmax``.
+    indices it forms from ``argmax`` of the saved input.
     """
     tx = value_of(x)
     n, c, h, w = tx.shape
@@ -110,27 +100,21 @@ def channel_avg_max(x):
     mean = np.add.reduce(tx.data, axis=1, keepdims=True, out=buf[:, 0:1])
     np.true_divide(mean, c, out=mean)
     np.max(tx.data, axis=1, keepdims=True, out=buf[:, 1:2])
-    out = Tensor.wrap(buf)
-    tally(eltwise=2 * tx.size)
-    tape = tape_of(x)
-    if tape is None:
-        return out
-
-    # the flat index in x of each pixel's first max: its sample's offset
-    # plus its channel's plus the pixel's
-    flat = tx.data.argmax(axis=1)
-    flat *= h * w
-    flat += np.arange(0, tx.size, c * h * w).reshape(n, 1, 1)
-    flat += np.arange(h * w).reshape(h, w)
 
     def backward(g, acc):
+        # the flat index in x of each pixel's first max: its sample's
+        # offset plus its channel's plus the pixel's
+        flat = tx.data.argmax(axis=1)
+        flat *= h * w
+        flat += np.arange(0, tx.size, c * h * w).reshape(n, 1, 1)
+        flat += np.arange(h * w).reshape(h, w)
         dx = np.empty(tx.shape, dtype=tx.dtype)
         g_mean = g[:, 0:1] / c
         dx[...] = g_mean
         dx.reshape(-1)[flat] = (g_mean + g[:, 1:2]).reshape(flat.shape)
         acc(x, dx)
 
-    return tape.record(out, "channel_avg_max", backward)
+    return emit("channel_avg_max", Tensor.wrap(buf), (x,), backward, eltwise=2 * tx.size)
 
 
 def select_scales(cat, mask, x):
@@ -163,11 +147,10 @@ def select_scales(cat, mask, x):
         s = stack[:, 0] * tm.data[:, :1]
         for i in range(1, scales):
             s += stack[:, i] * tm.data[:, i : i + 1]
-    tally(eltwise=2 * scales * s.size)  # S products, S - 1 sums, the gate
-    tape = tape_of(cat, mask, x)
-    if tape is None:
-        return Tensor.wrap(np.multiply(s, tx.data, out=s))
-    out = Tensor.wrap(s * tx.data)
+    if tape_of(cat, mask, x) is None:  # no adjoint will read s
+        out = Tensor.wrap(np.multiply(s, tx.data, out=s))
+    else:
+        out = Tensor.wrap(s * tx.data)
 
     def backward(g, acc):
         gx = g * tx.data
@@ -176,7 +159,8 @@ def select_scales(cat, mask, x):
         del gx  # freed before x's gradient is formed
         acc(x, g * s)
 
-    return tape.record(out, "select_scales", backward)
+    # S products, S - 1 sums, the gate
+    return emit("select_scales", out, (cat, mask, x), backward, eltwise=2 * scales * s.size)
 
 
 def spatial_mean(x):
@@ -186,16 +170,12 @@ def spatial_mean(x):
     hw = tx.shape[2] * tx.shape[3]
     mean = np.add.reduce(tx.data, axis=(2, 3), keepdims=True)
     out = Tensor.wrap(np.true_divide(mean, hw, out=mean))
-    tally(eltwise=tx.size)
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         # a read-only view: the tape copies it before adding into it
         acc(x, np.broadcast_to(g / hw, tx.shape))
 
-    return tape.record(out, "spatial_mean", backward)
+    return emit("spatial_mean", out, (x,), backward, eltwise=tx.size)
 
 
 def concat_channels(parts, channels: int):
@@ -225,10 +205,6 @@ def concat_channels(parts, channels: int):
         del part, t  # the next part is computed without this one
     if out is None or off != channels:
         raise ShapeError(f"concat parts are {off} channels wide, not {channels}")
-    res = Tensor.wrap(out)
-    tape = tape_of(*kept)
-    if tape is None:
-        return res
 
     def backward(g, acc):
         off = 0
@@ -237,7 +213,7 @@ def concat_channels(parts, channels: int):
             acc(part, g[:, off : off + c])
             off += c
 
-    return tape.record(res, "concat_channels", backward)
+    return emit("concat_channels", Tensor.wrap(out), kept, backward)
 
 
 def slice_channels(x, start: int, stop: int):
@@ -248,11 +224,8 @@ def slice_channels(x, start: int, stop: int):
     if not (0 <= start < stop <= tx.shape[1]):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for shape {tx.shape}")
     out = Tensor.wrap(tx.data[:, start:stop])
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         acc(x, g, slice(start, stop))
 
-    return tape.record(out, "slice_channels", backward)
+    return emit("slice_channels", out, (x,), backward)

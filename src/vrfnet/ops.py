@@ -23,9 +23,9 @@ conv's input and taps but no padded layout of the input.
 Every other conv lowers to im2col plus a batched matmul per group, which
 handles stride, dilation and groups in one code path. Its columns are
 the same window copy (``_windows``: one strided copy of a window view of
-the padded input); a 1x1 conv reads its input as the columns. Columns
-that would exceed four kernel tiles are built and multiplied one band of
-output rows at a time. A product
+the padded input); a 1x1 conv reads its input as the columns. Where a
+sample's columns would exceed four kernel tiles, they are built and
+multiplied one band of output rows at a time. A product
 of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
 f32 and f64, and in longdouble a loop about twice as fast as matmul's
 generic one, with the same sums in the same order.
@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import Rng, ShapeError, Tensor
-from .tape import tally, tape_of, value_of
+from .tape import emit, value_of
 
 
 @dataclass(frozen=True)
@@ -136,39 +136,35 @@ def conv2d(x, w, b, spec: ConvSpec):
         raise TypeError("conv operand dtypes must match")
 
     ho, wo = spec.out_hw(h, width)
-    lower = _depthwise if spec.depthwise and spec.stride == 1 else _im2col
-    out, vjp = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
-    res = Tensor.wrap(out)
-    tally(macs=out.size * spec.fan_in, eltwise=out.size if tb is not None else 0)
-
-    tape = tape_of(x, w, b)
-    if tape is None:
-        return res
+    if spec.depthwise and spec.stride == 1:
+        lower, vjp = _depthwise, _depthwise_vjp
+    else:
+        lower, vjp = _im2col, _im2col_vjp
+    out, saved = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
 
     def backward(grad, acc):
-        dx, dw = vjp(grad)
+        dx, dw = vjp(grad, tx.data, tw.data, spec, saved)
         acc(x, dx)
         acc(w, dw)
         if b is not None:
             acc(b, grad.sum(axis=(0, 2, 3)).reshape(spec.bias_shape))
 
-    return tape.record(res, "conv2d", backward)
+    return emit("conv2d", Tensor.wrap(out), (x, w, b), backward,
+                macs=out.size * spec.fan_in, eltwise=out.size if tb is not None else 0)
 
 
 def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     """Any conv as im2col columns times a matmul per (sample, group) block.
 
-    Where the columns of all outputs, n*c_in*k*k*ho*wo elements, would
-    exceed four kernel tiles (``_DW_TILE``), they are built one band of
-    output rows at a time, each band times the taps in one product, so
-    the conv holds one band of columns. Each output is the same dot
-    product either way.
-    The input gradient is the same lowering run on the output gradient
-    (:func:`_input_grad`), as for a depthwise conv; a pointwise conv's is
-    one product of the transposed taps with the gradient. The weight
-    gradient is the gradient times the forward's columns, which a banded
-    conv builds again in full.
-    Returns the output and ``vjp(grad) -> (dx, dw)``.
+    Where a sample's columns, c_in*k*k*ho*wo elements, would exceed four
+    kernel tiles (``_DW_TILE``), they are built one band of output rows
+    at a time, each band times the taps in one product, so the conv
+    holds one band of columns. Each output is the same dot product
+    either way. The band height follows from one sample's columns, so
+    each sample's products have the same shapes at any batch size, and
+    a sample's output does not depend on the batch it is in.
+    Returns the output and the columns the adjoint needs
+    (:func:`_im2col_vjp`): all of them when they are one band, else None.
     """
     n, cin = xd.shape[:2]
     k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
@@ -176,7 +172,7 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     wm = wd.reshape(g, cog, m)
 
     pointwise = k == 1 and s == 1 and p == 0
-    rows = ho if pointwise else max(1, 4 * _DW_TILE // (n * cin * k * k * wo))
+    rows = ho if pointwise else max(1, 4 * _DW_TILE // (cin * k * k * wo))
     if rows >= ho:
         # a 1x1 conv's input already is its own columns
         cols = (xd if pointwise else _windows(_padded(xd, p), k, d, s, ho, wo))
@@ -194,21 +190,30 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     out = out.reshape(n, spec.c_out, ho, wo)
     if bd is not None:
         np.add(out, bd, out=out)
+    return out, cols
 
-    def vjp(grad):
-        go = grad.reshape(n, g, cog, -1)
-        if pointwise:
-            dx = np.matmul(wm.transpose(0, 2, 1), go).reshape(xd.shape)
-        else:
-            dx = _input_grad(grad, wd, spec, *xd.shape[2:])
-        c = cols
-        if c is None:  # a banded conv's columns, all of them
-            c = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
-            c = c.reshape(n, g, -1, ho * wo)
-        dw = np.matmul(go, c.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
-        return dx, dw
 
-    return out, vjp
+def _im2col_vjp(grad, xd, wd, spec: ConvSpec, cols):
+    """``(dx, dw)`` of an im2col conv for its output gradient ``grad``.
+
+    The input gradient is the same lowering run on the output gradient
+    (:func:`_input_grad`), as for a depthwise conv; a pointwise conv's is
+    one product of the transposed taps with the gradient. The weight
+    gradient is the gradient times the forward's columns ``cols``, which
+    a banded conv (``cols`` None) builds again in full.
+    """
+    n, _, ho, wo = grad.shape
+    g = spec.groups
+    go = grad.reshape(n, g, spec.c_out // g, -1)
+    if spec.k == 1 and spec.stride == 1 and spec.padding == 0:
+        dx = np.matmul(wd.reshape(g, -1, spec.fan_in).transpose(0, 2, 1), go).reshape(xd.shape)
+    else:
+        dx = _input_grad(grad, wd, spec, *xd.shape[2:])
+    if cols is None:
+        cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
+        cols = cols.reshape(n, g, -1, ho * wo)
+    dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
+    return dx, dw
 
 
 def _product(wm: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -300,7 +305,7 @@ def _windows(xp: np.ndarray, k: int, d: int, s: int, ho: int, wo: int, top: int 
 # many output elements, so that its planes and accumulator stay in L2.
 # A conv whose tap windows fit in an eighth of a tile runs on a copy of
 # them instead (see _dw). An im2col conv whose columns would exceed four
-# tiles builds them a band of output rows at a time (see _im2col).
+# tiles a sample builds them a band of output rows at a time (see _im2col).
 _DW_TILE = 1 << 16
 
 
@@ -310,32 +315,33 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     No im2col columns: each tap multiplies a strided window of the
     padded planes (see :func:`_dw`). The forward keeps no layout of its
     input: its planes or windows are freed when it returns, and the
-    adjoint saves only the input and the taps. The adjoint is one pass
-    of the same kernel over the output gradient with the taps flipped,
-    the adjoint of a correlation being the flipped correlation. The pass
-    gives the input gradient, and its ``weight_grad`` applied to the
-    input gives the weight gradient with its taps flipped: tap (u, v) of
-    the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the pass's
-    tap (k-1-u, k-1-v) pairs the same values.
-    Returns the output and ``vjp(grad) -> (dx, dw)``.
+    adjoint (:func:`_depthwise_vjp`) needs only the input and the taps.
+    Returns the output and None: the adjoint saves nothing of the forward.
     """
-    n, c, h, width = xd.shape
+    k = spec.k
+    return _dw(xd, wd.reshape(xd.shape[1], k, k), spec.dilation, spec.padding, bd)[0], None
+
+
+def _depthwise_vjp(grad, xd, wd, spec: ConvSpec, _saved):
+    """``(dx, dw)`` of a stride-1 depthwise conv for its output gradient
+    ``grad``: one pass of the same kernel over ``grad`` with the taps
+    flipped, the adjoint of a correlation being the flipped correlation.
+    The pass gives the input gradient, and its ``weight_grad`` applied to
+    the input gives the weight gradient with its taps flipped: tap (u, v)
+    of the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the
+    pass's tap (k-1-u, k-1-v) pairs the same values.
+    """
+    h, width = xd.shape[2:]
     k, d, p = spec.k, spec.dilation, spec.padding
-    taps = wd.reshape(c, k, k)
-    out = _dw(xd, taps, d, p, bd)[0]
-
-    def vjp(grad):
-        # padding d(k-1) - p maps the output back onto the input; a
-        # negative one is padding 0, the pass's output then being the
-        # input zero-padded by -q
-        q = d * (k - 1) - p
-        dx, weight_grad = _dw(grad, taps[:, ::-1, ::-1], d, max(q, 0), None)
-        if q < 0:
-            dx = dx[:, :, -q : h - q, -q : width - q]
-        dw = weight_grad(xd if q >= 0 else _padded(xd, -q))[:, ::-1, ::-1]
-        return dx, dw.reshape(spec.weight_shape)
-
-    return out, vjp
+    # padding d(k-1) - p maps the output back onto the input; a negative
+    # one is padding 0, the pass's output then being the input
+    # zero-padded by -q
+    q = d * (k - 1) - p
+    dx, weight_grad = _dw(grad, wd.reshape(-1, k, k)[:, ::-1, ::-1], d, max(q, 0), None)
+    if q < 0:
+        dx = dx[:, :, -q : h - q, -q : width - q]
+    dw = weight_grad(xd if q >= 0 else _padded(xd, -q))[:, ::-1, ::-1]
+    return dx, dw.reshape(spec.weight_shape)
 
 
 def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
@@ -517,30 +523,21 @@ def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:
 def relu(x):
     tx = value_of(x)
     out = Tensor.wrap(np.maximum(tx.data, 0))
-    tally(eltwise=out.size)
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         acc(x, g * (tx.data > 0))
 
-    return tape.record(out, "relu", backward)
+    return emit("relu", out, (x,), backward, eltwise=out.size)
 
 
 def sigmoid(x):
     tx = value_of(x)
     sig = _sigmoid(tx.data)
-    out = Tensor.wrap(sig)
-    tally(eltwise=out.size)
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         acc(x, g * sig * (1.0 - sig))
 
-    return tape.record(out, "sigmoid", backward)
+    return emit("sigmoid", Tensor.wrap(sig), (x,), backward, eltwise=sig.size)
 
 
 def _with_limits_at_inf(f, x: np.ndarray, at_neg_inf: float, at_pos_inf: float) -> np.ndarray:
@@ -572,10 +569,6 @@ def sigmoid_gate(x):
     tx = value_of(x)
     sig = _sigmoid(tx.data, 1.702)
     out = Tensor.wrap(_with_limits_at_inf(lambda: tx.data * sig, tx.data, 0.0, np.inf))
-    tally(eltwise=3 * out.size)
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         # x * sig first: 1.702 * x would overflow for |x| near the dtype's max
@@ -584,7 +577,7 @@ def sigmoid_gate(x):
         )
         acc(x, g * slope)
 
-    return tape.record(out, "sigmoid_gate", backward)
+    return emit("sigmoid_gate", out, (x,), backward, eltwise=3 * out.size)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
@@ -631,11 +624,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     xhat = np.multiply(centred, inv_std, out=centred)
     y = tg.data * xhat
     out = Tensor.wrap(np.add(y, tb.data, out=y))
-    tally(eltwise=2 * out.size)
-
-    tape = tape_of(x, gamma, beta)
-    if tape is None:
-        return out, running_mean, running_var
 
     def backward(g, acc):
         # g * xhat is formed once: its channel sums are gamma's adjoint and
@@ -653,7 +641,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
             np.subtract(dx, np.multiply(xhat, sum_gx / m, out=gx), out=dx)
             acc(x, np.multiply(tg.data * inv_std, dx, out=dx))
 
-    return tape.record(out, "batch_norm", backward), running_mean, running_var
+    out = emit("batch_norm", out, (x, gamma, beta), backward, eltwise=2 * out.size)
+    return out, running_mean, running_var
 
 
 class DropoutState:
@@ -681,14 +670,11 @@ def dropout(x, state: DropoutState, mode: str = "eval"):
     keep = state.rng.random(tx.shape) >= state.p
     inv = tx.dtype.type(1.0 / (1.0 - state.p))
     out = Tensor.wrap(tx.data * keep * inv)
-    tape = tape_of(x)
-    if tape is None:
-        return out
 
     def backward(g, acc):
         acc(x, g * keep * inv)
 
-    return tape.record(out, "dropout", backward)
+    return emit("dropout", out, (x,), backward)
 
 
 def init_conv_params(spec: ConvSpec, rng: Rng | None, dtype) -> tuple[Tensor, Tensor | None]:

@@ -1,12 +1,15 @@
 """Reverse-mode differentiation tape.
 
 Ops in :mod:`vrfnet.eltwise` and :mod:`vrfnet.ops` accept either plain
-:class:`~vrfnet.tensor.Tensor` values or :class:`Node` handles. With
-plain tensors they just compute; with nodes they also append an op
-record (saved activations plus an adjoint rule) to the node's
-:class:`Tape`. Records are appended in execution order, so the tape is
-topologically sorted by construction and :meth:`Tape.backward` visits
-each record exactly once, in reverse.
+:class:`~vrfnet.tensor.Tensor` values or :class:`Node` handles. Each op
+computes its output, defines its adjoint rule as a closure over the
+arrays it saves, and returns through :func:`emit`, which reports the
+op's cost to the open :func:`counting` context and, when a node is among
+its inputs, appends the op record (output plus adjoint rule) to that
+node's :class:`Tape` and returns the new node. With plain tensors the op
+returns its plain output and the rule is dropped. Records are appended
+in execution order, so the tape is topologically sorted by construction
+and :meth:`Tape.backward` visits each record exactly once, in reverse.
 
 Adjoints are accumulated in the tensor's own dtype. The accumulation
 order is deterministic: reverse execution order across nodes, and for
@@ -27,8 +30,8 @@ in place, with the same bits as the out-of-place sum. An owned leaf
 adjoint is returned without a copy. A contribution whose shape is not
 its target's raises :class:`~vrfnet.tensor.ShapeError`.
 
-The ops that do work also report their cost to the :func:`counting`
-context, if one is open (see :mod:`vrfnet.profiler` for the cost table).
+The cost an op reports is its multiply-accumulates and elementwise ops
+(see :mod:`vrfnet.profiler` for the cost table).
 """
 
 from __future__ import annotations
@@ -65,14 +68,6 @@ def counting():
         yield counter
     finally:
         _COUNTER.reset(token)
-
-
-def tally(macs: int = 0, eltwise: int = 0) -> None:
-    """Report one op's cost to the open :func:`counting` context, if any."""
-    counter = _COUNTER.get()
-    if counter is not None:
-        counter.macs += macs
-        counter.eltwise += eltwise
 
 
 class Node:
@@ -200,6 +195,23 @@ class Tape:
 def value_of(x) -> Tensor:
     """Unwrap a Node to its tensor; pass plain tensors through."""
     return x.tensor if isinstance(x, Node) else x
+
+
+def emit(op: str, out: Tensor, inputs, backward: Callable, macs: int = 0, eltwise: int = 0):
+    """Return an op's result: ``out`` itself, or its node on the inputs' tape.
+
+    Adds ``macs`` and ``eltwise`` to the open :func:`counting` counter,
+    if any. ``inputs`` are the op's operands; those that are nodes must
+    share one tape. With none, ``out`` is returned and ``backward`` is
+    dropped; otherwise ``out`` is recorded on that tape under the name
+    ``op`` with ``backward`` as its adjoint rule (see :meth:`Tape.record`).
+    """
+    counter = _COUNTER.get()
+    if counter is not None:
+        counter.macs += macs
+        counter.eltwise += eltwise
+    tape = tape_of(*inputs)
+    return out if tape is None else tape.record(out, op, backward)
 
 
 def tape_of(*args) -> Tape | None:

@@ -63,8 +63,11 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
     ({"block": "gmcf-block", "module": {"n_bottlenecks": "2"}}, "n_bottlenecks"),
     ({"block": "gmcf", "module": {"mscf": {"n_scales": 0, "dilations": []}}}, "n_scales"),
     ({"block": "gconv", "channels": "x"}, "channels"),
+    # json reads Infinity and NaN as floats
+    ({"block": "gmcf-block", "module": {"e": float("inf")}}, "e must be a finite number > 0"),
+    ({"block": "gmcf-block", "module": {"e": float("nan")}}, "e must be a finite number > 0"),
 ], ids=["mscf-null", "dilations-int", "dropout-str", "n_bottlenecks-str", "zero-scales",
-        "channels-str"])
+        "channels-str", "e-inf", "e-nan"])
 def test_malformed_config_values_exit_2_with_one_line(tmp_path, capsys, run, key):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(run))

@@ -36,6 +36,7 @@ from vrfnet import (
     spatial_mean,
     sum_all,
 )
+from vrfnet.tape import counting, emit
 
 
 def test_backward_square():
@@ -186,6 +187,39 @@ def test_mixing_tapes_rejected():
     b = t2.leaf(Rng(8).tensor((1, 1, 1, 1)))
     with pytest.raises(ValueError):
         add(a, b)
+
+
+def _never_called(g, acc):
+    raise AssertionError("an untaped op's adjoint rule ran")
+
+
+def test_emit_returns_an_untaped_output_itself_and_counts_its_cost():
+    out = Rng(20).tensor((1, 2, 3, 3))
+    with counting() as counter:
+        assert emit("probe", out, (Rng(21).tensor((1, 2, 3, 3)),), _never_called,
+                    macs=7, eltwise=5) is out
+        assert emit("probe", out, (), _never_called, eltwise=2) is out
+    assert (counter.macs, counter.eltwise) == (7, 7)
+    assert emit("probe", out, (), _never_called, macs=1) is out  # no counter open
+
+
+def test_emit_rejects_nodes_from_two_tapes():
+    a, b = (Tape().leaf(Rng(22).tensor((1, 1, 1, 1))) for _ in range(2))
+    with pytest.raises(ValueError, match="different tapes"):
+        emit("probe", Rng(23).tensor((1, 1, 1, 1)), (a, b), _never_called)
+
+
+def test_emit_records_nothing_for_constant_inputs():
+    # a tape is open, but the op reads only a constant, a missing bias and
+    # a width (the forms a conv's and a concat's inputs take)
+    tape = Tape()
+    x = tape.leaf(Rng(24).tensor((1, 1, 2, 2)))
+    out = Rng(25).tensor((1, 1, 2, 2))
+    assert emit("probe", out, (Rng(26).tensor((1, 1, 2, 2)), None, 3), _never_called) is out
+    assert len(tape) == 1
+    node = emit("probe", out, (x, None), _never_called)
+    assert isinstance(node, Node) and node.tape is tape and node.op == "probe"
+    assert len(tape) == 2
 
 
 def test_backward_linearity():
