@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-from .tape import Node, emit, tape_of, value_of
+from .tape import Node, emit, share_value, value_of
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -126,9 +126,14 @@ def select_scales(cat, mask, x):
     (n, S, c, h, w) view of ``cat`` in branch order into the output,
     which x then multiplies in place (where c*h*w is 1, einsum would sum
     over the branches as a dot product in another order, so a loop over
-    the branches does it instead). The sum s = sum_i f_i * m_i is kept
-    for the adjoint only when a tape records the op. Where every product
-    is a zero of negative sign, the sum is +0 (einsum starts from +0).
+    the branches does it instead). Where every product is a zero of
+    negative sign, the sum is +0 (einsum starts from +0).
+
+    The op keeps no sum: its adjoint recomputes s = sum_i f_i * m_i as
+    the forward does, for x's adjoint g * s. It forms g * x in slot 0 of
+    one fresh (n, S, c, h, w) buffer; the mask's adjoint reads it there,
+    and then every slot i is made g * x * m_i, the adjoint of ``cat``,
+    which the tape is handed (see :meth:`~vrfnet.tape.Tape.record`).
     """
     tc, tm, tx = value_of(cat), value_of(mask), value_of(x)
     if not tc.dtype == tm.dtype == tx.dtype:
@@ -141,23 +146,32 @@ def select_scales(cat, mask, x):
             f"got {tc.shape}, {tm.shape}, {tx.shape}"
         )
     stack = tc.data.reshape(n, scales, c, h, w)
-    if c * h * w > 1:
-        s = np.einsum("nschw,nshw->nchw", stack, tm.data)
-    else:  # a lone value per sample: einsum would sum it as a dot product, out of order
+
+    def scale_sum():
+        if c * h * w > 1:
+            return np.einsum("nschw,nshw->nchw", stack, tm.data)
+        # a lone value per sample: einsum would sum it as a dot product, out of order
         s = stack[:, 0] * tm.data[:, :1]
         for i in range(1, scales):
             s += stack[:, i] * tm.data[:, i : i + 1]
-    if tape_of(cat, mask, x) is None:  # no adjoint will read s
-        out = Tensor.wrap(np.multiply(s, tx.data, out=s))
-    else:
-        out = Tensor.wrap(s * tx.data)
+        return s
+
+    s = scale_sum()
+    out = Tensor.wrap(np.multiply(s, tx.data, out=s))
 
     def backward(g, acc):
-        gx = g * tx.data
-        acc(cat, (gx[:, None] * tm.data[:, :, None]).reshape(tc.shape))
-        acc(mask, np.einsum("nchw,nschw->nshw", gx, stack))
-        del gx  # freed before x's gradient is formed
-        acc(x, g * s)
+        dcat = np.empty(stack.shape, dtype=g.dtype)
+        gx = np.multiply(g, tx.data, out=dcat[:, 0])
+        dmask = np.einsum("nchw,nschw->nshw", gx, stack)
+        np.multiply(gx[:, None], tm.data[:, 1:, None], out=dcat[:, 1:])
+        np.multiply(gx, tm.data[:, :1], out=gx)
+        del gx
+        acc(cat, dcat.reshape(tc.shape), handover=True)
+        del dcat  # the tape may add into it from now on
+        acc(mask, dmask)
+        del dmask  # freed before x's gradient is formed
+        dx = scale_sum()
+        acc(x, np.multiply(g, dx, out=dx))
 
     # S products, S - 1 sums, the gate
     return emit("select_scales", out, (cat, mask, x), backward, eltwise=2 * scales * s.size)
@@ -183,7 +197,11 @@ def concat_channels(parts, channels: int):
 
     ``parts`` may be any iterable: each part is copied in as it arrives
     and not held afterwards unless it is a tape node, so a generator of
-    branch outputs holds one branch at a time besides the buffer.
+    branch outputs holds one branch at a time besides the buffer. A part
+    that an op recorded on a tape is not held twice either: its node is
+    pointed at its channel range of the buffer, an equal view
+    (:func:`~vrfnet.tape.share_value`), as soon as it is copied in. A
+    leaf, and a plain tensor, keep their own values.
     """
     out = None
     kept = []  # the parts that are nodes, and the widths of the others
@@ -200,8 +218,10 @@ def concat_channels(parts, channels: int):
         if off + c > channels:
             raise ShapeError(f"concat parts are wider than the {channels} channels given")
         out[:, off : off + c] = t.data
-        off += c
+        if isinstance(part, Node):
+            share_value(part, out[:, off : off + c])
         kept.append(part if isinstance(part, Node) else c)
+        off += c
         del part, t  # the next part is computed without this one
     if out is None or off != channels:
         raise ShapeError(f"concat parts are {off} channels wide, not {channels}")

@@ -28,7 +28,9 @@ sample's columns would exceed four kernel tiles, they are built and
 multiplied one band of output rows at a time. A product
 of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
 f32 and f64, and in longdouble a loop about twice as fast as matmul's
-generic one, with the same sums in the same order.
+generic one, with the same sums in the same order. No columns outlive
+the forward: a tape keeps an im2col conv's input and taps, as for a
+depthwise conv, and the weight gradient builds the columns again.
 Every conv's input gradient is its lowering run on the output
 gradient: a stride-1 conv of it with the taps flipped, after s - 1 zeros
 go between its rows and columns for a stride s (``_input_grad``; a 1x1
@@ -140,10 +142,10 @@ def conv2d(x, w, b, spec: ConvSpec):
         lower, vjp = _depthwise, _depthwise_vjp
     else:
         lower, vjp = _im2col, _im2col_vjp
-    out, saved = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
+    out = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
 
     def backward(grad, acc):
-        dx, dw = vjp(grad, tx.data, tw.data, spec, saved)
+        dx, dw = vjp(grad, tx.data, tw.data, spec)
         acc(x, dx)
         acc(w, dw)
         if b is not None:
@@ -163,8 +165,8 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     either way. The band height follows from one sample's columns, so
     each sample's products have the same shapes at any batch size, and
     a sample's output does not depend on the batch it is in.
-    Returns the output and the columns the adjoint needs
-    (:func:`_im2col_vjp`): all of them when they are one band, else None.
+    Returns the output alone: no columns outlive the call, and the
+    adjoint (:func:`_im2col_vjp`) builds its own.
     """
     n, cin = xd.shape[:2]
     k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
@@ -179,7 +181,6 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
         cols = cols.reshape(n, g, m, ho * wo)
         out = _product(wm, cols)
     else:
-        cols = None
         xp = _padded(xd, p)
         out = np.empty((n, g, cog, ho, wo), dtype=xd.dtype)
         for i in range(0, ho, rows):
@@ -190,28 +191,30 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     out = out.reshape(n, spec.c_out, ho, wo)
     if bd is not None:
         np.add(out, bd, out=out)
-    return out, cols
+    return out
 
 
-def _im2col_vjp(grad, xd, wd, spec: ConvSpec, cols):
+def _im2col_vjp(grad, xd, wd, spec: ConvSpec):
     """``(dx, dw)`` of an im2col conv for its output gradient ``grad``.
 
     The input gradient is the same lowering run on the output gradient
     (:func:`_input_grad`), as for a depthwise conv; a pointwise conv's is
     one product of the transposed taps with the gradient. The weight
-    gradient is the gradient times the forward's columns ``cols``, which
-    a banded conv (``cols`` None) builds again in full.
+    gradient is the gradient times the columns, which the forward does
+    not keep: a 1x1 conv's are a view of its input, and any other conv's
+    are built here again, all of them at once, with the values the
+    forward's had.
     """
     n, _, ho, wo = grad.shape
     g = spec.groups
     go = grad.reshape(n, g, spec.c_out // g, -1)
     if spec.k == 1 and spec.stride == 1 and spec.padding == 0:
         dx = np.matmul(wd.reshape(g, -1, spec.fan_in).transpose(0, 2, 1), go).reshape(xd.shape)
+        cols = xd
     else:
         dx = _input_grad(grad, wd, spec, *xd.shape[2:])
-    if cols is None:
         cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
-        cols = cols.reshape(n, g, -1, ho * wo)
+    cols = cols.reshape(n, g, -1, ho * wo)
     dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
     return dx, dw
 
@@ -316,13 +319,12 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     padded planes (see :func:`_dw`). The forward keeps no layout of its
     input: its planes or windows are freed when it returns, and the
     adjoint (:func:`_depthwise_vjp`) needs only the input and the taps.
-    Returns the output and None: the adjoint saves nothing of the forward.
     """
     k = spec.k
-    return _dw(xd, wd.reshape(xd.shape[1], k, k), spec.dilation, spec.padding, bd)[0], None
+    return _dw(xd, wd.reshape(xd.shape[1], k, k), spec.dilation, spec.padding, bd)[0]
 
 
-def _depthwise_vjp(grad, xd, wd, spec: ConvSpec, _saved):
+def _depthwise_vjp(grad, xd, wd, spec: ConvSpec):
     """``(dx, dw)`` of a stride-1 depthwise conv for its output gradient
     ``grad``: one pass of the same kernel over ``grad`` with the taps
     flipped, the adjoint of a correlation being the flipped correlation.

@@ -20,15 +20,26 @@ it walks it: it takes each op's adjoint off the tape before running the
 op's rule, and drops the rule, with the activations it saved, once it
 has run. Only the leaf adjoints live until they are returned.
 
+A tape holds each activation once. A node's value is the array its op
+wrote, with one exception: a taped ``concat_channels`` copies each part
+into its buffer and then points the part's node, if an op recorded it,
+at the equal view of that buffer (:func:`share_value`), so the part's
+own array is freed unless a rule saved it. Rules read the arrays they
+closed over, and of a node's value only its shape, so no bit changes.
+
 The first array an op hands for an input becomes that input's adjoint
 as it is: it may be a view (of the op's own adjoint, or a read-only
 broadcast), and the tape never writes into it. The tape owns the arrays
 it allocates: the sum that a second contribution forms, and the
 zero-filled adjoint that a channel range (``slice_channels``) is
-written into. Every later contribution is added into an owned adjoint
-in place, with the same bits as the out-of-place sum. An owned leaf
-adjoint is returned without a copy. A contribution whose shape is not
-its target's raises :class:`~vrfnet.tensor.ShapeError`.
+written into. A rule may also hand an array over (``handover=True``):
+one it allocated, that nothing else references and that it no longer
+reads. The tape then owns it, and where it meets an adjoint the tape
+does not own, the sum is written into it. Every later contribution is
+added into an owned adjoint in place, with the same bits as the
+out-of-place sum. An owned leaf adjoint is returned without a copy. A
+contribution whose shape is not its target's raises
+:class:`~vrfnet.tensor.ShapeError`.
 
 The cost an op reports is its multiply-accumulates and elementwise ops
 (see :mod:`vrfnet.profiler` for the cost table).
@@ -110,7 +121,11 @@ class Tape:
         ``accumulate(input_ref, ndarray)``, or via
         ``accumulate(input_ref, ndarray, channels)`` for the adjoint of
         the channel range ``input[:, channels]`` (a slice) alone. The rule
-        must not write into ``grad`` or into an array it has handed on."""
+        must not write into ``grad`` or into an array it has handed on.
+        ``accumulate(input_ref, ndarray, handover=True)`` hands over a
+        whole adjoint the rule allocated and keeps no reference to: the
+        tape may add into it from then on, so the rule must not read it
+        again, nor hand it (or a view of it) to another input."""
         node = Node(tensor, self, len(self._nodes), op, backward, False)
         self._nodes.append(node)
         return node
@@ -142,9 +157,10 @@ class Tape:
         adjoints: dict[int, np.ndarray] = {
             loss.id: np.ones(_SCALAR_SHAPE, dtype=loss.tensor.dtype)
         }
-        owned: set[int] = set()  # ids whose adjoint the tape allocated
+        owned: set[int] = set()  # ids whose adjoint the tape allocated or was handed
 
-        def accumulate(ref, grad: np.ndarray, channels: slice | None = None) -> None:
+        def accumulate(ref, grad: np.ndarray, channels: slice | None = None, *,
+                       handover: bool = False) -> None:
             if not isinstance(ref, Node):
                 return  # constant input: no adjoint wanted
             shape = ref.tensor.shape
@@ -156,10 +172,12 @@ class Tape:
             if channels is None:
                 if cur is None:
                     adjoints[ref.id] = grad
+                    if handover:
+                        owned.add(ref.id)
                 elif ref.id in owned:
                     np.add(cur, grad, out=cur)
-                else:
-                    adjoints[ref.id] = cur + grad
+                else:  # cur + grad either way: a handed-over array takes the sum
+                    adjoints[ref.id] = np.add(cur, grad, out=grad if handover else None)
                     owned.add(ref.id)
                 return
             if cur is None:
@@ -190,6 +208,17 @@ class Tape:
                 else:  # an array an op handed over may be a view: it is copied
                     out[node.id] = Tensor.wrap(grad if node.id in owned else grad.copy())
         return out
+
+
+def share_value(ref, value: np.ndarray) -> None:
+    """Point the node of a recorded op at ``value``, an array equal to its
+    value (a view of the buffer a concat copied it into), so that the
+    tape holds the two as one. A leaf, whose value its caller owns, and
+    a plain tensor are left as they are."""
+    if isinstance(ref, Node) and not ref.is_leaf:
+        if (value.shape, value.dtype) != (ref.tensor.shape, ref.tensor.dtype):
+            raise ShapeError(f"an array {value.shape} {value.dtype} cannot stand for {ref}")
+        ref.tensor = Tensor.wrap(value)
 
 
 def value_of(x) -> Tensor:

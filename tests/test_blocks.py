@@ -573,8 +573,24 @@ def _is_op_plumbing_outside_tape(node, module: str) -> bool:
     return getattr(node, names.get(type(node), "_"), None) in ("tally", "_COUNTER")
 
 
-@pytest.mark.parametrize("banned", [_is_assert, _is_op_plumbing_outside_tape],
-                         ids=["assert", "op-plumbing-outside-tape"])
+def _is_node_value_write_outside_tape(node, module: str) -> bool:
+    # a node's value may be pointed only at an equal array, which
+    # tape.share_value checks: no other module assigns a node's .tensor
+    if module == "tape.py":
+        return False
+    targets = {ast.Assign: "targets", ast.AugAssign: "target", ast.AnnAssign: "target"}
+    found = getattr(node, targets.get(type(node), "_"), [])
+    for target in found if isinstance(found, list) else [found]:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Attribute) and sub.attr == "tensor":
+                return True
+    return False
+
+
+@pytest.mark.parametrize("banned", [_is_assert, _is_op_plumbing_outside_tape,
+                                    _is_node_value_write_outside_tape],
+                         ids=["assert", "op-plumbing-outside-tape",
+                              "node-value-write-outside-tape"])
 def test_the_library_source_has_no(banned):
     found = []
     for path in sorted(Path(vrfnet.__file__).resolve().parent.glob("*.py")):

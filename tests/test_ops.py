@@ -231,8 +231,8 @@ def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
         for dtype in (np.float32, np.float64, np.longdouble):
             xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
             bd = None if b is None else b.astype(dtype)
-            out, cols = ops._im2col(xd, wd, bd, spec, ho, wo)
-            dw = ops._im2col_vjp(gd, xd, wd, spec, cols)[1]
+            out = ops._im2col(xd, wd, bd, spec, ho, wo)
+            dw = ops._im2col_vjp(gd, xd, wd, spec)[1]
             ref_out, _, ref_dw = loop_im2col(xd, wd, bd, spec, ho, wo, gd)
             for got, want in ((out, ref_out), (dw, ref_dw)):
                 # array_equal, not tobytes(): longdouble carries padding bytes
@@ -263,7 +263,7 @@ def test_im2col_input_gradient_matches_the_loop_scatter_to_a_dot_product_bound(c
         grad = rng.uniform((n, spec.c_out, ho, wo))
         for dtype in (np.float32, np.float64, np.longdouble):
             xd, wd, gd = x.astype(dtype), wt.astype(dtype), grad.astype(dtype)
-            dx = ops._im2col_vjp(gd, xd, wd, spec, ops._im2col(xd, wd, None, spec, ho, wo)[1])[0]
+            dx = ops._im2col_vjp(gd, xd, wd, spec)[0]
             ref_dx = loop_im2col(xd, wd, None, spec, ho, wo, gd)[1]
             size = loop_im2col(xd, np.abs(wd), None, spec, ho, wo, np.abs(gd))[1]
             bound = (m + 1) * np.finfo(dtype).eps * size
@@ -297,9 +297,9 @@ def test_banded_im2col_columns_give_the_products_of_all_columns(case, tile):
             with pytest.MonkeyPatch.context() as mp:
                 for budget in (1 << 40, tile):
                     mp.setattr(ops, "_DW_TILE", budget)
-                    out, cols = ops._im2col(xd, wd, bd, spec, ho, wo)
-                    results.append((out,) + ops._im2col_vjp(gd, xd, wd, spec, cols))
-                    size = ops._im2col(np.abs(xd), np.abs(wd), None, spec, ho, wo)[0]
+                    out = ops._im2col(xd, wd, bd, spec, ho, wo)
+                    results.append((out,) + ops._im2col_vjp(gd, xd, wd, spec))
+                    size = ops._im2col(np.abs(xd), np.abs(wd), None, spec, ho, wo)
             (out, dx, dw), (out_b, dx_b, dw_b) = results
             assert out_b.dtype == dtype and out_b.shape == out.shape
             if dtype is np.longdouble:
@@ -509,8 +509,8 @@ def test_row_padded_depthwise_results_do_not_depend_on_the_tile(k, d, p, dtype, 
     for budget in (plane, 2 * plane + plane // 2, 4 * plane + plane // 2, 9 * plane):
         monkeypatch.setattr(ops, "_DW_TILE", budget)
         out, weight_grad = ops._dw_conv(x, taps, d, p, b, ho, wo)
-        y = ops._depthwise(x, wt, b, spec, ho, wo)[0]
-        results.append((out, weight_grad(g), y) + ops._depthwise_vjp(g, x, wt, spec, None))
+        y = ops._depthwise(x, wt, b, spec, ho, wo)
+        results.append((out, weight_grad(g), y) + ops._depthwise_vjp(g, x, wt, spec))
     for got in results[:-1]:
         for a, want in zip(got, results[-1], strict=True):
             assert a.dtype == dtype
@@ -569,7 +569,7 @@ def test_depthwise_weight_gradient_from_the_input_gradient_pass_matches_the_forw
         mp.setattr(ops, "_DW_TILE", 1 << 40 if window else 0)
         kernel = ops._dw_window if window else ops._dw_conv
         want = kernel(x, taps, d, p, None, ho, wo)[1](g)
-        got = ops._depthwise_vjp(g, x, wt, spec, None)[1].reshape(c, k, k)
+        got = ops._depthwise_vjp(g, x, wt, spec)[1].reshape(c, k, k)
     assert got.dtype == dtype
     if dtype is np.longdouble:
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
