@@ -1,6 +1,16 @@
 """Variable receptive-field neural blocks with a reverse-mode tape,
 brute-force oracles, and cost profiling, on dense NCHW tensors."""
 
+import os
+
+# VRF_THREADS caps BLAS threads. BLAS reads its variables once, when
+# numpy first loads, so this runs before the first import below; a BLAS
+# variable that is already set wins.
+_cap = os.environ.get("VRF_THREADS")
+if _cap:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _cap)
+
 from .tensor import NonFiniteError, Rng, ShapeError, Tensor, full, zeros, zeros_like
 from .tape import Node, OpCounter, Tape, finite_diff_check, tape_of, value_of
 from .eltwise import (

@@ -1,18 +1,37 @@
 """Command-line entry point: gradcheck, oracle-diff, profile, golden.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
-config error. Heavy imports happen inside main() so the VRF_THREADS cap
-can be exported before numpy loads its BLAS.
+config error, each failure with a one-line message. The VRF_THREADS cap
+is applied when the package is imported (see ``vrfnet/__init__.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict
+import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
+
+from .blocks import block_gradient_errors, build_block, has_dropout
+from .config import BLOCK_KINDS, DTYPES, ConfigError, block_config, load_run_config, run_config
+from .ops import ConvSpec, conv2d
+from .oracle import compare, oracle_block, oracle_conv2d
+from .profiler import BENCH_MIN_REPS, cost_report, count_params, ffn_cost, format_table
+from .tensor import NonFiniteError, Rng, ShapeError
+from .vrft import (
+    FormatError,
+    manifest_element_count,
+    read_golden_meta,
+    read_manifest,
+    read_tensor,
+    write_golden_meta,
+    write_manifest,
+    write_tensor,
+)
 
 GOLDEN_META = "meta.json"
 # default tolerances, where neither --tol nor the config file sets one:
@@ -23,17 +42,7 @@ GRADCHECK_TOL = 1e-5
 ORACLE_TOL = 1e-6
 
 
-def _apply_thread_cap() -> str | None:
-    cap = os.environ.get("VRF_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    return cap
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    from .config import BLOCK_KINDS, DTYPES
-
     parser = argparse.ArgumentParser(
         prog="vrf",
         description="Variable receptive-field block library: checks, diffs, profiles, goldens.",
@@ -49,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, help="output directory for reports/goldens")
         p.add_argument("--channels", type=int, help="block channel count (default 8)")
         p.add_argument("--input-shape", type=str,
-                       help="n,c,h,w (default 1,C,6,6; profile 1,C,20,20; golden 1,C,8,8)")
+                       help="n,c,h,w (default 1,C,6,6; oracle-diff 2,C,6,6; profile 1,C,20,20; "
+                            "golden 1,C,8,8)")
 
     g = sub.add_parser("gradcheck", help="finite-difference check of every parameter and input")
     common(g)
@@ -77,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_config(args, **defaults):
     """The --config file (or none) with the flags that were given on top;
     ``defaults`` are the command's own, for keys neither one sets."""
-    from .config import ConfigError, load_run_config, run_config
-
     shape = None
     if args.input_shape:
         try:
@@ -96,9 +104,6 @@ def _run_config(args, **defaults):
 
 
 def _make_block(cfg):
-    from .blocks import build_block
-    from .tensor import Rng
-
     return build_block(cfg.block, cfg.build_block_config(), Rng(cfg.seed), cfg.np_dtype)
 
 
@@ -110,15 +115,10 @@ def _emit(out_dir, name: str, lines: "list[str]") -> None:
 
 def cmd_gradcheck(args) -> int:
     cfg = _run_config(args)
-    from .config import ConfigError
-
     if cfg.block is None:
         raise ConfigError("gradcheck needs a block (use --block)")
     if cfg.dtype != "f64":
         raise ConfigError("gradcheck requires --dtype f64 (f32 finite differences are too noisy)")
-    from .blocks import block_gradient_errors, has_dropout
-    from .tensor import Rng
-
     tol = cfg.tolerance if cfg.tolerance is not None else GRADCHECK_TOL
     block = _make_block(cfg)
     shape = cfg.resolved_input_shape()
@@ -151,8 +151,6 @@ def cmd_gradcheck(args) -> int:
 
 def _grid_specs(rng, count: int):
     """Random conv specs over the documented grid axes."""
-    from .ops import ConvSpec
-
     for _ in range(count):
         k = rng.choice((1, 3, 7))
         d = rng.choice((1, 3, 5, 7))
@@ -168,12 +166,6 @@ def _grid_specs(rng, count: int):
 
 def cmd_oracle_diff(args) -> int:
     cfg = _run_config(args, dtype="f32")  # the tolerance is an f32 bound
-    from .blocks import build_block
-    from .config import BLOCK_KINDS, ConfigError, block_config
-    from .ops import conv2d
-    from .oracle import compare, oracle_block, oracle_conv2d
-    from .tensor import Rng
-
     if args.specs < 0:
         raise ConfigError(f"--specs must be >= 0, got {args.specs}")
     if args.specs == 0 and args.skip_blocks:
@@ -201,10 +193,11 @@ def cmd_oracle_diff(args) -> int:
             failed = True
             print(f"DIVERGED {report.op}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
 
-    for kind in () if args.skip_blocks else BLOCK_KINDS:
-        bcfg = block_config(kind, 8)
+    shape = cfg.input_shape or (2, cfg.channels, 6, 6)
+    for kind in () if args.skip_blocks else [cfg.block] if cfg.block else BLOCK_KINDS:
+        bcfg = block_config(kind, cfg.channels, cfg.module)
         block = build_block(kind, bcfg, Rng(cfg.seed + 7), dtype)
-        x = Rng(cfg.seed + 8).tensor((2, 8, 6, 6), -1.0, 1.0, dtype)
+        x = Rng(cfg.seed + 8).tensor(shape, -1.0, 1.0, dtype)
         fast = block.forward(x, mode="eval")
         ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
         report = compare(kind, fast, ref, cfg.seed)
@@ -225,23 +218,14 @@ def cmd_oracle_diff(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _run_config(args)
-    from .config import ConfigError
-
     if cfg.block is None:
         raise ConfigError("profile needs a block (use --block)")
-
-    import tempfile
-
-    from .profiler import BENCH_MIN_REPS, cost_report, count_params, ffn_cost, format_table
-    from .vrft import manifest_element_count, write_manifest
-
     if args.reps and args.reps < BENCH_MIN_REPS:
         raise ConfigError(f"--reps must be 0 (no timing) or >= {BENCH_MIN_REPS}, got {args.reps}")
 
     block = _make_block(cfg)
     shape = cfg.resolved_input_shape(default_hw=20)
-    threads = os.environ.get("VRF_THREADS")
-    report = cost_report(block, shape, kind=cfg.block, bench_reps=args.reps, threads=threads)
+    report = cost_report(block, shape, bench_reps=args.reps)
 
     # cross-check the analytic count against bytes on disk
     tmp = None
@@ -277,29 +261,9 @@ def cmd_profile(args) -> int:
 
 def cmd_golden(args) -> int:
     cfg = _run_config(args)
-    from .config import ConfigError
-
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ConfigError("golden needs --out <dir>")
-    from dataclasses import replace
-
-    import numpy as np
-
-    from .blocks import build_block
-    from .config import BLOCK_KINDS
-    from .oracle import compare, oracle_block
-    from .tensor import NonFiniteError, Rng, ShapeError
-    from .vrft import (
-        FormatError,
-        read_golden_meta,
-        read_manifest,
-        read_tensor,
-        write_golden_meta,
-        write_manifest,
-        write_tensor,
-    )
-
     tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
 
     if args.direction == "generate":
@@ -404,12 +368,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
-    from .config import ConfigError
-    from .tensor import ShapeError
-    from .vrft import FormatError
-
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -23,6 +23,7 @@ structure. Conventions (also stated in every report):
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -86,9 +87,9 @@ def count_macs(block: ParamBlock, input_shape) -> int:
 BENCH_MIN_REPS = 3
 
 
-def bench(block: ParamBlock, input_shape, reps: int, threads: str | None = None) -> dict:
+def bench(block: ParamBlock, input_shape, reps: int) -> dict:
     """Median/IQR wall time of eval-mode forward over ``reps`` runs, after
-    two untimed ones."""
+    two untimed ones, stamped with the VRF_THREADS cap."""
     if reps < BENCH_MIN_REPS:
         raise ValueError(f"bench needs reps >= {BENCH_MIN_REPS}")
     warmup = 2
@@ -107,16 +108,15 @@ def bench(block: ParamBlock, input_shape, reps: int, threads: str | None = None)
         "iqr_ns": float(q3 - q1),
         "reps": reps,
         "warmup": warmup,
-        "threads": threads if threads is not None else "default",
+        "threads": os.environ.get("VRF_THREADS", "default"),
     }
 
 
-def cost_report(block: ParamBlock, input_shape, kind: str | None = None,
-                bench_reps: int = 0, threads: str | None = None) -> CostReport:
+def cost_report(block: ParamBlock, input_shape, bench_reps: int = 0) -> CostReport:
     counts = count_costs(block, input_shape)
-    timing = bench(block, input_shape, bench_reps, threads=threads) if bench_reps else {}
+    timing = bench(block, input_shape, bench_reps) if bench_reps else {}
     return CostReport(
-        block=kind or getattr(block, "kind", type(block).__name__),
+        block=getattr(block, "kind", type(block).__name__),
         input_shape=tuple(input_shape),
         params=count_params(block),
         macs=counts.macs,

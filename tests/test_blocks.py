@@ -587,10 +587,18 @@ def _is_node_value_write_outside_tape(node, module: str) -> bool:
     return False
 
 
+def _is_import_inside_function(node, module: str) -> bool:
+    # a deferred import cannot run before numpy loads: the package's
+    # __init__ imports numpy first, so imports sit at module level
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        isinstance(sub, (ast.Import, ast.ImportFrom)) for sub in ast.walk(node))
+
+
 @pytest.mark.parametrize("banned", [_is_assert, _is_op_plumbing_outside_tape,
-                                    _is_node_value_write_outside_tape],
+                                    _is_node_value_write_outside_tape,
+                                    _is_import_inside_function],
                          ids=["assert", "op-plumbing-outside-tape",
-                              "node-value-write-outside-tape"])
+                              "node-value-write-outside-tape", "import-inside-function"])
 def test_the_library_source_has_no(banned):
     found = []
     for path in sorted(Path(vrfnet.__file__).resolve().parent.glob("*.py")):

@@ -122,16 +122,16 @@ def test_oracle_diff_compares_every_block_kind(capsys):
     ("f64", ["--dtype", "f32"], np.float32),
 ], ids=["default-f32", "file-f64", "flag-over-file"])
 def test_oracle_diff_dtype_from_file_or_flag(tmp_path, monkeypatch, file_dtype, flag, want):
-    import vrfnet.ops as ops
+    import vrfnet.cli as cli
 
     seen = set()
-    real = ops.conv2d
+    real = cli.conv2d
 
     def spy(x, *rest):
         seen.add(x.dtype)
         return real(x, *rest)
 
-    monkeypatch.setattr(ops, "conv2d", spy)
+    monkeypatch.setattr(cli, "conv2d", spy)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({} if file_dtype is None else {"dtype": file_dtype}))
     assert main(["oracle-diff", "--specs", "3", "--skip-blocks", "--config", str(cfg),
@@ -246,6 +246,35 @@ def test_train_gradcheck_with_dropout_is_a_config_error(tmp_path, capsys, mode, 
 def test_oracle_diff_with_nothing_to_compare_is_a_config_error(capsys, args, says):
     assert main(["oracle-diff", *args]) == 2
     _one_line_config_error(capsys, says)
+
+
+@pytest.mark.parametrize("flags,module,kinds,shape", [
+    (["--block", "gconv", "--input-shape", "1,16,5,5"], {"activation": "relu"}, ["gconv"],
+     [1, 16, 5, 5]),
+    ([], {}, ["mscf", "gconv", "gmcf", "gmcf-block"], [2, 16, 6, 6]),
+], ids=["one-block", "every-kind"])
+def test_oracle_diff_compares_the_blocks_the_run_config_names(tmp_path, monkeypatch, capsys,
+                                                              flags, module, kinds, shape):
+    # the blocks are built at the run config's channels and module, on
+    # its input shape (default 2,C,6,6)
+    import vrfnet.cli as cli
+    from vrfnet.config import block_config
+
+    built = []
+    real = cli.build_block
+
+    def spy(kind, bcfg, *rest):
+        built.append((kind, bcfg))
+        return real(kind, bcfg, *rest)
+
+    monkeypatch.setattr(cli, "build_block", spy)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"module": module}))
+    assert main(["oracle-diff", "--specs", "0", "--channels", "16", "--config", str(cfg),
+                 *flags]) == 0
+    reports = [json.loads(l) for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+    assert [(r["op"], r["shapes"]) for r in reports] == [(kind, [shape]) for kind in kinds]
+    assert built == [(kind, block_config(kind, 16, module)) for kind in kinds]
 
 
 def test_oracle_diff_zero_specs_still_compares_the_blocks(capsys):
@@ -497,6 +526,38 @@ def test_golden_regeneration_is_deterministic(tmp_path):
         assert (a / "gmcf" / name).read_bytes() == (b / "gmcf" / name).read_bytes()
 
 
-def test_vrf_threads_env(monkeypatch):
-    monkeypatch.setenv("VRF_THREADS", "1")
-    assert main(["oracle-diff", "--specs", "3", "--skip-blocks"]) == 0
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# records the BLAS thread variables when numpy is first imported, which
+# is when its BLAS reads them
+_NUMPY_IMPORT_SPY = f"""
+import json, os, sys
+
+class Spy:
+    seen = None
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "numpy" and cls.seen is None:
+            cls.seen = {{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}
+        return None
+
+sys.meta_path.insert(0, Spy)
+import vrfnet.cli
+print(json.dumps(Spy.seen))
+"""
+
+
+@pytest.mark.parametrize("env,want", [
+    ({"VRF_THREADS": "3"}, ["3", "3", "3"]),
+    ({"VRF_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"}, ["3", "2", "3"]),
+    ({}, [None, None, None]),
+], ids=["capped", "blas-variable-wins", "uncapped"])
+def test_vrf_threads_reaches_blas_before_numpy_loads(env, want):
+    src = str(Path(vrfnet.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in ("VRF_THREADS", *BLAS_THREAD_VARS)}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY], capture_output=True,
+                          text=True, env={**base, **env, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict(zip(BLAS_THREAD_VARS, want))

@@ -185,7 +185,8 @@ def test_gconv_beats_pointwise_ffn_params():
     assert count_params(gconv) < ffn.params
 
 
-def test_bench_contract():
+def test_bench_contract(monkeypatch):
+    monkeypatch.delenv("VRF_THREADS", raising=False)
     block = GConvBlock(GconvConfig(c=8), Rng(10))
     with pytest.raises(ValueError):
         bench(block, (1, 8, 6, 6), reps=2)
@@ -205,7 +206,7 @@ def test_bench_identical_runs_identical_outputs():
 
 def test_cost_report_table_and_convention():
     block = GConvBlock(GconvConfig(c=8), Rng(13))
-    report = cost_report(block, (1, 8, 6, 6), kind="gconv")
+    report = cost_report(block, (1, 8, 6, 6))
     assert report.flops == 2 * report.macs
     assert report.convention == CONVENTION
     table = format_table([report, ffn_cost(8, (1, 8, 6, 6))])
