@@ -31,7 +31,6 @@ class MscfConfig:
     """Multi-scale context fusion block hyperparameters."""
 
     c: int
-    n_scales: int = 3
     dilations: tuple = (3, 5, 7)
     dw_kernel: int = 3
     mask_kernel: int = 7
@@ -40,18 +39,21 @@ class MscfConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(self.dilations))
-        if min(self.c, self.n_scales, self.dw_kernel, self.mask_kernel, self.ca_ratio) < 1:
-            raise ConfigError("mscf: channels, n_scales, kernels and ca_ratio must be >= 1")
-        if len(self.dilations) != self.n_scales:
-            raise ConfigError(
-                f"mscf: {len(self.dilations)} dilations given for n_scales={self.n_scales}"
-            )
+        if min(self.c, self.dw_kernel, self.mask_kernel, self.ca_ratio) < 1:
+            raise ConfigError("mscf: channels, kernels and ca_ratio must be >= 1")
+        if not self.dilations:
+            raise ConfigError("mscf: dilations must name at least one scale")
         if any(d < 1 for d in self.dilations):
             raise ConfigError("mscf: dilations must be >= 1")
         if self.dw_kernel % 2 == 0 or self.mask_kernel % 2 == 0:
             raise ConfigError("mscf: kernels must be odd (same padding)")
         if self.use_ca and self.c % self.ca_ratio:
             raise ConfigError(f"mscf: channels {self.c} not divisible by ca_ratio {self.ca_ratio}")
+
+    @property
+    def n_scales(self) -> int:
+        """One scale per dilation."""
+        return len(self.dilations)
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,11 @@ def _from_dict(cls, c: int, d, where: str):
 def block_config(kind: str, c: int, module: dict | None = None):
     if kind not in _KIND_CONFIGS:
         raise ConfigError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
-    cfg = _from_dict(_KIND_CONFIGS[kind], c, {} if module is None else module,
-                     f"module({kind})")
+    module = {} if module is None else module
+    cfg = _from_dict(_KIND_CONFIGS[kind], c, module, f"module({kind})")
+    # a bottleneck has no wrapper, which these keys size: it would ignore them
+    if kind == "gmcf" and {"n_bottlenecks", "e"} & set(module):
+        raise ConfigError("module(gmcf): n_bottlenecks and e apply to gmcf-block only")
     if kind == "gmcf-block":
         cfg.hidden_width  # raises unless the wrapper's branch width e*c is a positive integer
     return cfg
@@ -262,7 +267,7 @@ def validate_run_config(cfg: RunConfig) -> None:
         if math.prod(int(d) for d in cfg.input_shape) * itemsize > np.iinfo(np.intp).max:
             raise ConfigError(f"input_shape {cfg.input_shape} holds more {cfg.dtype} bytes "
                               "than one array can index")
-        if cfg.block is not None and cfg.input_shape[1] != cfg.channels:
+        if cfg.input_shape[1] != cfg.channels:
             raise ConfigError(
                 f"input_shape channel dim {cfg.input_shape[1]} != channels {cfg.channels}"
             )

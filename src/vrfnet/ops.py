@@ -1,29 +1,29 @@
 """Convolution variants, activations, batch normalization, and dropout.
 
-``conv2d`` is the one conv op; padding is zero-fill. A stride-1
-depthwise conv (groups == c_in == c_out: the MSCF branches and the GConv
-gate) runs a direct kernel, forward and backward: one einsum multiplies
-a strided view that holds every tap's shifted slice by the taps and sums
-them in one pass (at dilation 1, one sum per column of taps). Such a
-conv does only k*k MACs per output, so it is bound by memory traffic;
-im2col would write and read back a k*k-times copy of its input for a
-degenerate matmul, and a multiply-then-add loop over taps makes two
-passes per tap. The layout follows the conv's size: one whose tap
-windows fit in an eighth of a cache-sized tile (the gradient probes' 6x6
-planes) sums over a compact copy of its taps' windows, and any larger
-one over row-padded planes, which copy nothing per tap but compute a
-few outputs per row that are cropped. Those planes are laid out one
-cache-sized tile at a time, each tile just before it is summed, into
-one tile-sized buffer whose zero padding is written once. Both layouts
-give the same bits, at any tile size. The backward is one pass of the
-same kernel over the output gradient with the taps flipped: the pass's
-sums are the input gradient, and its per-tap dot products with the
-input the weight gradient, taps flipped back. So a tape keeps the
+``conv2d`` is the one conv op: stride 1, zero padding of at most d(k-1).
+A depthwise conv (groups == c_in == c_out: the MSCF branches and the
+GConv gate) runs a direct kernel, forward and backward: one einsum
+multiplies a strided view that holds every tap's shifted slice by the
+taps and sums them in one pass (at dilation 1, one sum per column of
+taps). Such a conv does only k*k MACs per output, so it is bound by
+memory traffic; im2col would write and read back a k*k-times copy of its
+input for a degenerate matmul, and a multiply-then-add loop over taps
+makes two passes per tap. The layout follows the conv's size: one whose
+tap windows fit in an eighth of a cache-sized tile (the gradient probes'
+6x6 planes) sums over a compact copy of its taps' windows, and any
+larger one over row-padded planes, which copy nothing per tap but
+compute a few outputs per row that are cropped. Those planes are laid
+out one cache-sized tile at a time, each tile just before it is summed,
+into one tile-sized buffer whose zero padding is written once. Both
+layouts give the same bits, at any tile size. The backward is one pass
+of the same kernel over the output gradient with the taps flipped: the
+pass's sums are the input gradient, and its per-tap dot products with
+the input the weight gradient, taps flipped back. So a tape keeps the
 conv's input and taps but no padded layout of the input.
 Every other conv lowers to im2col plus a batched matmul per group, which
-handles stride, dilation and groups in one code path. Its columns are
-the same window copy (``_windows``: one strided copy of a window view of
-the padded input); a 1x1 conv reads its input as the columns. Where a
+handles dilation and groups in one code path. Its columns are the same
+window copy (``_windows``: one strided copy of a window view of the
+padded input); a 1x1 conv reads its input as the columns. Where a
 sample's columns would exceed four kernel tiles, they are built and
 multiplied one band of output rows at a time. A product
 of one (sample, group) block runs as a 2-D dot: the same BLAS gemm in
@@ -32,15 +32,14 @@ generic one, with the same sums in the same order. No columns outlive
 the forward: a tape keeps an im2col conv's input and taps, as for a
 depthwise conv, and the weight gradient builds the columns again.
 Every conv's input gradient is its lowering run on the output
-gradient: a stride-1 conv of it with the taps flipped, after s - 1 zeros
-go between its rows and columns for a stride s (``_input_grad``; a 1x1
-conv's is one product with the transposed taps). All ops are
+gradient, padded by d(k-1) - p, with the taps flipped (``_input_grad``;
+a 1x1 conv's is one product with the transposed taps). All ops are
 differentiable under the tape; relu's subgradient at 0 is taken as 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,34 +50,35 @@ from .tape import emit, value_of
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Descriptor for every convolution variant (square kernels only)."""
+    """Descriptor of every conv: a square kernel, stride 1, padding 0 to d(k-1)."""
 
     c_in: int
     c_out: int
     k: int
-    stride: int = 1
+    _: KW_ONLY
     dilation: int = 1
     groups: int = 1
     padding: int = 0
     bias: bool = True
 
     def __post_init__(self):
-        for name in ("c_in", "c_out", "k", "stride", "dilation", "groups"):
+        for name in ("c_in", "c_out", "k", "dilation", "groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ConvSpec.{name} must be >= 1")
-        if self.padding < 0:
-            raise ValueError("ConvSpec.padding must be >= 0")
+        if not 0 <= self.padding <= self.dilation * (self.k - 1):
+            raise ValueError(f"ConvSpec.padding must be in [0, d(k-1)], got {self.padding}")
         if self.c_in % self.groups or self.c_out % self.groups:
             raise ValueError(
                 f"channel counts ({self.c_in}, {self.c_out}) not divisible by groups={self.groups}"
             )
 
     @staticmethod
-    def same(c_in, c_out, k, dilation=1, groups=1, bias=True) -> "ConvSpec":
-        """Stride-1 spec whose padding preserves h and w; requires odd k."""
+    def same(c_in, c_out, k, *, dilation=1, groups=1, bias=True) -> "ConvSpec":
+        """The spec whose padding preserves h and w; requires odd k."""
         if k % 2 == 0:
             raise ValueError(f"'same' padding requires an odd kernel, got k={k}")
-        return ConvSpec(c_in, c_out, k, 1, dilation, groups, dilation * (k - 1) // 2, bias)
+        return ConvSpec(c_in, c_out, k, dilation=dilation, groups=groups,
+                        padding=dilation * (k - 1) // 2, bias=bias)
 
     # Each cached property is computed on first use and stored on the
     # (immutable) spec, so conv2d does not rebuild it every call.
@@ -111,8 +111,8 @@ class ConvSpec:
         return n + self.c_out if self.bias else n
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        ho = (h + 2 * self.padding - self.span) // self.stride + 1
-        wo = (w + 2 * self.padding - self.span) // self.stride + 1
+        ho = h + 2 * self.padding - self.span + 1
+        wo = w + 2 * self.padding - self.span + 1
         if ho < 1 or wo < 1:
             raise ShapeError(f"{self} maps input {h}x{w} to empty output")
         return ho, wo
@@ -138,7 +138,7 @@ def conv2d(x, w, b, spec: ConvSpec):
         raise TypeError("conv operand dtypes must match")
 
     ho, wo = spec.out_hw(h, width)
-    if spec.depthwise and spec.stride == 1:
+    if spec.depthwise:
         lower, vjp = _depthwise, _depthwise_vjp
     else:
         lower, vjp = _im2col, _im2col_vjp
@@ -169,15 +169,15 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     adjoint (:func:`_im2col_vjp`) builds its own.
     """
     n, cin = xd.shape[:2]
-    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
     cog, m = spec.c_out // g, spec.fan_in
     wm = wd.reshape(g, cog, m)
 
-    pointwise = k == 1 and s == 1 and p == 0
+    pointwise = k == 1
     rows = ho if pointwise else max(1, 4 * _DW_TILE // (cin * k * k * wo))
     if rows >= ho:
         # a 1x1 conv's input already is its own columns
-        cols = (xd if pointwise else _windows(_padded(xd, p), k, d, s, ho, wo))
+        cols = (xd if pointwise else _windows(_padded(xd, p), k, d, ho, wo))
         cols = cols.reshape(n, g, m, ho * wo)
         out = _product(wm, cols)
     else:
@@ -186,7 +186,7 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
         for i in range(0, ho, rows):
             r = min(rows, ho - i)
             # unnamed, so each band's columns are freed before the next's are built
-            band = _product(wm, _windows(xp, k, d, s, r, wo, i).reshape(n, g, m, r * wo))
+            band = _product(wm, _windows(xp, k, d, r, wo, i).reshape(n, g, m, r * wo))
             out[:, :, :, i : i + r] = band.reshape(n, g, cog, r, wo)
     out = out.reshape(n, spec.c_out, ho, wo)
     if bd is not None:
@@ -208,12 +208,12 @@ def _im2col_vjp(grad, xd, wd, spec: ConvSpec):
     n, _, ho, wo = grad.shape
     g = spec.groups
     go = grad.reshape(n, g, spec.c_out // g, -1)
-    if spec.k == 1 and spec.stride == 1 and spec.padding == 0:
+    if spec.k == 1:
         dx = np.matmul(wd.reshape(g, -1, spec.fan_in).transpose(0, 2, 1), go).reshape(xd.shape)
         cols = xd
     else:
         dx = _input_grad(grad, wd, spec, *xd.shape[2:])
-        cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, spec.stride, ho, wo)
+        cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, ho, wo)
     cols = cols.reshape(n, g, -1, ho * wo)
     dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
     return dx, dw
@@ -231,30 +231,24 @@ def _product(wm: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int) -> np.ndarray:
     """The input gradient (n, c_in, h, w) of the conv ``spec`` for its
-    output gradient ``grad``: a stride-1 conv of the gradient.
+    output gradient ``grad``: a conv of the gradient.
 
-    Output (i, j) of the conv reads the zero-padded input at row
-    i*s + u*d for tap row u, so input row y receives g[i] * w[u] wherever
-    y + p = i*s + u*d. Laid out with s - 1 zeros between its rows (and
-    columns) and padded by q = d(k-1) - p, the gradient then holds g[i]
-    at row y + u'*d for the flipped tap u' = k-1-u: input row y is a
-    stride-1 correlation, at dilation d, of that layout with the flipped
-    taps, each group's in and out channels swapped (Dumoulin & Visin,
-    *A guide to convolution arithmetic*, 2016). A negative q is a crop:
-    the gradient is laid out unpadded and every window starts -q rows
-    and columns in, past outputs that read only the forward's padding.
-    The sums run one kernel row at a time: a row's windows,
-    (n, c_out, k, h, w), hold k taps a position where all rows' would
-    hold k*k, and one matmul per row multiplies them by that row's taps.
-    The rows' products are added in order.
+    Output (i, j) of the conv reads the zero-padded input at row i + u*d
+    for tap row u, so input row y receives g[i] * w[u] wherever
+    y + p = i + u*d. Padded by q = d(k-1) - p (never negative), the
+    gradient then holds g[i] at row y + u'*d for the flipped tap
+    u' = k-1-u: input row y is a correlation, at dilation d, of the
+    padded gradient with the flipped taps, each group's in and out
+    channels swapped (Dumoulin & Visin, *A guide to convolution
+    arithmetic*, 2016). The sums run one kernel row at a time: a row's
+    windows, (n, c_out, k, h, w), hold k taps a position where all rows'
+    would hold k*k, and one matmul per row multiplies them by that row's
+    taps. The rows' products are added in order.
     """
     n, c_out, ho, wo = grad.shape
-    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
-    cig, cog, span = spec.c_in // g, c_out // g, d * (k - 1)
-    q = span - p
-    a, crop = max(q, 0), max(-q, 0)
-    gz = np.zeros((n, c_out, h + span + 2 * crop, w + span + 2 * crop), dtype=grad.dtype)
-    gz[:, :, a : a + s * ho : s, a : a + s * wo : s] = grad
+    k, d, g = spec.k, spec.dilation, spec.groups
+    cig, cog = spec.c_in // g, c_out // g
+    gz = _padded(grad, d * (k - 1) - spec.padding)
     # taps[u] (g, cig, cog*k): row u of the flipped taps, in channel by
     # (out channel, tap column), the order of a row's windows
     taps = wd.reshape(g, cog, cig, k, k)[:, :, :, ::-1, ::-1].transpose(3, 0, 2, 1, 4)
@@ -262,7 +256,7 @@ def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int
     sn, sc, sh, sw = gz.strides
     dx = part = None
     for u in range(k):
-        rows = np.ndarray((n, c_out, k, h, w), gz.dtype, gz, (crop + u * d) * sh + crop * sw,
+        rows = np.ndarray((n, c_out, k, h, w), gz.dtype, gz, u * d * sh,
                           (sn, sc, sw * d, sh, sw)).copy()
         rows = rows.reshape(n, g, cog * k, h * w)
         if dx is None:
@@ -285,11 +279,10 @@ def _padded(xd: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _windows(xp: np.ndarray, k: int, d: int, s: int, ho: int, wo: int, top: int = 0) -> np.ndarray:
+def _windows(xp: np.ndarray, k: int, d: int, ho: int, wo: int, top: int = 0) -> np.ndarray:
     """Every tap's window of the padded input ``xp`` (n, c, H, W) for ``ho``
     output rows from row ``top`` on: a C-order copy (n, c, k, k, ho, wo)
-    whose element (u, v, i, j) is xp at row u*d + (top + i)*s, column
-    v*d + j*s.
+    whose element (u, v, i, j) is xp at row u*d + top + i, column v*d + j.
 
     The copy is of one strided view (np.ndarray, not as_strided: see
     :func:`_dw_conv`). It is C-order because a reshape of the view alone
@@ -298,8 +291,8 @@ def _windows(xp: np.ndarray, k: int, d: int, s: int, ho: int, wo: int, top: int 
     """
     n, c = xp.shape[:2]
     sn, sc, sh, sw = xp.strides
-    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, top * s * sh,
-                      (sn, sc, sh * d, sw * d, sh * s, sw * s))
+    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, top * sh,
+                      (sn, sc, sh * d, sw * d, sh, sw))
     return view.copy()
 
 
@@ -313,7 +306,7 @@ _DW_TILE = 1 << 16
 
 
 def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
-    """A stride-1 depthwise conv as a sum of shifted slices.
+    """A depthwise conv as a sum of shifted slices.
 
     No im2col columns: each tap multiplies a strided window of the
     padded planes (see :func:`_dw`). The forward keeps no layout of its
@@ -325,7 +318,7 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
 
 
 def _depthwise_vjp(grad, xd, wd, spec: ConvSpec):
-    """``(dx, dw)`` of a stride-1 depthwise conv for its output gradient
+    """``(dx, dw)`` of a depthwise conv for its output gradient
     ``grad``: one pass of the same kernel over ``grad`` with the taps
     flipped, the adjoint of a correlation being the flipped correlation.
     The pass gives the input gradient, and its ``weight_grad`` applied to
@@ -333,22 +326,17 @@ def _depthwise_vjp(grad, xd, wd, spec: ConvSpec):
     of the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the
     pass's tap (k-1-u, k-1-v) pairs the same values.
     """
-    h, width = xd.shape[2:]
-    k, d, p = spec.k, spec.dilation, spec.padding
-    # padding d(k-1) - p maps the output back onto the input; a negative
-    # one is padding 0, the pass's output then being the input
-    # zero-padded by -q
-    q = d * (k - 1) - p
-    dx, weight_grad = _dw(grad, wd.reshape(-1, k, k)[:, ::-1, ::-1], d, max(q, 0), None)
-    if q < 0:
-        dx = dx[:, :, -q : h - q, -q : width - q]
-    dw = weight_grad(xd if q >= 0 else _padded(xd, -q))[:, ::-1, ::-1]
+    k, d = spec.k, spec.dilation
+    # padding d(k-1) - p maps the output back onto the input
+    dx, weight_grad = _dw(grad, wd.reshape(-1, k, k)[:, ::-1, ::-1], d,
+                          d * (k - 1) - spec.padding, None)
+    dw = weight_grad(xd)[:, ::-1, ::-1]
     return dx, dw.reshape(spec.weight_shape)
 
 
 def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
-    """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
-    in the layout its size calls for.
+    """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k), in the
+    layout its size calls for.
 
     A conv whose tap windows, n*c*k*k*ho*wo elements, fit in an eighth of
     a kernel tile (``_DW_TILE``) and that has more than one output a
@@ -373,7 +361,7 @@ def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
 
 
 def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
-    """Stride-1 depthwise conv on a compact copy of its taps' windows.
+    """Depthwise conv on a compact copy of its taps' windows.
 
     The windows are :func:`_windows`' copy, (n, c, k, k, ho*wo). The sums
     are those of :func:`_dw_conv`, with the taps and bias indexed per
@@ -389,7 +377,7 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     k, l = taps.shape[-1], ho * wo
 
     def windows():
-        return _windows(_padded(xd, p), k, d, 1, ho, wo).reshape(n, c, k, k, l)
+        return _windows(_padded(xd, p), k, d, ho, wo).reshape(n, c, k, k, l)
 
     def weight_grad(y):
         dw = np.matmul(windows().reshape(n, c, k * k, l), y.reshape(n, c, l, 1))
@@ -405,10 +393,10 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
 
 
 def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
-    """Stride-1 depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
+    """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
 
     Plane q (sample q // c, channel q % c) is laid out as a row of
-    ``planes``, stored in rows ``row`` wide: p zero rows above and below,
+    ``planes``, stored in rows ``row`` = w + p >= wo wide: p zero rows above and below,
     zeros right of each row and none left of it, plus p leading zeros.
     Tap (u, v) of output pixel (i, j) then sits at flat offset
     (i + u*d)*row + j + v*d (a reach left of column 0 lands in the
@@ -438,7 +426,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     n, c, h, w = xd.shape
     k = taps.shape[-1]
     span = d * (k - 1)
-    nc, row = n * c, max(w + p, wo)
+    nc, row = n * c, w + p
     l, size = ho * row, (h + 2 * p) * row + span
     tile = min(max(1, _DW_TILE // l), nc)
     # the output, which outlives the call, is allocated before the tile

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles: convolution is
 a direct loop over every output element, each one a float64 dot product
-of its explicit dilated, strided input window with the flattened filter
+of its explicit dilated input window with the flattened filter
 (no im2col, no blocking, no tiling), and each block is restated as
 straight-line code over those primitive loops. The only things shared
 with the fast path are the Tensor container, the ConvSpec descriptor,
@@ -57,7 +57,7 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
     if cin != spec.c_in or w.shape != spec.weight_shape:
         raise ValueError(f"shapes {x.shape}/{w.shape} inconsistent with {spec}")
     ho, wo = spec.out_hw(h, width)
-    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
     cg = cin // g
     cog = spec.c_out // g
 
@@ -77,7 +77,7 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
             for i in range(ho):
                 for j in range(wo):
                     # the (cg, k, k) input window this output's taps read
-                    window = group[:, i * s : i * s + span : d, j * s : j * s + span : d]
+                    window = group[:, i : i + span : d, j : j + span : d]
                     out[ni, o, i, j] = bias + np.dot(window.reshape(-1), taps)
                     if counter is not None:
                         counter.macs += taps_per_out

@@ -53,7 +53,7 @@ def _zero_biases(block):
 def test_mscf_single_scale_identity_kernel_halves_square():
     # N=1, identity depthwise kernel, zero mask weights, no channel attention:
     # F1 = x, mask = sigmoid(0) = 0.5, so the output is 0.5 * x * x
-    cfg = MscfConfig(c=3, n_scales=1, dilations=(1,), use_ca=False)
+    cfg = MscfConfig(c=3, dilations=(1,), use_ca=False)
     block = MscfBlock(cfg)  # zero init
     params = dict(block.params())
     w = np.zeros((3, 1, 3, 3))

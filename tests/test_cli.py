@@ -61,7 +61,7 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
     ({"block": "gmcf", "module": {"mscf": {"dilations": 5}}}, "dilations"),
     ({"block": "gmcf", "module": {"dropout": "a"}}, "dropout"),
     ({"block": "gmcf-block", "module": {"n_bottlenecks": "2"}}, "n_bottlenecks"),
-    ({"block": "gmcf", "module": {"mscf": {"n_scales": 0, "dilations": []}}}, "n_scales"),
+    ({"block": "gmcf", "module": {"mscf": {"dilations": []}}}, "dilations"),
     ({"block": "gconv", "channels": "x"}, "channels"),
     # json reads Infinity and NaN as floats
     ({"block": "gmcf-block", "module": {"e": float("inf")}}, "e must be a finite number > 0"),
@@ -277,6 +277,15 @@ def test_oracle_diff_compares_the_blocks_the_run_config_names(tmp_path, monkeypa
     assert built == [(kind, block_config(kind, 16, module)) for kind in kinds]
 
 
+@pytest.mark.parametrize("command", [["oracle-diff", "--specs", "0"], ["golden", "generate"]],
+                         ids=["oracle-diff", "golden-generate"])
+def test_input_shape_channels_other_than_channels_is_a_config_error_without_a_block(
+        tmp_path, capsys, command):
+    # every kind is built at --channels, so the input's channel dim must match it
+    assert main([*command, "--out", str(tmp_path), "--input-shape", "1,16,5,5"]) == 2
+    _one_line_config_error(capsys, "input_shape channel dim 16 != channels 8")
+
+
 def test_oracle_diff_zero_specs_still_compares_the_blocks(capsys):
     assert main(["oracle-diff", "--specs", "0"]) == 0
     assert "oracle-diff passed: 4 comparisons" in capsys.readouterr().out
@@ -360,6 +369,25 @@ def test_golden_verify_batch_norm_hyperparameters_out_of_range_are_corrupt_meta(
     assert main(["golden", "verify", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("corrupt data") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", [{"n_bottlenecks": 3, "e": 0.25}, {"e": 0.5}],
+                         ids=["both", "e"])
+def test_gmcf_block_keys_in_a_gmcf_module_are_a_config_error_or_corrupt_meta(
+        tmp_path, capsys, module):
+    # a bottleneck has no wrapper: these keys would change nothing it runs
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gmcf", "module": module}))
+    assert main(["profile", "--config", str(cfg)]) == 2
+    _one_line_config_error(capsys, "gmcf-block only")
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8"]) == 0
+    _edit_meta(out / "gmcf" / "meta.json", module=module)
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and "gmcf-block only" in err and err.count("\n") == 1
 
 
 def _drop_last_line(path):

@@ -12,7 +12,7 @@ def test_mscf_defaults_and_validation():
     assert cfg.dilations == (3, 5, 7) and cfg.n_scales == 3
     assert cfg.mask_kernel == 7 and cfg.ca_ratio == 4 and cfg.use_ca
     with pytest.raises(ConfigError):
-        MscfConfig(c=8, n_scales=2)  # 3 dilations for 2 scales
+        MscfConfig(c=8, dilations=())  # no scale
     with pytest.raises(ConfigError):
         MscfConfig(c=8, dw_kernel=4)
     with pytest.raises(ConfigError):
@@ -57,11 +57,11 @@ def test_gmcf_accepts_batch_norm_hyperparameters_at_the_edges_of_their_range():
 
 
 def test_width_retargeting_keeps_hyperparameters_and_rederives_hidden():
-    cfg = GmcfConfig(c=16, mscf=MscfConfig(c=16, n_scales=1, dilations=(2,), use_ca=False),
+    cfg = GmcfConfig(c=16, mscf=MscfConfig(c=16, dilations=(2,), use_ca=False),
                      gconv=GconvConfig(c=16, hidden=3, activation="relu"), dropout=0.2)
     inner = cfg.at_width(8)
     assert inner.gconv == GconvConfig(c=8, activation="relu")  # hidden back to floor(2c/3)
-    assert inner.mscf == MscfConfig(c=8, n_scales=1, dilations=(2,), use_ca=False)
+    assert inner.mscf == MscfConfig(c=8, dilations=(2,), use_ca=False)
     assert (inner.dropout, inner.n_bottlenecks, inner.e) == (0.2, 1, 0.5)
 
 
@@ -81,7 +81,7 @@ def test_strict_unknown_keys():
 
 
 def test_nested_module_config():
-    cfg = block_config("gmcf", 8, {"mscf": {"use_ca": False}, "n_bottlenecks": 2, "e": 0.5})
+    cfg = block_config("gmcf-block", 8, {"mscf": {"use_ca": False}, "n_bottlenecks": 2, "e": 0.5})
     assert not cfg.mscf.use_ca
     assert cfg.n_bottlenecks == 2
 
@@ -130,7 +130,7 @@ def test_run_config_rejects_unknown_and_invalid(tmp_path):
 def test_input_shape_whose_bytes_overflow_an_array_index_is_a_config_error(dtype, ok):
     # 2**30 * (2**31 - 1) elements: 2**63 - 2**32 bytes in f32, which an
     # index reaches, and twice that in f64, which none does
-    raw = {"dtype": dtype, "input_shape": [1, 1, 2**30, 2**31 - 1]}
+    raw = {"dtype": dtype, "channels": 1, "input_shape": [1, 1, 2**30, 2**31 - 1]}
     if ok:
         assert run_config(raw, "run").input_shape == (1, 1, 2**30, 2**31 - 1)
     else:

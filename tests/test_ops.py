@@ -48,6 +48,20 @@ def test_convspec_validation():
     assert spec.weight_shape == (4, 1, 3, 3)
 
 
+def test_convspec_is_stride_1_with_keyword_fields_and_padding_up_to_d_k_minus_1():
+    with pytest.raises(TypeError):
+        ConvSpec(2, 2, 3, stride=2)
+    with pytest.raises(TypeError):
+        ConvSpec(2, 2, 3, 2)  # a positional dilation
+    assert ConvSpec(2, 2, 3, dilation=2, padding=4).out_hw(5, 6) == (9, 10)  # "full"
+    with pytest.raises(ValueError, match="padding"):
+        ConvSpec(2, 2, 3, padding=3)  # past d(k-1) = 2
+    with pytest.raises(ValueError, match="padding"):
+        ConvSpec(2, 2, 1, padding=1)  # a 1x1 conv is always pointwise
+    with pytest.raises(ValueError, match="padding"):
+        ConvSpec(2, 2, 3, padding=-1)
+
+
 def test_pointwise_hand_dot_product():
     x = Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
     w = Tensor(np.array([3.0, 4.0]).reshape(1, 2, 1, 1))
@@ -79,12 +93,12 @@ def test_dilated_conv_matches_loop_oracle(dtype, tol):
 
 def test_strided_and_unpadded_conv_matches_oracle():
     rng = Rng(3)
-    spec = ConvSpec(c_in=3, c_out=5, k=3, stride=2, padding=0)
+    spec = ConvSpec(c_in=3, c_out=5, k=3, padding=0)
     x = rng.tensor((2, 3, 9, 11))
     w = rng.tensor(spec.weight_shape, -0.3, 0.3)
     b = rng.tensor((1, 5, 1, 1))
     out = conv2d(x, w, b, spec)
-    assert out.shape == (2, 5, 4, 5)  # floor((9-3)/2)+1, floor((11-3)/2)+1
+    assert out.shape == (2, 5, 7, 9)  # 9-3+1, 11-3+1
     npt.assert_allclose(out.data, oracle_conv2d(x, w, b, spec).data, atol=1e-12)
 
 
@@ -139,11 +153,8 @@ def conv_cases(draw):
         c_out = g * draw(st.integers(1, 2))
     k, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     span = d * (k - 1)
-    # "over" pads past d(k-1), where the input gradient of a stride-1
-    # depthwise conv is taken at padding 0 and cropped
-    pad = draw(st.sampled_from(["zero", "same", "over"]))
-    p = {"zero": 0, "same": span // 2, "over": span + draw(st.integers(1, 2))}[pad]
-    spec = ConvSpec(c_in, c_out, k, draw(st.sampled_from([1, 2])), d, g, p, draw(st.booleans()))
+    p = draw(st.sampled_from([0, span // 2]))
+    spec = ConvSpec(c_in, c_out, k, dilation=d, groups=g, padding=p, bias=draw(st.booleans()))
     lo = max(1, span + 1 - 2 * p)
     h, w = lo + draw(st.integers(0, 2)), lo + draw(st.integers(0, 2))
     if h == w:
@@ -186,14 +197,14 @@ def loop_im2col(xd, wd, bd, spec, ho, wo, grad):
     every product as one 4-D matmul over (sample, group) blocks. Returns
     the output, dx and dw for the output gradient ``grad``."""
     n, cin, h, width = xd.shape
-    k, s, d, p, g = spec.k, spec.stride, spec.dilation, spec.padding, spec.groups
+    k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
     cog, m, l = spec.c_out // g, (cin // g) * k * k, ho * wo
     xp = np.zeros((n, cin, h + 2 * p, width + 2 * p), dtype=xd.dtype)
     xp[:, :, p : p + h, p : p + width] = xd
     cols6 = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
     for u in range(k):
         for v in range(k):
-            cols6[:, :, u, v] = xp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s]
+            cols6[:, :, u, v] = xp[:, :, u * d : u * d + ho, v * d : v * d + wo]
     cols = cols6.reshape(n, g, m, l)
     wm = wd.reshape(g, cog, m)
     out = np.matmul(wm, cols).reshape(n, spec.c_out, ho, wo)
@@ -204,7 +215,7 @@ def loop_im2col(xd, wd, bd, spec, ho, wo, grad):
     dxp = np.zeros_like(xp)
     for u in range(k):
         for v in range(k):
-            dxp[:, :, u * d : u * d + s * ho : s, v * d : v * d + s * wo : s] += dcols[:, :, u, v]
+            dxp[:, :, u * d : u * d + ho, v * d : v * d + wo] += dcols[:, :, u, v]
     dx = dxp[:, :, p : p + h, p : p + width]
     dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
     return out, dx, dw
@@ -212,10 +223,10 @@ def loop_im2col(xd, wd, bd, spec, ho, wo, grad):
 
 @settings(max_examples=60, deadline=None)
 @given(case=conv_cases())
-# the spatial-attention mask conv, a strided dilated conv and a pointwise
-# conv, each of one group, so batch 1 runs the single-block product
+# the spatial-attention mask conv, a dilated conv and a pointwise conv,
+# each of one group, so batch 1 runs the single-block product
 @example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0))
-@example(case=(ConvSpec(3, 4, 3, 2, 2, 1, 1), (1, 3, 9, 8), 1))
+@example(case=(ConvSpec(3, 4, 3, dilation=2, padding=1), (1, 3, 9, 8), 1))
 @example(case=(ConvSpec(3, 5, 1), (1, 3, 4, 5), 2))
 def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
     # the strided-copy columns hold the same values, and a single block's
@@ -242,13 +253,12 @@ def test_im2col_matches_loop_columns_and_4d_matmul_bit_for_bit(case):
 @settings(max_examples=80, deadline=None)
 @given(case=conv_cases())
 @example(case=(ConvSpec.same(2, 3, 7), (1, 2, 6, 5), 0))  # the spatial-attention mask conv
-@example(case=(ConvSpec(3, 4, 3, 2, 2, 1, 1), (1, 3, 9, 8), 1))  # strided and dilated
-@example(case=(ConvSpec(2, 2, 3, 2, 1, 2, 4), (1, 2, 3, 4), 2))  # strided, padded past d(k-1)
+@example(case=(ConvSpec(3, 4, 3, dilation=2, padding=1), (1, 3, 9, 8), 1))  # dilated
 def test_im2col_input_gradient_matches_the_loop_scatter_to_a_dot_product_bound(case):
     # The input gradient is a conv of the output gradient, summed by
     # kernel rows; the loop scatters the columns' gradient tap by tap.
     # Each sums the m = c_out/g * k * k products g * w that reach an
-    # input element (fewer at the edges and for a stride), so each is
+    # input element (fewer at the edges), so each is
     # within gamma_m * S of the exact sum, S = sum |g| |w| over those
     # products and gamma_m = m u / (1 - m u) with u = eps / 2 (Higham,
     # Accuracy and Stability of Numerical Algorithms, sec. 3.1). Their
@@ -323,7 +333,7 @@ def test_banded_im2col_columns_give_the_products_of_all_columns(case, tile):
 def test_im2col_bands_follow_the_size_of_the_columns(shape, bands, monkeypatch):
     calls = []
     windows = ops._windows
-    monkeypatch.setattr(ops, "_windows", lambda *a: calls.append(a[4]) or windows(*a))
+    monkeypatch.setattr(ops, "_windows", lambda *a: calls.append(a[3]) or windows(*a))
     spec = ConvSpec.same(2, 3, 7)
     w, b = ops.init_conv_params(spec, Rng(1), np.float32)
     conv2d(Tensor(np.zeros(shape, dtype=np.float32)), w, b, spec)
@@ -401,16 +411,15 @@ def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatc
 
 
 @st.composite
-def dw_layout_cases(draw, pads=("zero", "same", "over")):
-    """A stride-1 depthwise conv of more than one output a plane (h != w),
-    with zeros of both signs among its inputs, taps and bias. ``pads``
-    names the paddings drawn from: 0, half of d(k-1), d(k-1) ("full") or
-    past it."""
+def dw_layout_cases(draw, pads=("zero", "same")):
+    """A depthwise conv of more than one output a plane (h != w), with
+    zeros of both signs among its inputs, taps and bias. ``pads`` names
+    the paddings drawn from: 0, half of d(k-1) or d(k-1) ("full")."""
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 8))
     k, d = draw(st.sampled_from([1, 2, 3, 5])), draw(st.integers(1, 7))
     span = d * (k - 1)
     pad = draw(st.sampled_from(list(pads)))
-    p = {"zero": 0, "same": span // 2, "full": span, "over": span + draw(st.integers(1, 2))}[pad]
+    p = {"zero": 0, "same": span // 2, "full": span}[pad]
     lo = max(1, span + 1 - 2 * p)
     h, w = lo + draw(st.integers(0, 7)), lo + draw(st.integers(0, 7))
     if h == w:
@@ -494,8 +503,8 @@ def test_taped_row_padded_depthwise_conv_holds_no_padded_copy_of_its_input():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
-@pytest.mark.parametrize("k,d,p", [(3, 1, 1), (3, 3, 3), (3, 1, 3), (5, 2, 1), (2, 3, 0)],
-                         ids=["d1-same", "d3-same", "pad-over", "pad-under", "even-k"])
+@pytest.mark.parametrize("k,d,p", [(3, 1, 1), (3, 3, 3), (5, 2, 1), (2, 3, 0)],
+                         ids=["d1-same", "d3-same", "pad-under", "even-k"])
 def test_row_padded_depthwise_results_do_not_depend_on_the_tile(k, d, p, dtype, monkeypatch):
     # one plane a tile; tiles of 2 and 4 of the 9 planes, whose budget ends
     # inside a plane, whose last tile is partial and whose tiles cross from
@@ -539,9 +548,9 @@ def test_row_padded_depthwise_forward_holds_one_tile_of_planes():
 
 def _depthwise_case(rng, shape, k, d, p, dtype):
     """Input, weights, output gradient and ConvSpec of a bias-free
-    stride-1 depthwise conv, with zeros of both signs in all three."""
+    depthwise conv, with zeros of both signs in all three."""
     n, c, h, w = shape
-    spec = ConvSpec(c, c, k, 1, d, c, p, False)
+    spec = ConvSpec(c, c, k, dilation=d, groups=c, padding=p, bias=False)
     ho, wo = spec.out_hw(h, w)
     x, wt, g = (_with_signed_zeros(rng, rng.uniform(s, -2.0, 2.0)).astype(dtype)
                 for s in (shape, spec.weight_shape, (n, c, ho, wo)))
@@ -549,10 +558,7 @@ def _depthwise_case(rng, shape, k, d, p, dtype):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=dw_layout_cases(pads=("zero", "same", "full", "over")), window=st.booleans())
-# padding past d(k-1) at d = 1, where the pass's output is the input
-# zero-padded by one on each side
-@example(case=((2, 3, 4, 6), 3, 1, 3, False, np.longdouble, 0), window=False)
+@given(case=dw_layout_cases(pads=("zero", "same", "full")), window=st.booleans())
 def test_depthwise_weight_gradient_from_the_input_gradient_pass_matches_the_forward_layout(
         case, window):
     # the vjp takes the weight gradient from the input-gradient pass over

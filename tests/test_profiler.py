@@ -113,7 +113,6 @@ def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
     tied = data.draw(st.booleans())
     n_scales = data.draw(st.integers(1, 4))
     mscf = {
-        "n_scales": n_scales,
         "dilations": data.draw(st.lists(st.integers(1, 4), min_size=n_scales,
                                         max_size=n_scales)),
         "use_ca": data.draw(st.booleans()),
@@ -125,7 +124,9 @@ def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
     elif kind == "gconv":
         module = gconv
     else:
-        module = {"mscf": mscf, "gconv": gconv, "n_bottlenecks": data.draw(st.integers(0, 3))}
+        module = {"mscf": mscf, "gconv": gconv}
+        if kind == "gmcf-block":
+            module["n_bottlenecks"] = data.draw(st.integers(0, 3))
     shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(1, 6)),
              data.draw(st.integers(1, 6)))
     if tied:

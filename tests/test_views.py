@@ -81,7 +81,7 @@ def _conv(spec):
 
 OPS = ["add", "hadamard", "sum_all", "channel_avg_max", "select_scales", "spatial_mean",
        "concat", "slice", "relu", "sigmoid", "sigmoid_gate", "batch_norm-train",
-       "batch_norm-eval", "dropout", "depthwise", "pointwise", "dense", "strided", "grouped"]
+       "batch_norm-eval", "dropout", "depthwise", "pointwise", "dense", "grouped"]
 
 
 @st.composite
@@ -121,20 +121,20 @@ def view_cases(draw, ops=st.sampled_from(OPS), n=st.integers(1, 3), c=st.integer
     elif op == "dropout":
         seed = rng.integers(0, 2**16)
         fn, shapes = (lambda a: dropout(a, DropoutState(0.3, Rng(seed)), "train")), [x]
-    elif op in ("depthwise", "pointwise", "dense", "strided", "grouped"):
+    elif op in ("depthwise", "pointwise", "dense", "grouped"):
         k, d = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 2))
         c_out = draw(st.integers(1, 4))
         if op == "depthwise":
-            spec = ConvSpec(c, c, k, 1, d, c, draw(st.integers(0, d * (k - 1))))
+            spec = ConvSpec(c, c, k, dilation=d, groups=c,
+                            padding=draw(st.integers(0, d * (k - 1))))
         elif op == "pointwise":
             spec = ConvSpec(c, c_out, 1)
         elif op == "dense":
-            spec = ConvSpec(c, c_out, k, 1, d, 1, draw(st.integers(0, d * (k - 1))))
-        elif op == "strided":
-            spec = ConvSpec(c, c_out, 3, 2, d, 1, draw(st.integers(0, 2)))
+            spec = ConvSpec(c, c_out, k, dilation=d, padding=draw(st.integers(0, d * (k - 1))))
         else:  # groups of more than one channel, or depthwise with two outputs a channel
             g = draw(st.sampled_from([q for q in range(2, c + 1) if c % q == 0]))
-            spec = ConvSpec(c, g * (2 if g == c else draw(st.integers(1, 2))), 3, 1, d, g, d)
+            spec = ConvSpec(c, g * (2 if g == c else draw(st.integers(1, 2))), 3, dilation=d,
+                            groups=g, padding=d)
         try:
             spec.out_hw(h, w)
         except ShapeError:  # too small a plane for the kernel unpadded
