@@ -2,13 +2,22 @@
 brute-force oracles, and cost profiling, on dense NCHW tensors."""
 
 import os
+import sys
 
 # VRF_THREADS caps BLAS threads. BLAS reads its variables once, when
 # numpy first loads, so this runs before the first import below; a BLAS
-# variable that is already set wins.
+# variable that is already set wins. _cap_missed says why the cap did
+# not reach BLAS (None if it did), for the stamp on bench's timings.
 _cap = os.environ.get("VRF_THREADS")
+_cap_missed = None
 if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    _preset = [f"{v}={os.environ[v]}" for v in _vars if os.environ.get(v, _cap) != _cap]
+    if "numpy" in sys.modules:
+        _cap_missed = "numpy was loaded before vrfnet"
+    elif _preset:
+        _cap_missed = f"{' '.join(_preset)} was already set"
+    for _var in _vars:
         os.environ.setdefault(_var, _cap)
 
 from .tensor import NonFiniteError, Rng, ShapeError, Tensor, full, zeros, zeros_like

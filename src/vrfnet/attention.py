@@ -26,7 +26,7 @@ class SpatialAttention(ParamBlock):
                  dtype=np.float64):
         super().__init__()
         self.mask_channels = mask_channels
-        self._add_conv("conv", ConvSpec.same(2, mask_channels, kernel), rng, dtype)
+        self._add_conv("conv", ConvSpec(2, mask_channels, kernel), rng, dtype)
 
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):

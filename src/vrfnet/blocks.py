@@ -53,7 +53,7 @@ class MscfBlock(ParamBlock):
         super().__init__()
         self.cfg = cfg
         for i, d in enumerate(cfg.dilations):
-            spec = ConvSpec.same(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
+            spec = ConvSpec(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
             self._add_conv(f"scale{i}", spec, rng, dtype)
         self._add_child("sa", SpatialAttention(cfg.n_scales, cfg.mask_kernel, rng, dtype))
         if cfg.use_ca:
@@ -86,7 +86,7 @@ class GConvBlock(ParamBlock):
         self.cfg = cfg
         self._add_conv("proj", ConvSpec(cfg.c, 2 * cfg.hidden, 1), rng, dtype)
         self._add_conv(
-            "dw", ConvSpec.same(cfg.hidden, cfg.hidden, cfg.dw_kernel, groups=cfg.hidden),
+            "dw", ConvSpec(cfg.hidden, cfg.hidden, cfg.dw_kernel, groups=cfg.hidden),
             rng, dtype,
         )
         self._add_conv("restore", ConvSpec(cfg.hidden, cfg.c, 1), rng, dtype)

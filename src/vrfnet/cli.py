@@ -161,7 +161,7 @@ def _grid_specs(rng, count: int):
         n = rng.choice((1, 2))
         h = rng.integers(5, 11)
         w = rng.integers(5, 11)
-        yield ConvSpec.same(c, c_out, k, dilation=d, groups=groups, bias=bias), n, h, w
+        yield ConvSpec(c, c_out, k, dilation=d, groups=groups, bias=bias), n, h, w
 
 
 def cmd_oracle_diff(args) -> int:

@@ -1,14 +1,15 @@
 """Convolution variants, activations, batch normalization, and dropout.
 
-``conv2d`` is the one conv op: stride 1, zero padding of at most d(k-1).
-A depthwise conv (groups == c_in == c_out: the MSCF branches and the
-GConv gate) runs a direct kernel, forward and backward: one einsum
-multiplies a strided view that holds every tap's shifted slice by the
-taps and sums them in one pass (at dilation 1, one sum per column of
-taps). Such a conv does only k*k MACs per output, so it is bound by
-memory traffic; im2col would write and read back a k*k-times copy of its
-input for a degenerate matmul, and a multiply-then-add loop over taps
-makes two passes per tap. The layout follows the conv's size: one whose
+``conv2d`` is the one conv op, and every conv is "same": an odd k,
+stride 1 and zero padding p = d(k-1)/2, so its output is h x w as its
+input is. A depthwise conv (groups == c_in == c_out: the MSCF branches
+and the GConv gate) runs a direct kernel, forward and backward: one
+einsum multiplies a strided view that holds every tap's shifted slice
+by the taps and sums them in one pass (at dilation 1, one sum per
+column of taps). Such a conv does only k*k MACs per output, so it is
+bound by memory traffic; im2col would write and read back a k*k-times
+copy of its input for a degenerate matmul, and a multiply-then-add loop
+over taps makes two passes per tap. The layout follows the conv's size: one whose
 tap windows fit in an eighth of a cache-sized tile (the gradient probes'
 6x6 planes) sums over a compact copy of its taps' windows, and any
 larger one over row-padded planes, which copy nothing per tap but
@@ -32,7 +33,7 @@ generic one, with the same sums in the same order. No columns outlive
 the forward: a tape keeps an im2col conv's input and taps, as for a
 depthwise conv, and the weight gradient builds the columns again.
 Every conv's input gradient is its lowering run on the output
-gradient, padded by d(k-1) - p, with the taps flipped (``_input_grad``;
+gradient, padded as the input is, with the taps flipped (``_input_grad``;
 a 1x1 conv's is one product with the transposed taps). All ops are
 differentiable under the tape; relu's subgradient at 0 is taken as 0.
 """
@@ -50,7 +51,7 @@ from .tape import emit, value_of
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Descriptor of every conv: a square kernel, stride 1, padding 0 to d(k-1)."""
+    """Descriptor of every conv: an odd square kernel, stride 1, "same" padding."""
 
     c_in: int
     c_out: int
@@ -58,30 +59,26 @@ class ConvSpec:
     _: KW_ONLY
     dilation: int = 1
     groups: int = 1
-    padding: int = 0
     bias: bool = True
 
     def __post_init__(self):
         for name in ("c_in", "c_out", "k", "dilation", "groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ConvSpec.{name} must be >= 1")
-        if not 0 <= self.padding <= self.dilation * (self.k - 1):
-            raise ValueError(f"ConvSpec.padding must be in [0, d(k-1)], got {self.padding}")
+        if self.k % 2 == 0:
+            raise ValueError(f"'same' padding requires an odd kernel, got k={self.k}")
         if self.c_in % self.groups or self.c_out % self.groups:
             raise ValueError(
                 f"channel counts ({self.c_in}, {self.c_out}) not divisible by groups={self.groups}"
             )
 
-    @staticmethod
-    def same(c_in, c_out, k, *, dilation=1, groups=1, bias=True) -> "ConvSpec":
-        """The spec whose padding preserves h and w; requires odd k."""
-        if k % 2 == 0:
-            raise ValueError(f"'same' padding requires an odd kernel, got k={k}")
-        return ConvSpec(c_in, c_out, k, dilation=dilation, groups=groups,
-                        padding=dilation * (k - 1) // 2, bias=bias)
-
     # Each cached property is computed on first use and stored on the
     # (immutable) spec, so conv2d does not rebuild it every call.
+
+    @cached_property
+    def padding(self) -> int:
+        """The zero padding along h and w that keeps them: d(k-1)/2."""
+        return self.dilation * (self.k - 1) // 2
 
     @cached_property
     def depthwise(self) -> bool:
@@ -100,34 +97,20 @@ class ConvSpec:
     def bias_shape(self) -> tuple[int, int, int, int]:
         return (1, self.c_out, 1, 1)
 
-    @cached_property
-    def span(self) -> int:
-        """Extent of the dilated kernel along h and w."""
-        return self.dilation * (self.k - 1) + 1
-
-    @property
-    def param_count(self) -> int:
-        n = self.c_out * self.fan_in
-        return n + self.c_out if self.bias else n
-
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        ho = h + 2 * self.padding - self.span + 1
-        wo = w + 2 * self.padding - self.span + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"{self} maps input {h}x{w} to empty output")
-        return ho, wo
+        """The output size for an h x w input: h x w."""
+        return h, w
 
 
 def conv2d(x, w, b, spec: ConvSpec):
-    """2-d convolution per ``spec``; zero padding, weights (c_out, c_in/g, k, k).
+    """2-d convolution per ``spec``; "same" zero padding, weights (c_out, c_in/g, k, k).
 
     Bias is folded into the op (shape (1, c_out, 1, 1)); pass b=None iff
     spec.bias is False.
     """
     tx, tw, tb = value_of(x), value_of(w), value_of(b)
-    n, cin, h, width = tx.shape
-    if cin != spec.c_in:
-        raise ShapeError(f"input has {cin} channels, spec expects {spec.c_in}")
+    if tx.shape[1] != spec.c_in:
+        raise ShapeError(f"input has {tx.shape[1]} channels, spec expects {spec.c_in}")
     if tw.shape != spec.weight_shape:
         raise ShapeError(f"weight shape {tw.shape} does not match spec {spec.weight_shape}")
     if spec.bias != (tb is not None):
@@ -137,12 +120,11 @@ def conv2d(x, w, b, spec: ConvSpec):
     if tw.dtype != tx.dtype or (tb is not None and tb.dtype != tx.dtype):
         raise TypeError("conv operand dtypes must match")
 
-    ho, wo = spec.out_hw(h, width)
     if spec.depthwise:
         lower, vjp = _depthwise, _depthwise_vjp
     else:
         lower, vjp = _im2col, _im2col_vjp
-    out = lower(tx.data, tw.data, tb.data if tb is not None else None, spec, ho, wo)
+    out = lower(tx.data, tw.data, tb.data if tb is not None else None, spec)
 
     def backward(grad, acc):
         dx, dw = vjp(grad, tx.data, tw.data, spec)
@@ -155,10 +137,10 @@ def conv2d(x, w, b, spec: ConvSpec):
                 macs=out.size * spec.fan_in, eltwise=out.size if tb is not None else 0)
 
 
-def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
+def _im2col(xd, wd, bd, spec: ConvSpec):
     """Any conv as im2col columns times a matmul per (sample, group) block.
 
-    Where a sample's columns, c_in*k*k*ho*wo elements, would exceed four
+    Where a sample's columns, c_in*k*k*h*w elements, would exceed four
     kernel tiles (``_DW_TILE``), they are built one band of output rows
     at a time, each band times the taps in one product, so the conv
     holds one band of columns. Each output is the same dot product
@@ -168,27 +150,26 @@ def _im2col(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     Returns the output alone: no columns outlive the call, and the
     adjoint (:func:`_im2col_vjp`) builds its own.
     """
-    n, cin = xd.shape[:2]
-    k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
+    n, cin, h, w = xd.shape
+    k, d, g = spec.k, spec.dilation, spec.groups
     cog, m = spec.c_out // g, spec.fan_in
     wm = wd.reshape(g, cog, m)
 
     pointwise = k == 1
-    rows = ho if pointwise else max(1, 4 * _DW_TILE // (cin * k * k * wo))
-    if rows >= ho:
+    rows = h if pointwise else max(1, 4 * _DW_TILE // (cin * k * k * w))
+    if rows >= h:
         # a 1x1 conv's input already is its own columns
-        cols = (xd if pointwise else _windows(_padded(xd, p), k, d, ho, wo))
-        cols = cols.reshape(n, g, m, ho * wo)
-        out = _product(wm, cols)
+        cols = xd if pointwise else _windows(_padded(xd, spec.padding), k, d, h)
+        out = _product(wm, cols.reshape(n, g, m, h * w))
     else:
-        xp = _padded(xd, p)
-        out = np.empty((n, g, cog, ho, wo), dtype=xd.dtype)
-        for i in range(0, ho, rows):
-            r = min(rows, ho - i)
+        xp = _padded(xd, spec.padding)
+        out = np.empty((n, g, cog, h, w), dtype=xd.dtype)
+        for i in range(0, h, rows):
+            r = min(rows, h - i)
             # unnamed, so each band's columns are freed before the next's are built
-            band = _product(wm, _windows(xp, k, d, r, wo, i).reshape(n, g, m, r * wo))
-            out[:, :, :, i : i + r] = band.reshape(n, g, cog, r, wo)
-    out = out.reshape(n, spec.c_out, ho, wo)
+            band = _product(wm, _windows(xp, k, d, r, i).reshape(n, g, m, r * w))
+            out[:, :, :, i : i + r] = band.reshape(n, g, cog, r, w)
+    out = out.reshape(n, spec.c_out, h, w)
     if bd is not None:
         np.add(out, bd, out=out)
     return out
@@ -205,16 +186,16 @@ def _im2col_vjp(grad, xd, wd, spec: ConvSpec):
     are built here again, all of them at once, with the values the
     forward's had.
     """
-    n, _, ho, wo = grad.shape
+    n, _, h, w = grad.shape
     g = spec.groups
     go = grad.reshape(n, g, spec.c_out // g, -1)
     if spec.k == 1:
         dx = np.matmul(wd.reshape(g, -1, spec.fan_in).transpose(0, 2, 1), go).reshape(xd.shape)
         cols = xd
     else:
-        dx = _input_grad(grad, wd, spec, *xd.shape[2:])
-        cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, ho, wo)
-    cols = cols.reshape(n, g, -1, ho * wo)
+        dx = _input_grad(grad, wd, spec)
+        cols = _windows(_padded(xd, spec.padding), spec.k, spec.dilation, h)
+    cols = cols.reshape(n, g, -1, h * w)
     dw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(spec.weight_shape)
     return dx, dw
 
@@ -229,26 +210,22 @@ def _product(wm: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.matmul(wm, cols)
 
 
-def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec, h: int, w: int) -> np.ndarray:
+def _input_grad(grad: np.ndarray, wd: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """The input gradient (n, c_in, h, w) of the conv ``spec`` for its
-    output gradient ``grad``: a conv of the gradient.
+    output gradient ``grad`` (n, c_out, h, w): a conv of the gradient.
 
-    Output (i, j) of the conv reads the zero-padded input at row i + u*d
-    for tap row u, so input row y receives g[i] * w[u] wherever
-    y + p = i + u*d. Padded by q = d(k-1) - p (never negative), the
-    gradient then holds g[i] at row y + u'*d for the flipped tap
-    u' = k-1-u: input row y is a correlation, at dilation d, of the
-    padded gradient with the flipped taps, each group's in and out
-    channels swapped (Dumoulin & Visin, *A guide to convolution
+    The adjoint of a "same" correlation is the correlation, at the same
+    dilation and padding, with the taps flipped and each group's in and
+    out channels swapped (Dumoulin & Visin, *A guide to convolution
     arithmetic*, 2016). The sums run one kernel row at a time: a row's
     windows, (n, c_out, k, h, w), hold k taps a position where all rows'
     would hold k*k, and one matmul per row multiplies them by that row's
     taps. The rows' products are added in order.
     """
-    n, c_out, ho, wo = grad.shape
+    n, c_out, h, w = grad.shape
     k, d, g = spec.k, spec.dilation, spec.groups
     cig, cog = spec.c_in // g, c_out // g
-    gz = _padded(grad, d * (k - 1) - spec.padding)
+    gz = _padded(grad, spec.padding)
     # taps[u] (g, cig, cog*k): row u of the flipped taps, in channel by
     # (out channel, tap column), the order of a row's windows
     taps = wd.reshape(g, cog, cig, k, k)[:, :, :, ::-1, ::-1].transpose(3, 0, 2, 1, 4)
@@ -279,19 +256,20 @@ def _padded(xd: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _windows(xp: np.ndarray, k: int, d: int, ho: int, wo: int, top: int = 0) -> np.ndarray:
-    """Every tap's window of the padded input ``xp`` (n, c, H, W) for ``ho``
-    output rows from row ``top`` on: a C-order copy (n, c, k, k, ho, wo)
-    whose element (u, v, i, j) is xp at row u*d + top + i, column v*d + j.
+def _windows(xp: np.ndarray, k: int, d: int, rows: int, top: int = 0) -> np.ndarray:
+    """Every tap's window of ``xp`` (n, c, h + 2p, w + 2p), an input padded
+    by p = d(k-1)/2, for ``rows`` output rows from row ``top`` on: a
+    C-order copy (n, c, k, k, rows, w) whose element (u, v, i, j) is xp
+    at row u*d + top + i, column v*d + j.
 
     The copy is of one strided view (np.ndarray, not as_strided: see
     :func:`_dw_conv`). It is C-order because a reshape of the view alone
     can return a strided view (when a padded row is k wide, say), which
     matmul and einsum sum in another order.
     """
-    n, c = xp.shape[:2]
+    n, c, _, width = xp.shape
     sn, sc, sh, sw = xp.strides
-    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, top * sh,
+    view = np.ndarray((n, c, k, k, rows, width - d * (k - 1)), xp.dtype, xp, top * sh,
                       (sn, sc, sh * d, sw * d, sh, sw))
     return view.copy()
 
@@ -305,7 +283,7 @@ def _windows(xp: np.ndarray, k: int, d: int, ho: int, wo: int, top: int = 0) -> 
 _DW_TILE = 1 << 16
 
 
-def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
+def _depthwise(xd, wd, bd, spec: ConvSpec):
     """A depthwise conv as a sum of shifted slices.
 
     No im2col columns: each tap multiplies a strided window of the
@@ -314,7 +292,7 @@ def _depthwise(xd, wd, bd, spec: ConvSpec, ho: int, wo: int):
     adjoint (:func:`_depthwise_vjp`) needs only the input and the taps.
     """
     k = spec.k
-    return _dw(xd, wd.reshape(xd.shape[1], k, k), spec.dilation, spec.padding, bd)[0]
+    return _dw(xd, wd.reshape(xd.shape[1], k, k), spec.dilation, bd)[0]
 
 
 def _depthwise_vjp(grad, xd, wd, spec: ConvSpec):
@@ -326,19 +304,17 @@ def _depthwise_vjp(grad, xd, wd, spec: ConvSpec):
     of the conv pairs g[i, j] with x[i + ud - p, j + vd - p], and the
     pass's tap (k-1-u, k-1-v) pairs the same values.
     """
-    k, d = spec.k, spec.dilation
-    # padding d(k-1) - p maps the output back onto the input
-    dx, weight_grad = _dw(grad, wd.reshape(-1, k, k)[:, ::-1, ::-1], d,
-                          d * (k - 1) - spec.padding, None)
+    k = spec.k
+    dx, weight_grad = _dw(grad, wd.reshape(-1, k, k)[:, ::-1, ::-1], spec.dilation, None)
     dw = weight_grad(xd)[:, ::-1, ::-1]
     return dx, dw.reshape(spec.weight_shape)
 
 
-def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
-    """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k), in the
-    layout its size calls for.
+def _dw(xd: np.ndarray, taps: np.ndarray, d: int, bias):
+    """The "same" depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k)
+    at dilation ``d``, padded by d(k-1)/2, in the layout its size calls for.
 
-    A conv whose tap windows, n*c*k*k*ho*wo elements, fit in an eighth of
+    A conv whose tap windows, n*c*k*k*h*w elements, fit in an eighth of
     a kernel tile (``_DW_TILE``) and that has more than one output a
     plane runs on a compact copy of its taps' windows
     (:func:`_dw_window`); every other one on row-padded planes
@@ -354,16 +330,14 @@ def _dw(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
-    span = d * (k - 1)
-    ho, wo = h + 2 * p - span, w + 2 * p - span
-    kernel = _dw_window if 1 < ho * wo and n * c * k * k * ho * wo <= _DW_TILE // 8 else _dw_conv
-    return kernel(xd, taps, d, p, bias, ho, wo)
+    kernel = _dw_window if 1 < h * w and n * c * k * k * h * w <= _DW_TILE // 8 else _dw_conv
+    return kernel(xd, taps, d, d * (k - 1) // 2, bias)
 
 
-def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
+def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """Depthwise conv on a compact copy of its taps' windows.
 
-    The windows are :func:`_windows`' copy, (n, c, k, k, ho*wo). The sums
+    The windows are :func:`_windows`' copy, (n, c, k, k, h*w). The sums
     are those of :func:`_dw_conv`, with the taps and bias indexed per
     channel: one einsum over all taps, or at d = 1 one sum per column of
     them (one einsum that keeps the column axis), the columns then added
@@ -373,11 +347,11 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
     again, so nothing of the layout outlives the call, and is one dot
     product per plane and tap.
     """
-    n, c = xd.shape[:2]
-    k, l = taps.shape[-1], ho * wo
+    n, c, h, w = xd.shape
+    k, l = taps.shape[-1], h * w
 
     def windows():
-        return _windows(_padded(xd, p), k, d, ho, wo).reshape(n, c, k, k, l)
+        return _windows(_padded(xd, p), k, d, h).reshape(n, c, k, k, l)
 
     def weight_grad(y):
         dw = np.matmul(windows().reshape(n, c, k * k, l), y.reshape(n, c, l, 1))
@@ -389,19 +363,20 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, 
         out = np.einsum("ncuvl,cuv->ncl", windows(), taps)
     if bias is not None:
         np.add(out, bias.reshape(1, c, 1), out=out)
-    return out.reshape(n, c, ho, wo), weight_grad
+    return out.reshape(n, c, h, w), weight_grad
 
 
-def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo: int):
-    """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k).
+def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
+    """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
+    padded by ``p`` = d(k-1)/2.
 
     Plane q (sample q // c, channel q % c) is laid out as a row of
-    ``planes``, stored in rows ``row`` = w + p >= wo wide: p zero rows above and below,
-    zeros right of each row and none left of it, plus p leading zeros.
-    Tap (u, v) of output pixel (i, j) then sits at flat offset
-    (i + u*d)*row + j + v*d (a reach left of column 0 lands in the
-    previous row's zeros), so each tap reads one contiguous slice of
-    l = ho*row elements. ``planes`` holds one tile of planes, about
+    ``planes``, stored in rows ``row`` = w + p wide: p zero rows above and
+    below, zeros right of each row and none left of it, plus p leading
+    and p trailing zeros. Tap (u, v) of output pixel (i, j) then sits at
+    flat offset (i + u*d)*row + j + v*d (a reach left of column 0 lands
+    in the previous row's zeros), so each tap reads one contiguous slice
+    of l = h*row elements. ``planes`` holds one tile of planes, about
     ``_DW_TILE`` outputs: its zeros are written once, and each tile's
     planes are copied into the same interior just before the tile is
     summed, so the padding stays zero and the layout of all n*c planes
@@ -425,9 +400,8 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
-    span = d * (k - 1)
     nc, row = n * c, w + p
-    l, size = ho * row, (h + 2 * p) * row + span
+    l, size = h * row, (h + 2 * p) * row + 2 * p
     tile = min(max(1, _DW_TILE // l), nc)
     # the output, which outlives the call, is allocated before the tile
     # buffers, which an eval forward frees on return: glibc then finds
@@ -435,7 +409,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
     # it can leave a hole below itself, and the heap is then trimmed and
     # faulted back in every step (fwd-gmcfblock-c256-hw20, in one of three
     # checkout directories: 845 page faults a step against 18)
-    out = np.empty((nc, ho, wo), dtype=xd.dtype)
+    out = np.empty((nc, h, w), dtype=xd.dtype)
     planes = np.zeros((tile, size), dtype=xd.dtype)
     start = p + p * row
     interior = planes[:, start : start + h * row].reshape(tile, h, row)[:, :, :w]
@@ -444,7 +418,7 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
 
     def weight_grad(y):
         yp = np.zeros((tile, 1, l), dtype=y.dtype)
-        ys = yp.reshape(tile, ho, row)[:, :, :wo]
+        ys = yp.reshape(tile, h, row)[:, :, :w]
         dwt = np.empty((k * k, nc), dtype=y.dtype)
         for a in range(0, nc, tile):
             z = min(a + tile, nc)
@@ -479,8 +453,8 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias, ho: int, wo
                 np.add(ac, tmp[: z - a], out=ac)
         if bt is not None:
             np.add(ac, bt[a:z], out=ac)
-        out[a:z] = ac.reshape(z - a, ho, row)[:, :, :wo]
-    return out.reshape(n, c, ho, wo), weight_grad
+        out[a:z] = ac.reshape(z - a, h, row)[:, :, :w]
+    return out.reshape(n, c, h, w), weight_grad
 
 
 def _fill(dst: np.ndarray, src: np.ndarray, a: int, z: int) -> None:

@@ -10,11 +10,12 @@ the OpCounter tally, and the parameter values under test. All
 arithmetic accumulates in float64 regardless of the input dtype, so the
 oracle is strictly more accurate than the fast path it checks.
 
-Multiply-accumulate counting: the input is zero-padded up front, so the
-dot product really multiplies every kernel tap, padding included; the
-counter adds (c_in/groups)*k*k per computed output element, which is
-exactly the number of multiplies that dot product executes. Elementwise
-work is tallied with the same cost table the profiler documents.
+Multiply-accumulate counting: the input is zero-padded up front, by the
+spec's d(k-1)/2 on each side ("same"), so the dot product really
+multiplies every kernel tap, padding included; the counter adds
+(c_in/groups)*k*k per computed output element, which is exactly the
+number of multiplies that dot product executes. Elementwise work is
+tallied with the same cost table the profiler documents.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ def compare(op: str, fast: Tensor, ref: Tensor, seed: int | None = None) -> Orac
 def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
                   counter: OpCounter | None = None) -> Tensor:
     """Direct convolution, one dot product per output element; float64
-    accumulation; zero padding."""
+    accumulation; "same" zero padding, so the output is h x w."""
     n, cin, h, width = x.shape
     if cin != spec.c_in or w.shape != spec.weight_shape:
         raise ValueError(f"shapes {x.shape}/{w.shape} inconsistent with {spec}")
-    ho, wo = spec.out_hw(h, width)
     k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
     cg = cin // g
     cog = spec.c_out // g
@@ -64,7 +64,7 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
     xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
     wd = w.data.astype(np.float64)
     bd = b.data.astype(np.float64).reshape(-1) if b is not None else None
-    out = np.zeros((n, spec.c_out, ho, wo), dtype=np.float64)
+    out = np.zeros((n, spec.c_out, h, width), dtype=np.float64)
 
     taps_per_out = cg * k * k
     span = (k - 1) * d + 1  # the dilated kernel's extent
@@ -74,8 +74,8 @@ def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
             group = xp[ni, base_c : base_c + cg]
             taps = wd[o].reshape(-1)
             bias = bd[o] if bd is not None else 0.0
-            for i in range(ho):
-                for j in range(wo):
+            for i in range(h):
+                for j in range(width):
                     # the (cg, k, k) input window this output's taps read
                     window = group[:, i : i + span : d, j : j + span : d]
                     out[ni, o, i, j] = bias + np.dot(window.reshape(-1), taps)
@@ -105,8 +105,7 @@ def oracle_spatial_attention(fcat: np.ndarray, params, prefix, counter) -> np.nd
     mx = fcat.max(axis=1, keepdims=True)
     _count(counter, 2 * fcat.size)
     pooled = np.concatenate([avg, mx], axis=1)
-    spec = ConvSpec.same(2, params[prefix + "conv.w"].shape[0],
-                         params[prefix + "conv.w"].shape[2])
+    spec = ConvSpec(2, params[prefix + "conv.w"].shape[0], params[prefix + "conv.w"].shape[2])
     logits = oracle_conv2d(Tensor.wrap(pooled), params[prefix + "conv.w"],
                            params.get(prefix + "conv.b"), spec, counter)
     _count(counter, logits.size)
@@ -132,7 +131,7 @@ def oracle_mscf(x: Tensor, cfg: MscfConfig, params, prefix="", counter=None) -> 
     xd = _f64(x)
     feats = []
     for i, d in enumerate(cfg.dilations):
-        spec = ConvSpec.same(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
+        spec = ConvSpec(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
         feats.append(
             oracle_conv2d(
                 Tensor.wrap(xd), params[f"{prefix}scale{i}.w"],
@@ -166,7 +165,7 @@ def oracle_gconv(x: Tensor, cfg: GconvConfig, params, prefix="", counter=None) -
     x_prime, v = both[:, :h], both[:, h:]
     g = oracle_conv2d(
         Tensor.wrap(x_prime.copy()), params[prefix + "dw.w"], params.get(prefix + "dw.b"),
-        ConvSpec.same(h, h, cfg.dw_kernel, groups=h), counter,
+        ConvSpec(h, h, cfg.dw_kernel, groups=h), counter,
     ).data
     if cfg.activation == "sigmoid_gate":
         gated = g * _sig(1.702 * g)

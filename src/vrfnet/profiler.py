@@ -5,7 +5,7 @@ Counts are summed from what the ops of one eval forward report to
 structure. Conventions (also stated in every report):
 
 * MACs: one multiply-accumulate per kernel tap per output element,
-  ``n * c_out * h_out * w_out * (c_in / groups) * k^2``. Zero-padding
+  ``n * c_out * h * w * (c_in / groups) * k^2``. Zero-padding
   taps are counted, matching the formula and the instrumented oracle.
 * FLOPs are reported as 2 * MACs.
 * Elementwise work is tallied separately at 1 op per element, with
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _cap, _cap_missed
 from .layers import ParamBlock
 from .ops import ConvSpec, conv2d, init_conv_params, relu
 from .tape import OpCounter, counting
@@ -58,8 +59,7 @@ def count_params(block: ParamBlock) -> int:
 
 
 def conv_macs(spec: ConvSpec, n: int, h: int, w: int) -> int:
-    ho, wo = spec.out_hw(h, w)
-    return n * spec.c_out * ho * wo * spec.fan_in
+    return n * spec.c_out * h * w * spec.fan_in
 
 
 def _block_dtype(block: ParamBlock):
@@ -87,9 +87,18 @@ def count_macs(block: ParamBlock, input_shape) -> int:
 BENCH_MIN_REPS = 3
 
 
+def _threads_stamp() -> str:
+    """The VRF_THREADS cap if it reached BLAS; otherwise the cap and why not."""
+    cap = os.environ.get("VRF_THREADS")
+    if not cap:
+        return "default"
+    missed = _cap_missed if cap == _cap else "VRF_THREADS was set after vrfnet was imported"
+    return f"{cap}, not applied: {missed}" if missed else cap
+
+
 def bench(block: ParamBlock, input_shape, reps: int) -> dict:
     """Median/IQR wall time of eval-mode forward over ``reps`` runs, after
-    two untimed ones, stamped with the VRF_THREADS cap."""
+    two untimed ones, stamped with the VRF_THREADS cap (see _threads_stamp)."""
     if reps < BENCH_MIN_REPS:
         raise ValueError(f"bench needs reps >= {BENCH_MIN_REPS}")
     warmup = 2
@@ -108,7 +117,7 @@ def bench(block: ParamBlock, input_shape, reps: int) -> dict:
         "iqr_ns": float(q3 - q1),
         "reps": reps,
         "warmup": warmup,
-        "threads": os.environ.get("VRF_THREADS", "default"),
+        "threads": _threads_stamp(),
     }
 
 
@@ -129,16 +138,19 @@ def cost_report(block: ParamBlock, input_shape, bench_reps: int = 0) -> CostRepo
 def ffn_cost(c: int, input_shape) -> CostReport:
     """Baseline: a plain two-layer pointwise feed-forward with hidden
     width 2c (conv1x1 -> relu -> conv1x1), for side-by-side comparison,
-    counted like a block: one forward of its ops on zero weights."""
+    counted like a block: one forward of its ops on zero weights, and
+    its parameters from the tensors those weights are."""
     up = ConvSpec(c, 2 * c, 1)
     down = ConvSpec(2 * c, c, 1)
+    up_params = init_conv_params(up, None, np.float64)
+    down_params = init_conv_params(down, None, np.float64)
     with counting() as counts:
-        hidden = relu(conv2d(zeros(input_shape), *init_conv_params(up, None, np.float64), up))
-        conv2d(hidden, *init_conv_params(down, None, np.float64), down)
+        hidden = relu(conv2d(zeros(input_shape), *up_params, up))
+        conv2d(hidden, *down_params, down)
     return CostReport(
         block="ffn-2c",
         input_shape=tuple(input_shape),
-        params=up.param_count + down.param_count,
+        params=sum(t.size for t in (*up_params, *down_params) if t is not None),
         macs=counts.macs,
         flops=2 * counts.macs,
         eltwise_ops=counts.eltwise,

@@ -96,22 +96,25 @@ def write_manifest(directory, manifest_name: str, tensors: "OrderedDict[str, Ten
     return manifest
 
 
-def _manifest_entries(manifest_path: Path) -> "list[tuple[str, Path]]":
-    """(name, tensor path) per non-blank ``name<TAB>file`` manifest line."""
-    entries = []
+def _manifest_entries(manifest_path: Path) -> "dict[str, Path]":
+    """name -> tensor path, one per non-blank ``name<TAB>file`` manifest
+    line; a name may appear once."""
+    entries = {}
     for ln, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 2:
             raise FormatError(f"{manifest_path}:{ln}: expected 'name<TAB>file'")
-        entries.append((fields[0], manifest_path.parent / fields[1]))
+        if fields[0] in entries:
+            raise FormatError(f"{manifest_path}:{ln}: {fields[0]!r} is named twice")
+        entries[fields[0]] = manifest_path.parent / fields[1]
     return entries
 
 
 def read_manifest(manifest_path) -> "OrderedDict[str, Tensor]":
     return OrderedDict(
-        (name, read_tensor(path)) for name, path in _manifest_entries(Path(manifest_path))
+        (name, read_tensor(path)) for name, path in _manifest_entries(Path(manifest_path)).items()
     )
 
 
@@ -119,7 +122,7 @@ def manifest_element_count(manifest_path) -> int:
     """Total element count over all tensors in a manifest, derived from
     the VRFT headers and file sizes on disk (not from in-memory blocks)."""
     total = 0
-    for _, path in _manifest_entries(Path(manifest_path)):
+    for path in _manifest_entries(Path(manifest_path)).values():
         _, dims = read_header(path)
         total += dims[0] * dims[1] * dims[2] * dims[3]
     return total

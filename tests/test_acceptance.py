@@ -69,8 +69,8 @@ def test_criterion_2_oracle_equivalence():
         c = rng.choice((2, 3, 4, 6))
         groups = rng.choice((1, c))
         c_out = c * rng.choice((1, 2)) if groups == c else rng.choice((1, 2, 3, 4, 6, 8))
-        spec = ConvSpec.same(c, c_out, k, dilation=d, groups=groups,
-                             bias=rng.choice((True, False)))
+        spec = ConvSpec(c, c_out, k, dilation=d, groups=groups,
+                        bias=rng.choice((True, False)))
         fan_in = (c // groups) * k * k
         x = rng.tensor((rng.choice((1, 2)), c, rng.integers(5, 11), rng.integers(5, 11)),
                        -1.0, 1.0, np.float32)
@@ -104,8 +104,8 @@ def test_criterion_2_oracle_equivalence():
 def test_criterion_3_complexity_claim(tmp_path):
     k = 3
     for c in (8, 16, 64, 256):
-        dw_spec = ConvSpec.same(c, c, k, groups=c, bias=False)
-        std_spec = ConvSpec.same(c, c, k, bias=False)
+        dw_spec = ConvSpec(c, c, k, groups=c, bias=False)
+        std_spec = ConvSpec(c, c, k, bias=False)
         dw, std = ConvLayer(dw_spec, Rng(1)), ConvLayer(std_spec, Rng(2))
         assert count_params(dw) == c * k * k
         assert count_params(std) == c * c * k * k

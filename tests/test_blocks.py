@@ -375,17 +375,26 @@ def test_blocks_preserve_shape(kind, c):
         assert block.forward(x, mode="eval").shape == shape
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_a_samples_eval_output_does_not_depend_on_its_batch(dtype):
-    # spatial attention's 7x7 mask conv builds its im2col columns in bands
-    # of output rows at (., 2, 40, 40): with the band height sized from the
-    # whole batch, sample 0 of this batch of two was up to 2.4e-7 away from
-    # its forward alone in f32, the bands' products rounding differently
-    block = build_block("gmcf", block_config("gmcf", 32), Rng(34), dtype)
-    x = Rng(35).tensor((2, 32, 40, 40)).astype(dtype)
+# spatial attention's 7x7 mask conv builds its im2col columns in bands of
+# output rows at (., 2, 40, 40): with the band height sized from the whole
+# batch, sample 0 of this batch of two was up to 2.4e-7 away from its
+# forward alone in f32, the bands' products rounding differently. The
+# benchmark's forward shapes follow: at (2, 64, 80, 80) a depthwise tile of
+# planes crosses from sample 0 into sample 1
+@pytest.mark.parametrize("kind,shape,dtype", [
+    pytest.param(kind, shape, dtype, id=name + dtype.__name__)
+    for kind, shape, name in (("gmcf", (2, 32, 40, 40), ""),
+                              ("gmcf", (2, 64, 80, 80), "gmcf-2x64x80x80-"),
+                              ("gmcf-block", (4, 256, 20, 20), "gmcf-block-4x256x20x20-"))
+    for dtype in (np.float32, np.float64)
+])
+def test_a_samples_eval_output_does_not_depend_on_its_batch(kind, shape, dtype):
+    block = build_block(kind, block_config(kind, shape[1]), Rng(34), dtype)
+    x = Rng(35).tensor(shape).astype(dtype)
     both = block.forward(x, mode="eval").data
-    for i in range(2):
+    for i in range(shape[0]):
         alone = block.forward(Tensor(x.data[i : i + 1]), mode="eval").data
+        # the bytes, so the signs of zeros count too
         assert both[i : i + 1].tobytes() == alone.tobytes(), i
 
 

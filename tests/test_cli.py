@@ -394,6 +394,11 @@ def _drop_last_line(path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
 
 
+def _repeat_first_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[:1]))
+
+
 def _edit_meta(path, **changes):
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
 
@@ -429,8 +434,10 @@ def _set_all_to_max(path):
     lambda case: _set_first(case / "mscf.scale0.w.vrft", np.nan),
     lambda case: _set_first(case / "bn.running_var.vrft", -1.0),
     lambda case: _set_all_to_max(case / "mscf.scale0.w.vrft"),
+    lambda case: _repeat_first_line(case / "params.manifest"),
 ], ids=["param-missing", "block-changed", "buffer-width", "buffer-renamed", "f64-as-f32",
-        "longer-output", "nan-param", "negative-running-var", "overflowing-param"])
+        "longer-output", "nan-param", "negative-running-var", "overflowing-param",
+        "duplicate-name"])
 def test_golden_verify_malformed_case_exits_1_with_one_line(tmp_path, capsys, corrupt):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
@@ -582,10 +589,36 @@ print(json.dumps(Spy.seen))
     ({}, [None, None, None]),
 ], ids=["capped", "blas-variable-wins", "uncapped"])
 def test_vrf_threads_reaches_blas_before_numpy_loads(env, want):
+    proc = _run_python(_NUMPY_IMPORT_SPY, env)
+    assert json.loads(proc.stdout) == dict(zip(BLAS_THREAD_VARS, want))
+
+
+def _run_python(code, env):
+    """Run ``code`` in a new interpreter that finds vrfnet, under an
+    environment holding none of the thread variables but ``env``."""
     src = str(Path(vrfnet.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k not in ("VRF_THREADS", *BLAS_THREAD_VARS)}
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_SPY], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**base, **env, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == dict(zip(BLAS_THREAD_VARS, want))
+    return proc
+
+
+_BENCH_STAMP = """
+import vrfnet
+from vrfnet import GConvBlock, GconvConfig, bench
+print(bench(GConvBlock(GconvConfig(c=2)), (1, 2, 4, 4), 3)["threads"])
+"""
+
+
+@pytest.mark.parametrize("first,env,want", [
+    ("", {"VRF_THREADS": "3"}, "3"),
+    ("import numpy", {"VRF_THREADS": "1"}, "1, not applied: numpy was loaded before vrfnet"),
+    ("", {"VRF_THREADS": "3", "OPENBLAS_NUM_THREADS": "2"},
+     "3, not applied: OPENBLAS_NUM_THREADS=2 was already set"),
+    ("", {"VRF_THREADS": "3", "OMP_NUM_THREADS": "3"}, "3"),
+], ids=["capped", "numpy-first", "blas-variable-wins", "blas-variable-agrees"])
+def test_bench_stamps_the_thread_cap_only_where_it_reached_blas(first, env, want):
+    proc = _run_python(first + "\n" + _BENCH_STAMP, env)
+    assert proc.stdout == want + "\n"

@@ -25,7 +25,7 @@ def test_oracle_identity_depthwise():
     x = Rng(1).tensor((1, 3, 5, 5))
     w = np.zeros((3, 1, 3, 3))
     w[:, 0, 1, 1] = 1.0
-    out = oracle_conv2d(x, Tensor(w), None, ConvSpec.same(3, 3, 3, groups=3, bias=False))
+    out = oracle_conv2d(x, Tensor(w), None, ConvSpec(3, 3, 3, groups=3, bias=False))
     npt.assert_array_equal(out.data, x.data)
 
 
@@ -45,7 +45,7 @@ def test_oracle_agrees_with_fast_conv_on_random_specs():
         c = rng.choice((2, 3, 4, 6))
         groups = rng.choice((1, c))
         c_out = c if groups == c else rng.choice((1, 2, 4))
-        spec = ConvSpec.same(c, c_out, k, dilation=d, groups=groups, bias=rng.choice((True, False)))
+        spec = ConvSpec(c, c_out, k, dilation=d, groups=groups, bias=rng.choice((True, False)))
         fan_in = (c // groups) * k * k
         x = rng.tensor((1, c, rng.integers(5, 9), rng.integers(5, 9)), dtype=np.float32)
         w = rng.tensor(spec.weight_shape, -1.0 / fan_in, 1.0 / fan_in, np.float32)
@@ -59,7 +59,7 @@ def test_oracle_accumulates_in_f64_for_f32_inputs():
     x = Rng(3).tensor((1, 2, 4, 4), dtype=np.float32)
     w = Rng(4).tensor((2, 2, 3, 3), dtype=np.float32)
     b = Rng(5).tensor((1, 2, 1, 1), dtype=np.float32)
-    out = oracle_conv2d(x, w, b, ConvSpec.same(2, 2, 3))
+    out = oracle_conv2d(x, w, b, ConvSpec(2, 2, 3))
     assert out.dtype == np.float64
 
 
@@ -102,7 +102,7 @@ def test_oracle_report_json_line():
 def test_mac_counter_counts_every_tap():
     # padded taps are multiplied and counted: count = out_elems * (c_in/g) * k^2
     counter = OpCounter()
-    spec = ConvSpec.same(3, 4, 3, dilation=2)
+    spec = ConvSpec(3, 4, 3, dilation=2)
     x = Rng(10).tensor((2, 3, 6, 6))
     w = Rng(11).tensor(spec.weight_shape)
     b = Rng(12).tensor((1, 4, 1, 1))
@@ -115,17 +115,16 @@ def loop_conv2d(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarray:
     """The scalar six-loop convolution: every kernel tap one float64
     multiply-add, in (channel, row, column) order, after the bias."""
     n, cin, h, width = x.shape
-    ho, wo = spec.out_hw(h, width)
     k, d, p = spec.k, spec.dilation, spec.padding
     cg, cog = cin // spec.groups, spec.c_out // spec.groups
     xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
     wd = w.astype(np.float64)
-    out = np.zeros((n, spec.c_out, ho, wo))
+    out = np.zeros((n, spec.c_out, h, width))
     for ni in range(n):
         for o in range(spec.c_out):
             base_c = (o // cog) * cg
-            for i in range(ho):
-                for j in range(wo):
+            for i in range(h):
+                for j in range(width):
                     acc = float(b.reshape(-1)[o]) if b is not None else 0.0
                     for c in range(cg):
                         for u in range(k):
@@ -137,22 +136,21 @@ def loop_conv2d(x: np.ndarray, w: np.ndarray, b, spec: ConvSpec) -> np.ndarray:
 
 @st.composite
 def tiny_conv_cases(draw):
-    """A small random conv spec (any dilation, groups, padding up to
-    d(k-1)) with f32 or f64 inputs, weights and bias drawn from one seed."""
+    """A small random conv spec (any dilation and groups, k 1 or 3) with
+    f32 or f64 inputs, weights and bias drawn from one seed."""
     groups = draw(st.integers(1, 3))
-    k, dilation = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k, dilation = draw(st.sampled_from([1, 3])), draw(st.integers(1, 3))
     spec = ConvSpec(
         c_in=groups * draw(st.integers(1, 3)),
         c_out=groups * draw(st.integers(1, 2)),
         k=k,
         dilation=dilation,
         groups=groups,
-        padding=draw(st.integers(0, dilation * (k - 1))),
         bias=draw(st.booleans()),
     )
-    smallest = max(1, spec.dilation * (spec.k - 1) + 1 - 2 * spec.padding)
-    h = draw(st.integers(smallest, smallest + 5))
-    w = draw(st.integers(smallest, smallest + 5))
+    # planes from one pixel to a few wider than the dilated kernel
+    largest = dilation * (k - 1) + 6
+    h, w = draw(st.integers(1, largest)), draw(st.integers(1, largest))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = Rng(draw(st.integers(0, 2**16)))
     x = rng.tensor((draw(st.integers(1, 2)), spec.c_in, h, w), dtype=dtype)

@@ -29,16 +29,16 @@ from vrfnet.vrft import manifest_element_count
 
 
 def test_count_params_depthwise_and_standard():
-    dw = ConvLayer(ConvSpec.same(64, 64, 3, groups=64), Rng(1))
-    std = ConvLayer(ConvSpec.same(64, 64, 3), Rng(2))
+    dw = ConvLayer(ConvSpec(64, 64, 3, groups=64), Rng(1))
+    std = ConvLayer(ConvSpec(64, 64, 3), Rng(2))
     assert count_params(dw) == 64 * 9 + 64 == 640
     assert count_params(std) == 64 * 64 * 9 + 64 == 36928
 
 
 @pytest.mark.parametrize("c", [8, 16, 64, 256])
 def test_weight_count_ratio_is_inverse_channels(c):
-    dw = ConvLayer(ConvSpec.same(c, c, 3, groups=c, bias=False))
-    std = ConvLayer(ConvSpec.same(c, c, 3, bias=False))
+    dw = ConvLayer(ConvSpec(c, c, 3, groups=c, bias=False))
+    std = ConvLayer(ConvSpec(c, c, 3, bias=False))
     assert count_params(std) == count_params(dw) * c
 
 

@@ -6,8 +6,6 @@ stride exceeds a sample. Every op must give the bits it gives on the
 slice's C-order copy, forward and adjoint.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +16,6 @@ from vrfnet import (
     ConvSpec,
     DropoutState,
     Rng,
-    ShapeError,
     Tape,
     Tensor,
     add,
@@ -125,20 +122,15 @@ def view_cases(draw, ops=st.sampled_from(OPS), n=st.integers(1, 3), c=st.integer
         k, d = draw(st.sampled_from([1, 3, 5])), draw(st.integers(1, 2))
         c_out = draw(st.integers(1, 4))
         if op == "depthwise":
-            spec = ConvSpec(c, c, k, dilation=d, groups=c,
-                            padding=draw(st.integers(0, d * (k - 1))))
+            spec = ConvSpec(c, c, k, dilation=d, groups=c)
         elif op == "pointwise":
             spec = ConvSpec(c, c_out, 1)
         elif op == "dense":
-            spec = ConvSpec(c, c_out, k, dilation=d, padding=draw(st.integers(0, d * (k - 1))))
+            spec = ConvSpec(c, c_out, k, dilation=d)
         else:  # groups of more than one channel, or depthwise with two outputs a channel
             g = draw(st.sampled_from([q for q in range(2, c + 1) if c % q == 0]))
             spec = ConvSpec(c, g * (2 if g == c else draw(st.integers(1, 2))), 3, dilation=d,
-                            groups=g, padding=d)
-        try:
-            spec.out_hw(h, w)
-        except ShapeError:  # too small a plane for the kernel unpadded
-            spec = replace(spec, padding=spec.dilation * (spec.k - 1))
+                            groups=g)
         fn, shapes = _conv(spec), [x]
         consts = [rng.uniform(spec.weight_shape), rng.uniform(spec.bias_shape)]
     else:
@@ -220,7 +212,7 @@ def test_row_padded_depthwise_conv_reads_a_channel_slice_where_it_lies():
     # the planes are copied into each tile from the 4-D slice; a reshape of
     # the slice to (n*c, h, w) would first copy all of it
     c, h, d = 64, 40, 7
-    spec = ConvSpec.same(c, c, 3, dilation=d, groups=c)
+    spec = ConvSpec(c, c, 3, dilation=d, groups=c)
     x = slice_channels(Rng(64).tensor((2, 2 * c, h, h), dtype=np.float32), c, 2 * c)
     assert not x.data.flags.c_contiguous
     w, b = ops.init_conv_params(spec, Rng(65), np.float32)
