@@ -195,7 +195,15 @@ def block_config(kind: str, c: int, module: dict | None = None):
     if kind == "gmcf" and {"n_bottlenecks", "e"} & set(module):
         raise ConfigError("module(gmcf): n_bottlenecks and e apply to gmcf-block only")
     if kind == "gmcf-block":
-        cfg.hidden_width  # raises unless the wrapper's branch width e*c is a positive integer
+        # raises unless the wrapper's branch width e*c is a positive integer
+        width = cfg.hidden_width
+        # the bottlenecks' config at that width, which build_block would
+        # otherwise reject naming a width the caller never gave
+        try:
+            cfg.at_width(width)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"module(gmcf-block): bottlenecks at e*c = {width} channels: {exc}") from None
     return cfg
 
 

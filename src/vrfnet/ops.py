@@ -15,7 +15,8 @@ tap windows fit in an eighth of a cache-sized tile (the gradient probes'
 larger one over row-padded planes, which copy nothing per tap but
 compute a few outputs per row that are cropped. Those planes are laid
 out one cache-sized tile at a time, each tile just before it is summed,
-into one tile-sized buffer whose zero padding is written once. Both
+into one tile-sized buffer whose zero padding is written once; a tile
+holds whole samples, or a run of one sample's channels. Both
 layouts give the same bits, at any tile size. The backward is one pass
 of the same kernel over the output gradient with the taps flipped: the
 pass's sums are the input gradient, and its per-tap dot products with
@@ -274,8 +275,8 @@ def _windows(xp: np.ndarray, k: int, d: int, rows: int, top: int = 0) -> np.ndar
     return view.copy()
 
 
-# The row-padded depthwise kernel lays out and sums one tile of (sample,
-# channel) planes at a time, in one buffer, the tile holding about this
+# The row-padded depthwise kernel lays out and sums one tile of (samples x
+# channels) planes at a time, in one buffer, the tile holding about this
 # many output elements, so that its planes and accumulator stay in L2.
 # A conv whose tap windows fit in an eighth of a tile runs on a copy of
 # them instead (see _dw). An im2col conv whose columns would exceed four
@@ -338,12 +339,13 @@ def _dw_window(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """Depthwise conv on a compact copy of its taps' windows.
 
     The windows are :func:`_windows`' copy, (n, c, k, k, h*w). The sums
-    are those of :func:`_dw_conv`, with the taps and bias indexed per
-    channel: one einsum over all taps, or at d = 1 one sum per column of
-    them (one einsum that keeps the column axis), the columns then added
-    in order. Each output sums the same products in the same order as
-    there, so the two give the same bits, NaN from a non-finite tap that
-    reads only padding included. ``weight_grad`` copies the windows
+    are those of :func:`_dw_conv`, whose tiles index the taps and bias
+    per channel too, broadcast over the samples: one einsum over all
+    taps, or at d = 1 one sum per column of them (one einsum that keeps
+    the column axis), the columns then added in order. Each output sums
+    the same products in the same order as there, so the two give the
+    same bits, NaN from a non-finite tap that reads only padding
+    included. ``weight_grad`` copies the windows
     again, so nothing of the layout outlives the call, and is one dot
     product per plane and tap.
     """
@@ -370,105 +372,92 @@ def _dw_conv(xd: np.ndarray, taps: np.ndarray, d: int, p: int, bias):
     """Depthwise conv of ``xd`` (n, c, h, w) with ``taps`` (c, k, k),
     padded by ``p`` = d(k-1)/2.
 
-    Plane q (sample q // c, channel q % c) is laid out as a row of
-    ``planes``, stored in rows ``row`` = w + p wide: p zero rows above and
-    below, zeros right of each row and none left of it, plus p leading
-    and p trailing zeros. Tap (u, v) of output pixel (i, j) then sits at
-    flat offset (i + u*d)*row + j + v*d (a reach left of column 0 lands
-    in the previous row's zeros), so each tap reads one contiguous slice
-    of l = h*row elements. ``planes`` holds one tile of planes, about
-    ``_DW_TILE`` outputs: its zeros are written once, and each tile's
-    planes are copied into the same interior just before the tile is
-    summed, so the padding stays zero and the layout of all n*c planes
-    never exists at once. One view of the tile holds every tap's slice,
-    axis (u, v) stepping to tap (u, v): shape (planes, k, k, l), strides
-    (plane, row*d, d, 1) elements. One einsum multiplies it by the
-    per-plane taps and sums over (u, v) into an output tile ``row`` wide,
-    in one pass. At d = 1 a tap column's stride equals the pixel stride
-    and einsum then iterates in a slow order (about 10x slower on 80x80
-    f32 planes), so there each of the k columns of taps is its own
-    einsum, and the columns are added. The bias is added to the whole
-    tile, where it broadcasts along rows l long (numpy buffers a
-    per-plane broadcast over the cropped rows when a plane is under 8192
-    elements, which was slower), and the spare columns are cropped last.
-    ``weight_grad`` of plane q and tap (u, v) is one dot product of y,
-    laid out ``row`` wide a tile at a time, with that tap's slice. It
-    lays each tile of planes out again, unless one tile holds them all:
-    then the layout made here serves it. Planes are copied in from the
-    4-D ``xd`` and ``y`` a sample's run of channels at a time
-    (:func:`_fill`), so a channel slice is read where it lies.
+    Each (sample, channel) plane is laid out as a row of ``planes``,
+    stored in rows ``row`` = w + p wide: p zero rows above and below,
+    zeros right of each row and none left of it, plus p leading and p
+    trailing zeros. Tap (u, v) of output pixel (i, j) then sits at flat
+    offset (i + u*d)*row + j + v*d (a reach left of column 0 lands in the
+    previous row's zeros), so each tap reads one contiguous slice of
+    l = h*row elements. ``planes`` holds one tile, about ``_DW_TILE``
+    outputs, of (samples x channels): whole samples when one sample's c
+    planes fit, else a run of one sample's channels. Its zeros are
+    written once, and each tile's planes are copied into the same
+    interior, one slice of ``xd``, just before the tile is summed, so the
+    padding stays zero, a channel slice is read where it lies, and the
+    layout of all n*c planes never exists at once. One view of the tile
+    holds every tap's slice, axis (u, v) stepping to tap (u, v): shape
+    (samples, channels, k, k, l), strides (sample, plane, row*d, d, 1)
+    elements. One einsum multiplies it by the tile's channels' taps,
+    broadcast over its samples, and sums over (u, v) into an output tile
+    ``row`` wide, in one pass. At d = 1 a tap column's stride equals the
+    pixel stride and einsum then iterates in a slow order (about 10x
+    slower on 80x80 f32 planes), so there each of the k columns of taps
+    is its own einsum, and the columns are added. The bias is added to
+    the whole tile, where it broadcasts along rows l long (numpy buffers
+    a per-plane broadcast over the cropped rows when a plane is under
+    8192 elements, which was slower), and the spare columns are cropped
+    last. ``weight_grad`` of a plane and tap (u, v) is one dot product of
+    y, laid out ``row`` wide a tile at a time, with that tap's slice. It
+    walks the same tiles and lays each out again, unless one tile holds
+    every plane: then the layout made here serves it.
     """
     n, c, h, w = xd.shape
     k = taps.shape[-1]
-    nc, row = n * c, w + p
+    row = w + p
     l, size = h * row, (h + 2 * p) * row + 2 * p
-    tile = min(max(1, _DW_TILE // l), nc)
+    fit = max(1, _DW_TILE // l)
+    ms, cs = (min(n, fit // c), c) if c <= fit else (1, fit)
+    tiles = [(slice(i, i + ms), slice(j, j + cs))
+             for i in range(0, n, ms) for j in range(0, c, cs)]
     # the output, which outlives the call, is allocated before the tile
     # buffers, which an eval forward frees on return: glibc then finds
     # them at the top of its heap for the next op. Allocated after them,
     # it can leave a hole below itself, and the heap is then trimmed and
     # faulted back in every step (fwd-gmcfblock-c256-hw20, in one of three
     # checkout directories: 845 page faults a step against 18)
-    out = np.empty((nc, h, w), dtype=xd.dtype)
-    planes = np.zeros((tile, size), dtype=xd.dtype)
+    out = np.empty((n, c, h, w), dtype=xd.dtype)
+    planes = np.zeros((ms, cs, size), dtype=xd.dtype)
     start = p + p * row
-    interior = planes[:, start : start + h * row].reshape(tile, h, row)[:, :, :w]
-    if tile == nc:
-        _fill(interior, xd, 0, nc)
+    interior = planes[:, :, start : start + l].reshape(ms, cs, h, row)[..., :w]
 
     def weight_grad(y):
-        yp = np.zeros((tile, 1, l), dtype=y.dtype)
-        ys = yp.reshape(tile, h, row)[:, :, :w]
-        dwt = np.empty((k * k, nc), dtype=y.dtype)
-        for a in range(0, nc, tile):
-            z = min(a + tile, nc)
-            if tile < nc:
-                _fill(interior, xd, a, z)
-            _fill(ys, y, a, z)
+        yp = np.zeros((ms, cs, 1, l), dtype=y.dtype)
+        ys = yp.reshape(ms, cs, h, row)[..., :w]
+        dw = np.empty((k * k, n, c), dtype=y.dtype)
+        for si, sj in tiles:
+            yt = y[si, sj]
+            m, q = yt.shape[:2]
+            if len(tiles) > 1:  # else the forward's layout of the one tile is in place
+                interior[:m, :q] = xd[si, sj]
+            ys[:m, :q] = yt
             for t in range(k * k):
                 s = (t // k * row + t % k) * d
-                dwt[t, a:z] = np.matmul(yp[: z - a], planes[: z - a, s : s + l, None]).reshape(-1)
-        return dwt.reshape(k * k, n, c).sum(axis=1).T.reshape(c, k, k)
+                dw[t, si, sj] = np.matmul(yp[:m, :q], planes[:m, :q, s : s + l, None])[..., 0, 0]
+        return dw.sum(axis=1).T.reshape(c, k, k)
 
-    wt = np.tile(taps, (n, 1, 1))  # per-plane taps: wt[q] is taps[q % c]
-    bt = None if bias is None else np.tile(bias.reshape(c), n)[:, None]
-    acc = np.empty((tile, l), dtype=xd.dtype)
+    acc = np.empty((ms, cs, l), dtype=xd.dtype)
     cols = [slice(v, v + 1) for v in range(k)] if d == 1 else [slice(0, k)]
     tmp = np.empty_like(acc) if len(cols) > 1 else None
     e = planes.itemsize
-    for a in range(0, nc, tile):
-        z = min(a + tile, nc)
-        if tile < nc:
-            _fill(interior, xd, a, z)
-        ac = acc[: z - a]
+    for si, sj in tiles:
+        src = xd[si, sj]
+        m, q = src.shape[:2]
+        interior[:m, :q] = src
+        ac = acc[:m, :q]
         for j, vs in enumerate(cols):
             # np.ndarray, not as_strided, which copies the array interface
             # into a dict per call: with it, the peak traced memory of one
             # gradient-check sweep of a (1, 8, 6, 6) block rose from 0.33
             # to 1.24 MiB
-            view = np.ndarray((z - a, k, vs.stop - vs.start, l), planes.dtype, planes,
-                              vs.start * d * e, (size * e, row * d * e, d * e, e))
-            np.einsum("quvl,quv->ql", view, wt[a:z, :, vs], out=tmp[: z - a] if j else ac)
+            view = np.ndarray((m, q, k, vs.stop - vs.start, l), planes.dtype, planes,
+                              vs.start * d * e, (cs * size * e, size * e, row * d * e, d * e, e))
+            np.einsum("mquvl,quv->mql", view, taps[sj, :, vs], out=tmp[:m, :q] if j else ac)
             if j:
-                np.add(ac, tmp[: z - a], out=ac)
-        if bt is not None:
-            np.add(ac, bt[a:z], out=ac)
-        out[a:z] = ac.reshape(z - a, h, row)[:, :, :w]
-    return out.reshape(n, c, h, w), weight_grad
-
-
-def _fill(dst: np.ndarray, src: np.ndarray, a: int, z: int) -> None:
-    """Copy planes a..z of ``src`` (n, c, h, w), plane q being channel q % c
-    of sample q // c, into ``dst[:z - a]``, one sample's run of channels
-    at a time. (A reshape of ``src`` to (n*c, h, w) would copy all of a
-    channel slice, whose samples are not adjacent.)"""
-    c = src.shape[1]
-    q = a
-    while q < z:
-        i, ch = divmod(q, c)
-        m = min(z - q, c - ch)
-        dst[q - a : q - a + m] = src[i, ch : ch + m]
-        q += m
+                np.add(ac, tmp[:m, :q], out=ac)
+        if bias is not None:
+            np.add(ac, bias.reshape(c, 1)[sj], out=ac)
+        out[si, sj] = ac.reshape(m, q, h, row)[..., :w]
+    return out, weight_grad
 
 
 def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:

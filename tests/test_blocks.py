@@ -379,8 +379,8 @@ def test_blocks_preserve_shape(kind, c):
 # output rows at (., 2, 40, 40): with the band height sized from the whole
 # batch, sample 0 of this batch of two was up to 2.4e-7 away from its
 # forward alone in f32, the bands' products rounding differently. The
-# benchmark's forward shapes follow: at (2, 64, 80, 80) a depthwise tile of
-# planes crosses from sample 0 into sample 1
+# benchmark's forward shapes follow, whose depthwise tiles hold runs of
+# one sample's channels
 @pytest.mark.parametrize("kind,shape,dtype", [
     pytest.param(kind, shape, dtype, id=name + dtype.__name__)
     for kind, shape, name in (("gmcf", (2, 32, 40, 40), ""),
@@ -396,6 +396,27 @@ def test_a_samples_eval_output_does_not_depend_on_its_batch(kind, shape, dtype):
         alone = block.forward(Tensor(x.data[i : i + 1]), mode="eval").data
         # the bytes, so the signs of zeros count too
         assert both[i : i + 1].tobytes() == alone.tobytes(), i
+
+
+@pytest.mark.parametrize("kind", ["mscf", "gconv", "gmcf", "gmcf-block"])
+def test_a_samples_longdouble_probe_output_does_not_depend_on_its_batch(kind):
+    # the gradient check's 576 input probes of a (1, 8, 6, 6) input, as one
+    # eval forward at batch 576 with the parameters cast to longdouble as
+    # block_gradient_errors casts them. The batch runs its depthwise convs
+    # on row-padded tiles of whole samples (105 of them a tile at d = 7,
+    # 195 at d = 1), a sample alone on the compact window layout: the
+    # samples checked are the first and last, and either side of a tile's
+    # end at d = 7 and at d = 1
+    block = build_block(kind, block_config(kind, 8), Rng(36))
+    params = {k: t.astype(np.longdouble) for k, t in block.params().items()}
+    x = Rng(37).tensor((576, 8, 6, 6)).astype(np.longdouble)
+    both = block.forward(x, params, mode="eval").data
+    for i in (0, 104, 105, 194, 195, 575):
+        alone = block.forward(Tensor.wrap(x.data[i : i + 1]), params, mode="eval").data
+        # values and sign bits: the bytes would include longdouble's
+        # padding, which is not data
+        got = both[i : i + 1]
+        assert np.array_equal(got, alone) and np.array_equal(np.signbit(got), np.signbit(alone)), i
 
 
 def test_blocks_deterministic_construction_and_forward():

@@ -544,6 +544,24 @@ def test_fractional_gmcf_block_width_is_corrupt_meta_or_a_config_error(tmp_path,
     assert err.startswith("config error") and "2.4" in err and err.count("\n") == 1
 
 
+def test_gmcf_block_whose_bottlenecks_cannot_be_built_is_corrupt_meta_or_a_config_error(
+        tmp_path, capsys):
+    # at c = 4 the bottlenecks run at e*c = 2 channels, which channel
+    # attention's ca_ratio of 4 does not divide: the message names the
+    # wrapper and that width, not only a width the user never gave
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf-block"]) == 0
+    meta = out / "gmcf-block" / "meta.json"
+    _edit_meta(meta, channels=4, input_shape=[1, 4, 8, 8])
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and err.count("\n") == 1, err
+    assert "module(gmcf-block): bottlenecks at e*c = 2 channels" in err, err
+    assert main(["profile", "--block", "gmcf-block", "--channels", "4"]) == 2
+    _one_line_config_error(capsys, "module(gmcf-block): bottlenecks at e*c = 2 channels")
+
+
 def test_golden_verify_through_oracle(tmp_path, capsys):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--seed", "6",

@@ -48,7 +48,7 @@ def test_convspec_validation():
     assert spec.weight_shape == (4, 1, 3, 3)
 
 
-def test_convspec_is_stride_1_with_keyword_fields_and_padding_up_to_d_k_minus_1():
+def test_convspec_is_stride_1_same_padded_with_keyword_fields():
     # every conv is "same": its padding, d(k-1)/2, is derived, never set
     with pytest.raises(TypeError):
         ConvSpec(2, 2, 3, stride=2)
@@ -349,21 +349,27 @@ def test_banded_mask_conv_holds_one_band_of_columns():
 def _dw_tiles(spec, shape):
     """The number of tiles the depthwise kernel splits ``shape``'s planes
     into, and the planes in a partial last tile (0 if it is full), by
-    ``_dw_conv``'s layout: h rows of w + p elements a plane."""
+    ``_dw_conv``'s layout: h rows of w + p elements a plane, and a tile
+    of whole samples where one sample's planes fit, else of a run of one
+    sample's channels."""
     n, c, h, w = shape
-    tile = max(1, ops._DW_TILE // (h * (w + spec.padding)))
-    return -(-n * c // tile), (n * c) % tile
+    fit = max(1, ops._DW_TILE // (h * (w + spec.padding)))
+    if c > fit:
+        return n * -(-c // fit), c % fit
+    ms = min(n, fit // c)
+    return -(-n // ms), n % ms * c
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("bias", [True, False])
 def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatch):
     # conv_cases draws too few planes to leave the kernel's first tile;
-    # here the planes span several tiles and the last one is partial
+    # here the planes span several tiles, of two whole samples each, and
+    # the last one is partial
     rng = Rng(30 + d)
     c = 33
     spec = ConvSpec(c, c, 3, dilation=d, groups=c, bias=bias)
-    shape = (2, c, 30, 33)
+    shape = (3, c, 28, 32)
     count, last = _dw_tiles(spec, shape)
     assert count >= 2 and last
     # values drawn in f32 are exact in every dtype, so one f64 oracle
@@ -381,11 +387,12 @@ def test_depthwise_tiles_match_oracle_and_finite_differences(d, bias, monkeypatc
     # probing every input element is affordable only at a few hundred
     # elements, so the tape's dx and dw are checked with a smaller tile:
     # the forward, and the dx (the same kernel run on the output
-    # gradient), then loop over five tiles of two planes and one of one
+    # gradient), then loop over six tiles: each sample's channels in one
+    # run of two and one of one
     monkeypatch.setattr(ops, "_DW_TILE", 100)
     spec = ConvSpec(3, 3, 3, dilation=d, groups=3, bias=bias)
     shape = (3, 3, 6, 5)
-    assert _dw_tiles(spec, shape) == (5, 1)
+    assert _dw_tiles(spec, shape) == (6, 1)
     x = rng.tensor(shape)
     w = rng.tensor(spec.weight_shape, -1 / 3, 1 / 3)
     b = rng.tensor((1, 3, 1, 1), -1 / 3, 1 / 3) if bias else None
@@ -490,15 +497,17 @@ def test_taped_row_padded_depthwise_conv_holds_no_padded_copy_of_its_input():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
 @pytest.mark.parametrize("k,d", [(3, 1), (3, 3)], ids=["d1-same", "d3-same"])
 def test_row_padded_depthwise_results_do_not_depend_on_the_tile(k, d, dtype, monkeypatch):
-    # one plane a tile; tiles of 2 and 4 of the 9 planes, whose budget ends
-    # inside a plane, whose last tile is partial and whose tiles cross from
-    # one sample into the next; and one tile of every plane
+    # tiles of (samples x channels) of the 3 samples of 3 planes: one
+    # plane; runs of 2 channels, each sample's last run partial; one
+    # sample; 2 samples, the last tile partial; and one tile of every
+    # plane. The three budgets between the first and last end inside a plane
     x, wt, g, spec = _depthwise_case(Rng(60 + k + d), (3, 3, 9, 11), k, d, dtype)
     b = _with_signed_zeros(Rng(61), Rng(61).uniform((1, 3, 1, 1), -1.0, 1.0)).astype(dtype)
     taps, p = wt.reshape(3, k, k), spec.padding
     plane = 9 * (11 + p)  # the outputs a plane of the forward computes: h rows of w + p
     results = []
-    for budget in (plane, 2 * plane + plane // 2, 4 * plane + plane // 2, 9 * plane):
+    for budget in (plane, 2 * plane + plane // 2, 4 * plane + plane // 2,
+                   6 * plane + plane // 2, 9 * plane):
         monkeypatch.setattr(ops, "_DW_TILE", budget)
         out, weight_grad = ops._dw_conv(x, taps, d, p, b)
         y = ops._depthwise(x, wt, b, spec)
@@ -523,9 +532,8 @@ def test_row_padded_depthwise_forward_holds_one_tile_of_planes():
     with traced_memory() as mem:
         y = conv2d(x, w, b, spec)
         peak = mem.peak()
-    # the slack covers numpy's iteration buffers (about 37 KB here) and
-    # the per-plane taps and bias
-    bound = y.data.nbytes + 4 * tile * (size + h * row) + 64 * 1024
+    # the slack covers numpy's iteration buffers (about 34 KB here)
+    bound = y.data.nbytes + 4 * tile * (size + h * row) + 48 * 1024
     assert peak <= bound, f"peak {peak} B against its output, one tile and accumulator {bound} B"
 
 

@@ -90,8 +90,8 @@ def view_cases(draw, ops=st.sampled_from(OPS), n=st.integers(1, 3), c=st.integer
     The activations are passed as channel slices or as their copies; a
     conv's weights and bias, batch norm's affine and a dropout state are
     the same in both runs. ``tile`` is the depthwise kernel's tile: 0
-    and 100 run the row-padded layout with tiles of one or a few planes
-    (crossing from one sample into the next) and band the im2col
+    and 100 run the row-padded layout with tiles of one plane, of a run
+    of one sample's channels or of whole samples, and band the im2col
     columns by rows; 1 << 40 runs the window layout and one band.
     """
     n, c, h, w = draw(n), draw(c), draw(h), draw(w)
@@ -209,8 +209,8 @@ def _check_same_bits(case):
 
 
 def test_row_padded_depthwise_conv_reads_a_channel_slice_where_it_lies():
-    # the planes are copied into each tile from the 4-D slice; a reshape of
-    # the slice to (n*c, h, w) would first copy all of it
+    # each tile's planes are copied in from a (samples, channels) slice of
+    # the 4-D input; a reshape of it to (n*c, h, w) would first copy all of it
     c, h, d = 64, 40, 7
     spec = ConvSpec(c, c, 3, dilation=d, groups=c)
     x = slice_channels(Rng(64).tensor((2, 2 * c, h, h), dtype=np.float32), c, 2 * c)
@@ -224,5 +224,5 @@ def test_row_padded_depthwise_conv_reads_a_channel_slice_where_it_lies():
         peak = mem.peak()
     assert _same_bits(y.data, want.data)
     # as in test_row_padded_depthwise_forward_holds_one_tile_of_planes
-    bound = y.data.nbytes + 4 * tile * (size + h * row) + 64 * 1024
+    bound = y.data.nbytes + 4 * tile * (size + h * row) + 48 * 1024
     assert peak <= bound, f"peak {peak} B against its output, one tile and accumulator {bound} B"
