@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import ShapeError, Tensor
-from .tape import Node, emit, share_value, value_of
+from .tape import Node, emit, op_entry, share_value, value_of
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -36,6 +36,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.sum(axis=axes, keepdims=True) if axes else grad
 
 
+@op_entry
 def add(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
@@ -48,6 +49,7 @@ def add(a, b):
     return emit("add", out, (a, b), backward, eltwise=out.size)
 
 
+@op_entry
 def hadamard(a, b):
     """Elementwise product a * b (b broadcastable onto a)."""
     ta, tb = value_of(a), value_of(b)
@@ -64,6 +66,7 @@ def hadamard(a, b):
     return emit("hadamard", out, (a, b), backward, eltwise=out.size)
 
 
+@op_entry
 def sum_all(x):
     """Sum over all axes, returned as a (1,1,1,1) scalar tensor.
 
@@ -81,6 +84,7 @@ def sum_all(x):
     return emit("sum_all", out, (x,), backward)
 
 
+@op_entry
 def channel_avg_max(x):
     """Channel mean and channel max of x, as the two channels of one
     (n, 2, h, w) buffer.
@@ -117,6 +121,7 @@ def channel_avg_max(x):
     return emit("channel_avg_max", Tensor.wrap(buf), (x,), backward, eltwise=2 * tx.size)
 
 
+@op_entry
 def select_scales(cat, mask, x):
     """MSCF's scale selection and gate: y = x * sum_i f_i * m_i.
 
@@ -177,6 +182,7 @@ def select_scales(cat, mask, x):
     return emit("select_scales", out, (cat, mask, x), backward, eltwise=2 * scales * s.size)
 
 
+@op_entry
 def spatial_mean(x):
     """Global average pool over (h, w), out (n,c,1,1): the sum divided in
     place by h*w, as ``np.mean`` computes it."""
@@ -192,6 +198,7 @@ def spatial_mean(x):
     return emit("spatial_mean", out, (x,), backward, eltwise=tx.size)
 
 
+@op_entry
 def concat_channels(parts, channels: int):
     """Concatenate along the channel axis into one buffer ``channels`` wide.
 
@@ -201,7 +208,9 @@ def concat_channels(parts, channels: int):
     that an op recorded on a tape is not held twice either: its node is
     pointed at its channel range of the buffer, an equal view
     (:func:`~vrfnet.tape.share_value`), as soon as it is copied in. A
-    leaf, and a plain tensor, keep their own values.
+    leaf, and a plain tensor, keep their own values. Under a probe replay
+    the op's entry gathers a generator of parts into a list first (see
+    :mod:`vrfnet.tape`); everywhere else the parts stream.
     """
     out = None
     kept = []  # the parts that are nodes, and the widths of the others
@@ -236,6 +245,7 @@ def concat_channels(parts, channels: int):
     return emit("concat_channels", Tensor.wrap(out), kept, backward)
 
 
+@op_entry
 def slice_channels(x, start: int, stop: int):
     """Channel slice x[:, start:stop]: a view of x at every batch size,
     each sample of it one C-contiguous block (see :class:`Tensor`). The

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import Rng, ShapeError, Tensor
-from .tape import emit, value_of
+from .tape import emit, op_entry, value_of
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class ConvSpec:
         return h, w
 
 
+@op_entry
 def conv2d(x, w, b, spec: ConvSpec):
     """2-d convolution per ``spec``; "same" zero padding, weights (c_out, c_in/g, k, k).
 
@@ -473,6 +474,7 @@ def _sigmoid(xd: np.ndarray, s: float = 1.0) -> np.ndarray:
     return np.reciprocal(y, out=y)
 
 
+@op_entry
 def relu(x):
     tx = value_of(x)
     out = Tensor.wrap(np.maximum(tx.data, 0))
@@ -483,6 +485,7 @@ def relu(x):
     return emit("relu", out, (x,), backward, eltwise=out.size)
 
 
+@op_entry
 def sigmoid(x):
     tx = value_of(x)
     sig = _sigmoid(tx.data)
@@ -512,6 +515,7 @@ def _with_limits_at_inf(f, x: np.ndarray, at_neg_inf: float, at_pos_inf: float) 
         return y
 
 
+@op_entry
 def sigmoid_gate(x):
     """x * sigmoid(1.702 * x): the sigmoid-weighted gate used by the
     gated convolution's spatial branch (a sigmoid approximation of GELU).
@@ -533,6 +537,7 @@ def sigmoid_gate(x):
     return emit("sigmoid_gate", out, (x,), backward, eltwise=3 * out.size)
 
 
+@op_entry
 def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel.
 
@@ -609,6 +614,7 @@ class DropoutState:
         self.rng = rng
 
 
+@op_entry
 def dropout(x, state: DropoutState, mode: str = "eval"):
     """Inverted dropout: train zeroes with prob p and scales by 1/(1-p);
     eval (or p=0) is a bit-exact identity."""
