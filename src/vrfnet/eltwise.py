@@ -41,10 +41,11 @@ def add(a, b):
     ta, tb = value_of(a), value_of(b)
     _check_pair(ta, tb)
     out = Tensor.wrap(ta.data + tb.data)
+    sa, sb = ta.shape, tb.shape  # all the adjoint needs: the operands may be freed
 
     def backward(g, acc):
-        acc(a, _unbroadcast(g, ta.shape))
-        acc(b, _unbroadcast(g, tb.shape))
+        acc(a, _unbroadcast(g, sa))
+        acc(b, _unbroadcast(g, sb))
 
     return emit("add", out, (a, b), backward, eltwise=out.size)
 
@@ -166,7 +167,8 @@ def select_scales(cat, mask, x):
 
     def backward(g, acc):
         dcat = np.empty(stack.shape, dtype=g.dtype)
-        gx = np.multiply(g, tx.data, out=dcat[:, 0])
+        # x read through its node: a concat may have pointed it at its stack
+        gx = np.multiply(g, value_of(x).data, out=dcat[:, 0])
         dmask = np.einsum("nchw,nschw->nshw", gx, stack)
         np.multiply(gx[:, None], tm.data[:, 1:, None], out=dcat[:, 1:])
         np.multiply(gx, tm.data[:, :1], out=gx)

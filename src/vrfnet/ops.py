@@ -129,7 +129,8 @@ def conv2d(x, w, b, spec: ConvSpec):
     out = lower(tx.data, tw.data, tb.data if tb is not None else None, spec)
 
     def backward(grad, acc):
-        dx, dw = vjp(grad, tx.data, tw.data, spec)
+        # read through the nodes: a concat may have pointed x's at its stack
+        dx, dw = vjp(grad, value_of(x).data, value_of(w).data, spec)
         acc(x, dx)
         acc(w, dw)
         if b is not None:

@@ -1,21 +1,23 @@
 """Brute-force reference implementations used as ground truth.
 
-Everything here recomputes results from first principles: convolution is
-a direct loop over every output element, each one a float64 dot product
-of its explicit dilated input window with the flattened filter
-(no im2col, no blocking, no tiling), and each block is restated as
-straight-line code over those primitive loops. The only things shared
-with the fast path are the Tensor container, the ConvSpec descriptor,
-the OpCounter tally, and the parameter values under test. All
-arithmetic accumulates in float64 regardless of the input dtype, so the
-oracle is strictly more accurate than the fast path it checks.
+Everything here recomputes results from first principles: convolution
+is a sum over kernel taps, one float64 multiply-add per (group, input
+channel, tap) of that tap's shifted slice of the zero-padded input into
+the group's output channels, in (channel, row, column) order, with the
+bias added last (no im2col, einsum, matmul, dot product or window
+copy), and each block is restated as straight-line code over those
+primitives. The only things shared with the fast path are the Tensor
+container, the ConvSpec descriptor, the OpCounter tally, and the
+parameter values under test. All arithmetic accumulates in float64
+regardless of the input dtype, so the oracle is strictly more accurate
+than the fast path it checks.
 
 Multiply-accumulate counting: the input is zero-padded up front, by the
-spec's d(k-1)/2 on each side ("same"), so the dot product really
-multiplies every kernel tap, padding included; the counter adds
-(c_in/groups)*k*k per computed output element, which is exactly the
-number of multiplies that dot product executes. Elementwise work is
-tallied with the same cost table the profiler documents.
+spec's d(k-1)/2 on each side ("same"), so every tap is multiplied at
+every output, padding included; each conv adds out.size*(c_in/groups)*k*k
+to the counter once, exactly the multiplies its taps' slices execute.
+Elementwise work is tallied with the same cost table the profiler
+documents.
 """
 
 from __future__ import annotations
@@ -52,37 +54,31 @@ def compare(op: str, fast: Tensor, ref: Tensor, seed: int | None = None) -> Orac
 
 def oracle_conv2d(x: Tensor, w: Tensor, b: Tensor | None, spec: ConvSpec,
                   counter: OpCounter | None = None) -> Tensor:
-    """Direct convolution, one dot product per output element; float64
-    accumulation; "same" zero padding, so the output is h x w."""
+    """Direct convolution summed over taps; float64 accumulation; "same"
+    zero padding, so the output is h x w."""
     n, cin, h, width = x.shape
     if cin != spec.c_in or w.shape != spec.weight_shape:
         raise ValueError(f"shapes {x.shape}/{w.shape} inconsistent with {spec}")
-    k, d, p, g = spec.k, spec.dilation, spec.padding, spec.groups
-    cg = cin // g
-    cog = spec.c_out // g
+    k, d, p = spec.k, spec.dilation, spec.padding
+    cg, cog = cin // spec.groups, spec.c_out // spec.groups
 
     xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
     wd = w.data.astype(np.float64)
-    bd = b.data.astype(np.float64).reshape(-1) if b is not None else None
     out = np.zeros((n, spec.c_out, h, width), dtype=np.float64)
-
-    taps_per_out = cg * k * k
-    span = (k - 1) * d + 1  # the dilated kernel's extent
-    for ni in range(n):
-        for o in range(spec.c_out):
-            base_c = (o // cog) * cg
-            group = xp[ni, base_c : base_c + cg]
-            taps = wd[o].reshape(-1)
-            bias = bd[o] if bd is not None else 0.0
-            for i in range(h):
-                for j in range(width):
-                    # the (cg, k, k) input window this output's taps read
-                    window = group[:, i : i + span : d, j : j + span : d]
-                    out[ni, o, i, j] = bias + np.dot(window.reshape(-1), taps)
-                    if counter is not None:
-                        counter.macs += taps_per_out
-    if counter is not None and bd is not None:
-        counter.eltwise += out.size
+    for o in range(0, spec.c_out, cog):
+        acc = out[:, o : o + cog]  # this group's output channels, in place
+        base_c = (o // cog) * cg
+        for c in range(cg):
+            for u in range(k):
+                for v in range(k):
+                    # tap (u, v) of channel c reads the input shifted by (ud, vd)
+                    shifted = xp[:, base_c + c, None, u * d : u * d + h, v * d : v * d + width]
+                    acc += wd[o : o + cog, c, u, v, None, None] * shifted
+    if b is not None:
+        out += b.data.astype(np.float64).reshape(1, -1, 1, 1)
+    if counter is not None:
+        counter.macs += out.size * spec.fan_in
+        counter.eltwise += out.size if b is not None else 0
     return Tensor.wrap(out)
 
 

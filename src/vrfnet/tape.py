@@ -24,8 +24,12 @@ A tape holds each activation once. A node's value is the array its op
 wrote, with one exception: a taped ``concat_channels`` copies each part
 into its buffer and then points the part's node, if an op recorded it,
 at the equal view of that buffer (:func:`share_value`), so the part's
-own array is freed unless a rule saved it. Rules read the arrays they
-closed over, and of a node's value only its shape, so no bit changes.
+own array is freed unless a rule saved it. The rules that may read such
+a part (a gmcf-block's bottleneck output is the next bottleneck's
+input) do not save it: ``conv2d``'s and ``select_scales``' read their
+inputs through the nodes when they run (:func:`value_of`), and ``add``'s
+keeps only its operands' shapes. Every other rule reads the arrays it
+closed over. The view is equal to the array, so no bit changes.
 
 The first array an op hands for an input becomes that input's adjoint
 as it is: it may be a view (of the op's own adjoint, or a read-only

@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vrfnet import (
@@ -14,6 +15,8 @@ from vrfnet import (
     OpCounter,
     Rng,
     Tensor,
+    block_config,
+    build_block,
     compare,
     conv2d,
     oracle_block,
@@ -87,6 +90,20 @@ def test_oracle_mscf_differential():
     ref = oracle_block("mscf", cfg, x, block.params())
     report = compare("mscf", fast, ref, seed=7)
     assert report.max_abs_diff < 1e-6
+
+
+@pytest.mark.parametrize("kind, shape", [("gmcf", (1, 64, 80, 80)),
+                                         ("gmcf-block", (4, 256, 20, 20))],
+                         ids=["gmcf-1x64x80x80", "gmcf-block-4x256x20x20"])
+def test_f64_eval_forward_matches_the_oracle_at_the_benchmarks_full_shape(kind, shape):
+    # the eval forwards the benchmark times, at its configs and shapes but
+    # in f64: the two differ in summation order alone, by about 1e-15
+    cfg = block_config(kind, shape[1])
+    block = build_block(kind, cfg, Rng(44), np.float64)
+    x = Rng(45).tensor(shape, -1.0, 1.0, np.float64)
+    fast = block.forward(x, mode="eval")
+    ref = oracle_block(kind, cfg, x, block.params(), block.buffers(), "eval")
+    assert np.abs(fast.data - ref.data).max() < 1e-12
 
 
 def test_oracle_report_json_line():

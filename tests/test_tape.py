@@ -14,6 +14,7 @@ from conftest import traced_memory
 from vrfnet import (
     GConvBlock,
     GconvConfig,
+    GmcfBlock,
     GmcfBottleneck,
     GmcfConfig,
     MscfBlock,
@@ -35,6 +36,7 @@ from vrfnet import (
     slice_channels,
     spatial_mean,
     sum_all,
+    value_of,
 )
 from vrfnet.tape import counting, emit
 
@@ -202,6 +204,30 @@ def test_a_train_step_holds_each_activation_once():
         peak = mem.peak()
     assert len(grads) == 1 + len(block.params())
     assert peak < 1_100_000, f"a train step peaked at {peak} B"
+
+
+def test_a_taped_gmcf_block_holds_no_bottleneck_output_beside_its_concat():
+    # the concat points each bottleneck's node at its stack, and the next
+    # bottleneck's rules (its MSCF convs, select_scales, the residual add)
+    # read their input through that node or keep only its shape, so the
+    # array each bottleneck wrote is freed. Were those rules to keep the
+    # tensor they were given, output 0 would outlive the forward.
+    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(36))
+    written = []
+    for child in (block._children["m0"], block._children["m1"]):
+        def forward(xin, params=None, mode="eval", _child=child):
+            y = type(_child).forward(_child, xin, params, mode)
+            written.append(weakref.ref(value_of(y).data))
+            return y
+
+        child.forward = forward
+    tape = Tape()
+    xn = tape.leaf(Rng(37).tensor((1, 8, 6, 6)), "input")
+    pn = {k: tape.leaf(t, k) for k, t in block.params().items()}
+    out = block.forward(xn, pn, "train")
+    assert [ref() is None for ref in written] == [True, True]
+    grads = tape.backward(sum_all(out))
+    assert len(grads) == 1 + len(pn)
 
 
 def test_backward_zero_grad_for_unused_leaf():
