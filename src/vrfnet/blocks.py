@@ -263,8 +263,8 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
         grads = tape.backward(sum_all(block.forward(xn, pnodes, mode)))
         x_grad = grads[xn.id]
         param_grads = {k: grads[node.id] for k, node in pnodes.items()}
-        # the tape keeps every node's value, and each node the tape: all
-        # of it is freed before the probes run
+        # backward left no node on the tape, so these are the last
+        # references to the tape phase: it is freed here, before the probes
         del tape, xn, pnodes, grads
 
         fd_x = x.astype(np.longdouble)

@@ -21,6 +21,15 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+def _finite(x) -> bool:
+    """Whether the number ``x`` is finite; an int too large for a float is
+    not (``math.isfinite`` raises on it)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def default_hidden(c: int) -> int:
     """Gated-conv hidden width: floor(2c/3)."""
     return (2 * c) // 3
@@ -106,9 +115,9 @@ class GmcfConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("gmcf: dropout must be in [0, 1)")
         # written so that NaN, which compares false both ways, fails them
-        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
+        if not (_finite(self.bn_eps) and self.bn_eps > 0):
             raise ConfigError(f"gmcf: bn_eps must be a finite number > 0, got {self.bn_eps!r}")
-        if not (math.isfinite(self.e) and self.e > 0):
+        if not (_finite(self.e) and self.e > 0):
             raise ConfigError(f"gmcf: e must be a finite number > 0, got {self.e!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ConfigError(f"gmcf: bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
@@ -119,7 +128,7 @@ class GmcfConfig:
     def hidden_width(self) -> int:
         """Wrapper branch width e*c; must be integral."""
         ch = self.e * self.c
-        if ch != int(ch) or int(ch) < 1:
+        if not _finite(ch) or ch != int(ch) or int(ch) < 1:
             raise ConfigError(f"gmcf: hidden width e*c = {ch} is not a positive integer")
         return int(ch)
 
@@ -256,7 +265,10 @@ def run_config(raw, where: str, overrides: dict | None = None, **defaults) -> Ru
     if vals.get("input_shape") is not None:
         vals["input_shape"] = tuple(vals["input_shape"])
     if vals.get("out_dir") is not None:
-        vals["out_dir"] = Path(vals["out_dir"]).resolve()
+        try:
+            vals["out_dir"] = Path(vals["out_dir"]).resolve()
+        except (OSError, ValueError) as exc:  # a NUL byte, a loop of links
+            raise ConfigError(f"{where}: out_dir {vals['out_dir']!r}: {exc}") from None
     cfg = RunConfig(**vals)
     validate_run_config(cfg)
     return cfg
@@ -281,7 +293,7 @@ def validate_run_config(cfg: RunConfig) -> None:
             )
     # NaN compares false both ways: every check against it would fail,
     # yet no comparison of it with 0 rejects it
-    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+    if cfg.tolerance is not None and not (_finite(cfg.tolerance) and cfg.tolerance >= 0):
         raise ConfigError(f"tolerance must be a finite number >= 0, got {cfg.tolerance!r}")
     if cfg.block is not None:
         cfg.build_block_config()

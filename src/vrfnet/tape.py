@@ -17,8 +17,17 @@ each op the input order as written in its adjoint rule.
 
 A tape is differentiated once. :meth:`Tape.backward` frees the graph as
 it walks it: it takes each op's adjoint off the tape before running the
-op's rule, and drops the rule, with the activations it saved, once it
-has run. Only the leaf adjoints live until they are returned.
+op's rule, and once the rule has run it drops the rule, with the
+activations it saved, and sets the node's slot on the tape to None; a
+leaf's slot goes once its gradient is built. Only the leaf adjoints live
+until they are returned. A node the caller holds keeps its value, and
+the tape keeps its length, so ids stay valid; an intermediate that
+nobody holds is freed as the walk passes it. Each node points at its
+tape, and the tape at every node it has not walked, so a tape that is
+never differentiated is a reference cycle: the cycle collector, not
+reference counting, frees it and everything its nodes hold. A
+differentiated tape holds no node, and is freed with the last node its
+caller drops.
 
 A tape holds each activation once. A node's value is the array its op
 wrote, with one exception: a taped ``concat_channels`` copies each part
@@ -233,7 +242,7 @@ class Tape:
     """Ordered record of forward ops, replayed in reverse for gradients."""
 
     def __init__(self):
-        self._nodes: list[Node] = []
+        self._nodes: list[Node | None] = []  # a slot is None once backward has walked it
         self._consumed = False
 
     def __len__(self) -> int:
@@ -270,9 +279,11 @@ class Tape:
 
         The tape can be differentiated only once; a second call raises
         ValueError. The walk frees what it has used: each op's adjoint
-        is taken off the tape before the op's rule runs, and the rule,
-        with the arrays it saved, is dropped once it has run. Node
-        values stay on the tape.
+        is taken off the tape before the op's rule runs, and once it has
+        run the rule, with the arrays it saved, is dropped and the node's
+        slot set to None; each leaf's slot goes once its gradient is
+        built. The tape keeps its length, and a node the caller holds
+        keeps its value.
         """
         if not isinstance(loss, Node) or loss.tape is not self:
             raise ValueError("loss must be a node recorded on this tape")
@@ -321,22 +332,25 @@ class Tape:
             adjoints[ref.id] = cur
             owned.add(ref.id)
 
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            node = nodes[i]
             if node.is_leaf:
                 continue
-            grad = adjoints.pop(node.id, None)
+            grad = adjoints.pop(i, None)
             if grad is not None:
                 node._backward(grad, accumulate)
-            node._backward = None
+            node._backward = nodes[i] = None
 
         out: dict[int, Tensor] = {}
-        for node in self._nodes:
-            if node.is_leaf:
-                grad = adjoints.get(node.id)
+        for i, node in enumerate(nodes):
+            if node is not None:  # a leaf
+                grad = adjoints.get(i)
                 if grad is None:
-                    out[node.id] = Tensor.wrap(np.zeros_like(node.tensor.data))
+                    out[i] = Tensor.wrap(np.zeros_like(node.tensor.data))
                 else:  # an array an op handed over may be a view: it is copied
-                    out[node.id] = Tensor.wrap(grad if node.id in owned else grad.copy())
+                    out[i] = Tensor.wrap(grad if i in owned else grad.copy())
+                nodes[i] = None
         return out
 
 

@@ -440,6 +440,141 @@ def test_an_eval_output_shifts_with_its_input_away_from_the_frame(kind, module, 
     assert got.tobytes() == want.tobytes()
 
 
+def _bottleneck_perms(cfg, prefix, p, ph):
+    """Channel permutations of a gmcf bottleneck whose input channels are
+    permuted by ``p`` and GConv's hidden channels by ``ph``: the (output,
+    input) permutation of each conv and of batch norm, by name, and each
+    width's for the other ops (MSCF's stack in blocks of c; a width that
+    nothing permutes maps to itself)."""
+    c, h, scales = cfg.c, cfg.gconv.hidden, cfg.mscf.n_scales
+    ident = np.arange
+    convs = {f"{prefix}mscf.scale{i}": (p, p) for i in range(scales)}
+    convs.update({
+        f"{prefix}mscf.sa.conv": (ident(scales), ident(2)),
+        f"{prefix}mscf.ca.reduce": (ident(c // cfg.mscf.ca_ratio), p),
+        f"{prefix}mscf.ca.expand": (p, ident(c // cfg.mscf.ca_ratio)),
+        f"{prefix}gconv.proj": (np.concatenate([ph, h + ph]), p),
+        f"{prefix}gconv.dw": (ph, ph),
+        f"{prefix}gconv.restore": (p, ph),
+        f"{prefix}bn": (p, p),
+    })
+    widths = {c: p, h: ph, scales * c: np.concatenate([p + i * c for i in range(scales)]),
+              c // cfg.mscf.ca_ratio: ident(c // cfg.mscf.ca_ratio), scales: ident(scales)}
+    assert len(widths) == 5, "two of the widths are equal: a width names no one permutation"
+    return convs, widths
+
+
+def _channel_perms(block, rng):
+    """The permutation of x's channels and ``_bottleneck_perms``' maps for a
+    gmcf bottleneck or a gmcf-block, whose bottlenecks permute their
+    ``e*c`` channels alike (the block's own convs are added to the map)."""
+    cfg = block.cfg
+    p = rng.permutation(cfg.c)
+    if block.kind == "gmcf":
+        return p, *_bottleneck_perms(cfg, "", p, rng.permutation(cfg.gconv.hidden))
+    ch, n = block.ch, cfg.n_bottlenecks
+    inner = cfg.at_width(ch)
+    q, qh = rng.permutation(ch), rng.permutation(inner.gconv.hidden)
+    convs = {"cv1": (np.concatenate([q, ch + q]), p),
+             "cv2": (p, np.concatenate([q + i * ch for i in range(2 + n)]))}
+    for i in range(n):
+        convs.update(_bottleneck_perms(inner, f"m{i}.", q, qh)[0])
+    return p, convs, _bottleneck_perms(inner, "", q, qh)[1]
+
+
+def _permuted(tensors, convs, specs):
+    """``tensors`` (params or buffers, by flat name) permuted as ``convs``
+    says: a weight by its output and, unless depthwise, input channels;
+    a bias or a batch-norm tensor by its channels."""
+    out = {}
+    for name, t in tensors.items():
+        stem, leaf = name.rsplit(".", 1)
+        o, i = convs[stem]
+        a = t.data[o] if leaf == "w" else t.data[:, o]
+        if leaf == "w" and specs[stem].groups == 1:
+            a = a[:, i]
+        out[name] = Tensor(np.ascontiguousarray(a))
+    return out
+
+
+# the ops a gmcf bottleneck runs, by the module namespace its blocks call
+# them through; every one but the conv is per-channel. channel_avg_max,
+# the concat and the slices are left to the whole-block relation
+_RECORDED_OPS = [(vrfnet.layers, "conv2d"), (vrfnet.blocks, "select_scales"),
+                 (vrfnet.blocks, "batch_norm"), (vrfnet.blocks, "dropout"),
+                 (vrfnet.blocks, "add"), (vrfnet.blocks, "hadamard"),
+                 (vrfnet.blocks, "sigmoid_gate"), (vrfnet.attention, "spatial_mean"),
+                 (vrfnet.attention, "relu"), (vrfnet.attention, "sigmoid")]
+
+
+@pytest.mark.parametrize("kind,shape,dtype", [
+    pytest.param(kind, shape, dtype, id=f"{kind}-{dtype.__name__}")
+    for kind, shape in (("gmcf", (1, 64, 80, 80)), ("gmcf-block", (4, 256, 20, 20)))
+    for dtype in (np.float32, np.float64)
+])
+def test_permuting_channels_and_weights_permutes_the_output(kind, shape, dtype, monkeypatch):
+    # x's channels permuted, and every weight (GConv's hidden channels by
+    # a permutation of their own) to match. Every op of the forward, given
+    # its recorded arguments permuted, gives its recorded output permuted:
+    # bit for bit for a depthwise conv and a per-channel op, and within
+    # twice the rounding bound of a dot product, 2*gamma_n*sum|w||x|, for
+    # a conv that sums over channels in a new order. The whole output
+    # permutes within 64 eps of its largest value: it read 1.0 eps (gmcf)
+    # and 6.5-9.5 eps (gmcf-block), after the reordered sums of the
+    # pointwise convs and channel_avg_max's mean
+    block = build_block(kind, block_config(kind, shape[1]), Rng(46), dtype)
+    p, convs, widths = _channel_perms(block, np.random.default_rng(47))
+    specs = block.conv_specs()
+    params = _permuted(block.params(), convs, specs)
+    permuted = build_block(kind, block.cfg, None, dtype)
+    permuted.set_params(params)
+    permuted.set_buffers(_permuted(block.buffers(), convs, specs))
+    x = Rng(48).tensor(shape).astype(dtype)
+
+    calls = []
+    for module, name in _RECORDED_OPS:
+        def recorded(*args, _op=getattr(module, name)):
+            out = _op(*args)
+            calls.append((_op, args, out))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+    want = block.forward(x).data[:, p]
+    monkeypatch.undo()
+    got = permuted.forward(Tensor(x.data[:, p])).data
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 64 * np.finfo(dtype).eps * scale
+
+    assert {op.__name__ for op, _, _ in calls} == {name for _, name in _RECORDED_OPS}
+    by_weight = {id(t): name[:-2] for name, t in block.params().items()}
+    u = np.finfo(dtype).eps / 2
+
+    def perm(a):
+        return Tensor(a.data[:, widths[a.shape[1]]]) if isinstance(a, Tensor) else a
+
+    for op, args, out in calls:
+        if op is conv2d:
+            tx, w, _, spec = args
+            name = by_weight[id(w)]
+            o, i = convs[name]
+            pw, pb = params[name + ".w"], params.get(name + ".b")
+            got = conv2d(Tensor(tx.data[:, i]), pw, pb, spec).data
+            if spec.groups > 1:
+                assert got.tobytes() == out.data[:, o].tobytes(), name
+                continue
+            # sum|w||x| per output, with each sample's largest |x| for |x|
+            # (every conv has a bias)
+            n = spec.fan_in + 1
+            terms = (np.abs(pw.data).sum(axis=(1, 2, 3)).reshape(1, -1, 1, 1)
+                     * np.abs(tx.data).max(axis=(1, 2, 3), keepdims=True) + np.abs(pb.data))
+            bound = 2 * n * u / (1 - n * u) * terms
+            assert (np.abs(got - out.data[:, o]) <= bound).all(), name
+            continue
+        got = op(*map(perm, args))
+        for g, o in zip(*((got, out) if isinstance(out, tuple) else ((got,), (out,)))):
+            assert g.data.tobytes() == o.data[:, widths[o.shape[1]]].tobytes(), op.__name__
+
+
 @pytest.mark.parametrize("kind", ["mscf", "gconv", "gmcf", "gmcf-block"])
 def test_a_samples_longdouble_probe_output_does_not_depend_on_its_batch(kind):
     # the gradient check's 576 input probes of a (1, 8, 6, 6) input, as one

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
-from vrfnet.config import block_config, run_config
+from vrfnet.cli import main
+from vrfnet.config import RunConfig, block_config, run_config
 
 
 def test_mscf_defaults_and_validation():
@@ -136,3 +141,100 @@ def test_input_shape_whose_bytes_overflow_an_array_index_is_a_config_error(dtype
     else:
         with pytest.raises(ConfigError, match="input_shape .* bytes"):
             run_config(raw, "run")
+
+
+# ---------------------------------------------------------------- fuzzed run configs
+
+# numbers at the edges of a float (an int no float holds, a float whose
+# product with a width overflows) and a string no path may hold, beside
+# what hypothesis draws
+_EDGES = st.sampled_from([10**400, -10**400, 10**308, 1e308, -1e308, 5e-324, "\x00", ""])
+_NUMBER = _EDGES | st.integers(-2, 9) | st.floats() | st.integers()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=6)
+    | st.sampled_from(["gmcf", "gmcf-block", "mscf", "gconv", "f32", "f64"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+_BLOCK_KEYS = sorted({f.name for cls in (MscfConfig, GconvConfig, GmcfConfig)
+                      for f in fields(cls)} - {"c"})
+# a module object: known keys, MSCF and GConv sub-objects among them
+_MODULE = st.dictionaries(
+    st.sampled_from(_BLOCK_KEYS),
+    _NUMBER | _JSON | st.lists(st.integers(-1, 9), max_size=4)
+    | st.dictionaries(st.sampled_from(_BLOCK_KEYS), _JSON, max_size=3),
+    max_size=4,
+)
+# a run config object: each key of RunConfig optional, drawn near its
+# type first, then from any JSON value
+_RUN = st.fixed_dictionaries({}, optional={
+    "block": st.sampled_from(["gmcf", "gmcf-block", "mscf", "gconv"]) | _JSON,
+    "channels": st.integers(-1, 16) | _JSON,
+    "seed": st.integers() | _JSON,
+    "dtype": st.sampled_from(["f32", "f64"]) | _JSON,
+    "input_shape": st.lists(st.integers(-1, 2**40), max_size=5) | _JSON,
+    "tolerance": _NUMBER | _JSON,
+    "out_dir": _EDGES | st.text(max_size=6) | _JSON,
+    "module": _MODULE | _JSON,
+    "bogus": _JSON,
+})
+_RUN_VALUES = _JSON | _RUN
+# each raised something other than ConfigError before: an int no float
+# holds (OverflowError in math.isfinite), e*c overflowing to inf
+# (OverflowError in int()), and a path with a NUL byte (ValueError)
+_FOUND = [{"tolerance": 10**400}, {"block": "gmcf", "module": {"bn_eps": -10**400}},
+          {"block": "gmcf-block", "module": {"e": 1e308}}, {"out_dir": "run\x00"}]
+
+
+def _with_found(test):
+    for raw in _FOUND:
+        test = example(raw=raw)(test)
+    return test
+
+
+@given(raw=_RUN_VALUES)
+@_with_found
+@settings(max_examples=300, deadline=None)
+def test_run_config_gives_a_run_config_or_a_config_error(raw):
+    # the one path for config files and golden cases' meta.json; the
+    # value goes through JSON first, as a file's would
+    raw = json.loads(json.dumps(raw))
+    try:
+        cfg = run_config(raw, "fuzz")
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert isinstance(cfg, RunConfig)
+    assert cfg.dtype in ("f32", "f64") and cfg.channels >= 1
+    if cfg.block is not None:
+        cfg.build_block_config()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed-configs")
+
+
+@given(raw=_RUN_VALUES)
+@_with_found
+@settings(max_examples=200, deadline=None)
+def test_a_rejected_config_file_exits_2_with_one_line(raw, fuzz_dir):
+    # every value the config path rejects, and every config gradcheck
+    # refuses before it builds a block (no block, f32), ends in exit 2 and
+    # one stderr line, never a traceback; a config it would run is left out
+    path = fuzz_dir / "run.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = run_config(json.loads(path.read_text()), str(path))
+        want = None
+    except ConfigError as exc:
+        want = f"config error: {exc}\n"
+    if want is None and cfg.block is not None and cfg.dtype == "f64":
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["gradcheck", "--config", str(path)])
+    assert rc == 2
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("config error: ")
+    if want is not None:
+        assert err.getvalue() == want

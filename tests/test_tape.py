@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import vrfnet
-from conftest import traced_memory
+from conftest import no_cyclic_garbage, traced_memory
 from vrfnet import (
     GConvBlock,
     GconvConfig,
@@ -155,11 +156,12 @@ def test_backward_frees_a_later_adjoint_before_an_earlier_rule_runs():
 
 
 @pytest.mark.parametrize("shape", [(1, 8, 16, 16), (2, 8, 12, 12)])
-def test_backward_peak_stays_under_38_input_sized_arrays(shape):
-    # In units of the input's bytes the backward's peak reads 32.1 at
-    # (1,8,16,16) and 31.9 at (2,8,12,12). It read 43.1 and 42.8 while the
-    # tape held some activations twice (a concat's parts beside the stack,
-    # an im2col conv's columns), and 42.2 and 41.9 with a walk that keeps
+def test_backward_peak_stays_under_26_input_sized_arrays(shape):
+    # In units of the input's bytes the backward's peak reads 22.2 at
+    # (1,8,16,16) and 22.0 at (2,8,12,12). It read 32.0 and 31.9 while the
+    # tape kept every node to the end of the walk, 43.1 and 42.8 while it
+    # also held some activations twice (a concat's parts beside the stack,
+    # an im2col conv's columns), and 42.2 and 41.9 with a walk that kept
     # every adjoint and rule to its end. The bound is fixed to the input's
     # size, not to what the forward holds, so a forward that holds less
     # does not tighten it.
@@ -175,8 +177,8 @@ def test_backward_peak_stays_under_38_input_sized_arrays(shape):
         grads = tape.backward(loss)
         peak = mem.peak()
     assert len(grads) == 1 + len(pn)
-    bound = 38 * x.data.nbytes
-    assert peak < bound, f"backward peak {peak} B is over {bound} B, 38 input-sized arrays"
+    bound = 26 * x.data.nbytes
+    assert peak < bound, f"backward peak {peak} B is over {bound} B, 26 input-sized arrays"
 
 
 def test_a_train_step_holds_each_activation_once():
@@ -185,7 +187,8 @@ def test_a_train_step_holds_each_activation_once():
     # at 1,240,442 B while the tape held MSCF's branches beside their
     # concat, the mask conv's columns and select_scales' sum, and while
     # channel_avg_max's adjoint formed a second sum with select_scales';
-    # at 993,674 B without them
+    # at 993,674 B without them, and at 992,714 B while the tape kept every
+    # node it had walked; 716,478 B now
     c = 16
     cfg = GmcfConfig(c=c, dropout=0.1, gconv=GconvConfig(c=c, dropout=0.1))
     block = GmcfBottleneck(cfg, Rng(1), np.float32, dropout_rng=Rng(4))
@@ -203,7 +206,7 @@ def test_a_train_step_holds_each_activation_once():
         grads = step()
         peak = mem.peak()
     assert len(grads) == 1 + len(block.params())
-    assert peak < 1_100_000, f"a train step peaked at {peak} B"
+    assert peak < 800_000, f"a train step peaked at {peak} B"
 
 
 def test_a_taped_gmcf_block_holds_no_bottleneck_output_beside_its_concat():
@@ -228,6 +231,88 @@ def test_a_taped_gmcf_block_holds_no_bottleneck_output_beside_its_concat():
     assert [ref() is None for ref in written] == [True, True]
     grads = tape.backward(sum_all(out))
     assert len(grads) == 1 + len(pn)
+
+
+def test_backward_frees_an_unheld_node_before_the_walk_reaches_the_leaves():
+    tape = Tape()
+    tx = Rng(38).tensor((1, 2, 3, 3))
+    x = tape.leaf(tx)
+    seen = {}
+
+    def first_rule(g, acc):
+        seen["intermediate alive"] = seen["intermediate"]() is not None
+        acc(x, g)
+
+    held = tape.record(Tensor(tx.data * 2.0), "probe", first_rule)
+    mid = hadamard(held, held)  # its rule keeps its operands, not its output
+    seen["intermediate"] = weakref.ref(mid.tensor.data)
+    loss = sum_all(mid)
+    del mid
+    grads = tape.backward(loss)
+    assert seen["intermediate alive"] is False, "the walk kept a node it had passed"
+    # what the caller holds keeps its value; the tape keeps its length
+    npt.assert_array_equal(held.tensor.data, tx.data * 2.0)
+    npt.assert_array_equal(x.tensor.data, tx.data)
+    assert loss.tensor.item() == np.sum((tx.data * 2.0) ** 2)
+    assert len(tape) == 4 and (x.id, held.id, loss.id) == (0, 1, 3)
+    npt.assert_array_equal(grads[x.id].data, 2.0 * held.tensor.data)  # what first_rule passed
+    with pytest.raises(ValueError, match="already differentiated"):
+        tape.backward(loss)
+
+
+def test_a_train_step_leaves_nothing_for_the_cycle_collector():
+    # a gmcf train step with dropout at both sites; the tape points at no
+    # node once it has been walked, so no node-tape cycle outlives it
+    c = 8
+    cfg = GmcfConfig(c=c, dropout=0.1, gconv=GconvConfig(c=c, dropout=0.1))
+    block = GmcfBottleneck(cfg, Rng(39), np.float32, dropout_rng=Rng(40))
+    x = Rng(41).tensor((1, c, 12, 12), -1, 1, np.float32)
+
+    def step():
+        tape = Tape()
+        xn = tape.leaf(x, "input")
+        pn = {k: tape.leaf(t, k) for k, t in block.params().items()}
+        grads = tape.backward(sum_all(block.forward(xn, pn, "train")))
+        return len(grads)
+
+    step()  # first-call caches are not the step's memory
+    with no_cyclic_garbage():
+        assert step() == 1 + len(block.params())
+
+
+def test_finite_diff_check_leaves_nothing_for_the_cycle_collector():
+    x = Rng(42).tensor((1, 2, 3, 3))
+
+    def f(t):
+        return sum_all(hadamard(sigmoid(t), t))
+
+    finite_diff_check(f, x)
+    with no_cyclic_garbage():
+        assert finite_diff_check(f, x) < 1e-7
+
+
+def _live_nodes() -> int:
+    return sum(type(o) is Node for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_block_gradient_errors_frees_its_tape_before_the_first_probe(mode, monkeypatch):
+    # the f64 tape phase (its nodes, and every value only they hold) is
+    # gone by reference counting alone before any probe forward runs
+    block = GmcfBottleneck(GmcfConfig(c=4), Rng(43))
+    x = Rng(44).tensor((1, 4, 4, 4))
+    block_gradient_errors(block, x, mode)
+    at_first_probe = []
+
+    def probes(loss, at, grad, h):
+        if not at_first_probe:
+            at_first_probe.append(_live_nodes())
+        return 0.0
+
+    monkeypatch.setattr(vrfnet.blocks, "fd_max_rel_err", probes)
+    with no_cyclic_garbage():
+        assert len(block_gradient_errors(block, x, mode)) == 1 + len(block.params())
+    assert at_first_probe == [0], f"{at_first_probe[0]} nodes alive at the first probe"
 
 
 def test_backward_zero_grad_for_unused_leaf():
