@@ -11,13 +11,15 @@ import argparse
 import json
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .blocks import block_gradient_errors, build_block, has_dropout
-from .config import BLOCK_KINDS, DTYPES, ConfigError, block_config, load_run_config, run_config
+from .blocks import block_gradient_errors, build_block, check_fits, has_dropout
+from .config import (BLOCK_KINDS, DTYPES, ConfigError, RunConfig, load_run_config,
+                     parse_input_shape, run_config)
 from .ops import ConvSpec, conv2d
 from .oracle import compare, oracle_block, oracle_conv2d
 from .profiler import BENCH_MIN_REPS, cost_report, count_params, ffn_cost, format_table
@@ -34,12 +36,17 @@ from .vrft import (
 )
 
 GOLDEN_META = "meta.json"
-# default tolerances, where neither --tol nor the config file sets one:
-# gradcheck's bounds the max relative error of f64 finite differences,
-# and oracle-diff's and golden --use-oracle's the max abs difference of
-# f32 outputs from the f64 oracle
-GRADCHECK_TOL = 1e-5
-ORACLE_TOL = 1e-6
+# Each command's defaults, for the keys that neither --config nor a flag
+# sets. gradcheck's tolerance bounds the max relative error of f64 finite
+# differences; oracle-diff's and golden --use-oracle's the max abs
+# difference of f32 outputs from the f64 oracle. A default input shape
+# leaves its channel dim (None) to the run's channels.
+COMMAND_DEFAULTS = {
+    "gradcheck": {"dtype": "f64", "tolerance": 1e-5, "input_shape": (1, None, 6, 6)},
+    "oracle-diff": {"dtype": "f32", "tolerance": 1e-6, "input_shape": (2, None, 6, 6)},
+    "profile": {"dtype": "f64", "input_shape": (1, None, 20, 20)},
+    "golden": {"dtype": "f64", "tolerance": 1e-6, "input_shape": (1, None, 8, 8)},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,61 +56,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        own = COMMAND_DEFAULTS[name]
+        tol = f" (default {own['tolerance']:g})" if "tolerance" in own else ""
+        shape = ",".join("C" if d is None else str(d) for d in own["input_shape"])
         p.add_argument("--config", type=Path, help="JSON run config (strict keys)")
         p.add_argument("--block", choices=BLOCK_KINDS)
-        p.add_argument("--seed", type=int, help="base seed (default 0)")
-        p.add_argument("--dtype", choices=list(DTYPES))
-        p.add_argument("--tol", type=float, help="tolerance override")
+        p.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
+        p.add_argument("--dtype", choices=list(DTYPES), help=f"(default {own['dtype']})")
+        p.add_argument("--tol", type=float, help="tolerance override" + tol)
         p.add_argument("--out", type=Path, help="output directory for reports/goldens")
-        p.add_argument("--channels", type=int, help="block channel count (default 8)")
-        p.add_argument("--input-shape", type=str,
-                       help="n,c,h,w (default 1,C,6,6; oracle-diff 2,C,6,6; profile 1,C,20,20; "
-                            "golden 1,C,8,8)")
+        p.add_argument("--channels", type=int,
+                       help=f"block channel count (default {RunConfig.channels})")
+        p.add_argument("--input-shape", type=str, help=f"n,c,h,w (default {shape})")
+        return p
 
-    g = sub.add_parser("gradcheck", help="finite-difference check of every parameter and input")
-    common(g)
+    g = command("gradcheck", "finite-difference check of every parameter and input")
     g.add_argument("--mode", choices=["train", "eval"], default="train")
 
-    o = sub.add_parser("oracle-diff", help="fast path vs brute-force oracle")
-    common(o)
+    o = command("oracle-diff", "fast path vs brute-force oracle")
     o.add_argument("--specs", type=int, default=200, help="random conv specs in the grid")
     o.add_argument("--skip-blocks", action="store_true", help="conv grid only")
 
-    p = sub.add_parser("profile", help="parameter/MAC/FLOP report, optional wall-clock bench")
-    common(p)
+    p = command("profile", "parameter/MAC/FLOP report, optional wall-clock bench")
     p.add_argument("--reps", type=int, default=0, help="bench repetitions (0 = no timing)")
     p.add_argument("--compare-ffn", action="store_true",
                    help="add a plain pointwise FFN (hidden 2c) comparison row")
 
-    gold = sub.add_parser("golden", help="generate or verify golden input/params/output files")
-    common(gold)
+    gold = command("golden", "generate or verify golden input/params/output files")
     gold.add_argument("direction", choices=["generate", "verify"])
     gold.add_argument("--use-oracle", action="store_true",
                       help="verify by recomputing through the oracle path (tolerance mode)")
     return parser
 
 
-def _run_config(args, **defaults):
-    """The --config file (or none) with the flags that were given on top;
-    ``defaults`` are the command's own, for keys neither one sets."""
-    shape = None
-    if args.input_shape:
-        try:
-            shape = tuple(int(d) for d in args.input_shape.replace("x", ",").split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse input shape {args.input_shape!r}") from None
+def _run_config(args):
+    """The --config file (or none) with the flags that were given on top,
+    and the command's COMMAND_DEFAULTS for keys neither one sets."""
     flags = {"block": args.block, "seed": args.seed, "dtype": args.dtype, "tolerance": args.tol,
              "out_dir": args.out, "channels": args.channels,
-             "input_shape": shape}
+             "input_shape": parse_input_shape(args.input_shape) if args.input_shape else None}
     flags = {k: v for k, v in flags.items() if v is not None}
+    defaults = COMMAND_DEFAULTS[args.command]
     # the flags go on top of the file before the one validation
     if args.config:
         return load_run_config(args.config, flags, **defaults)
     return run_config({}, "flags", flags, **defaults)
 
 
+def _cases(cfg):
+    """The run config if it names a block, else one for each block kind;
+    each is bounded by check_fits just before the caller builds it."""
+    for kind in (cfg.block,) if cfg.block else BLOCK_KINDS:
+        case = replace(cfg, block=kind)
+        check_fits(case)
+        yield case
+
+
 def _make_block(cfg):
+    check_fits(cfg)
     return build_block(cfg.block, cfg.build_block_config(), Rng(cfg.seed), cfg.np_dtype)
 
 
@@ -115,13 +127,11 @@ def _emit(out_dir, name: str, lines: "list[str]") -> None:
 
 def cmd_gradcheck(args) -> int:
     cfg = _run_config(args)
-    if cfg.block is None:
-        raise ConfigError("gradcheck needs a block (use --block)")
     if cfg.dtype != "f64":
         raise ConfigError("gradcheck requires --dtype f64 (f32 finite differences are too noisy)")
-    tol = cfg.tolerance if cfg.tolerance is not None else GRADCHECK_TOL
+    tol = cfg.tolerance
     block = _make_block(cfg)
-    shape = cfg.resolved_input_shape()
+    shape = cfg.input_shape
     n, _, h, w = shape
     # the buffers are batch norm's running statistics; in train mode it
     # normalizes with the variance over n*h*w values
@@ -164,48 +174,44 @@ def _grid_specs(rng, count: int):
         yield ConvSpec(c, c_out, k, dilation=d, groups=groups, bias=bias), n, h, w
 
 
+def _oracle_reports(cfg, specs: int, cases):
+    """(label, report) of each fast-vs-oracle comparison: ``specs`` random
+    convs of the grid, then the block of each run config of ``cases``."""
+    dtype = cfg.np_dtype
+    rng = Rng(cfg.seed)
+    for spec, n, h, w in _grid_specs(rng, specs):
+        x = rng.tensor((n, spec.c_in, h, w), -1.0, 1.0, dtype)
+        wt = rng.tensor(spec.weight_shape, -1.0 / spec.fan_in, 1.0 / spec.fan_in, dtype)
+        bt = rng.tensor(spec.bias_shape, -0.1, 0.1, dtype) if spec.bias else None
+        report = compare(f"conv2d[{spec.k}x{spec.k} d{spec.dilation} g{spec.groups}]",
+                         conv2d(x, wt, bt, spec), oracle_conv2d(x, wt, bt, spec), cfg.seed)
+        report.shapes = [x.shape, spec.weight_shape]
+        yield report.op, report
+    for case in cases:
+        kind, bcfg = case.block, case.build_block_config()
+        block = build_block(kind, bcfg, Rng(cfg.seed + 7), dtype)
+        x = Rng(cfg.seed + 8).tensor(cfg.input_shape, -1.0, 1.0, dtype)
+        ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
+        yield f"block {kind}", compare(kind, block.forward(x, mode="eval"), ref, cfg.seed)
+
+
 def cmd_oracle_diff(args) -> int:
-    cfg = _run_config(args, dtype="f32")  # the tolerance is an f32 bound
+    cfg = _run_config(args)
     if args.specs < 0:
         raise ConfigError(f"--specs must be >= 0, got {args.specs}")
     if args.specs == 0 and args.skip_blocks:
         raise ConfigError("--specs 0 with --skip-blocks compares nothing")
 
-    tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
-    dtype = cfg.np_dtype
-    rng = Rng(cfg.seed)
+    tol = cfg.tolerance
     lines: list[str] = []
     worst = 0.0
     failed = False
-
-    for spec, n, h, w in _grid_specs(rng, args.specs):
-        x = rng.tensor((n, spec.c_in, h, w), -1.0, 1.0, dtype)
-        wt = rng.tensor(spec.weight_shape, -1.0 / spec.fan_in, 1.0 / spec.fan_in, dtype)
-        bt = rng.tensor(spec.bias_shape, -0.1, 0.1, dtype) if spec.bias else None
-        fast = conv2d(x, wt, bt, spec)
-        ref = oracle_conv2d(x, wt, bt, spec)
-        report = compare(f"conv2d[{spec.k}x{spec.k} d{spec.dilation} g{spec.groups}]",
-                         fast, ref, cfg.seed)
-        report.shapes = [x.shape, spec.weight_shape]
+    for label, report in _oracle_reports(cfg, args.specs, () if args.skip_blocks else _cases(cfg)):
         lines.append(json.dumps(asdict(report), sort_keys=True))
         worst = max(worst, report.max_abs_diff)
         if report.max_abs_diff > tol:
             failed = True
-            print(f"DIVERGED {report.op}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
-
-    shape = cfg.input_shape or (2, cfg.channels, 6, 6)
-    for kind in () if args.skip_blocks else [cfg.block] if cfg.block else BLOCK_KINDS:
-        bcfg = block_config(kind, cfg.channels, cfg.module)
-        block = build_block(kind, bcfg, Rng(cfg.seed + 7), dtype)
-        x = Rng(cfg.seed + 8).tensor(shape, -1.0, 1.0, dtype)
-        fast = block.forward(x, mode="eval")
-        ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
-        report = compare(kind, fast, ref, cfg.seed)
-        lines.append(json.dumps(asdict(report), sort_keys=True))
-        worst = max(worst, report.max_abs_diff)
-        if report.max_abs_diff > tol:
-            failed = True
-            print(f"DIVERGED block {kind}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
+            print(f"DIVERGED {label}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
 
     for line in lines:
         print(line)
@@ -218,26 +224,18 @@ def cmd_oracle_diff(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _run_config(args)
-    if cfg.block is None:
-        raise ConfigError("profile needs a block (use --block)")
     if args.reps and args.reps < BENCH_MIN_REPS:
         raise ConfigError(f"--reps must be 0 (no timing) or >= {BENCH_MIN_REPS}, got {args.reps}")
 
     block = _make_block(cfg)
-    shape = cfg.resolved_input_shape(default_hw=20)
+    shape = cfg.input_shape
     report = cost_report(block, shape, bench_reps=args.reps)
 
     # cross-check the analytic count against bytes on disk
-    tmp = None
-    if cfg.out_dir is not None:
-        manifest_dir = cfg.out_dir / "params"
-    else:
-        tmp = tempfile.TemporaryDirectory()
-        manifest_dir = Path(tmp.name)
-    manifest = write_manifest(manifest_dir, "params.manifest", block.params())
-    manifest_params = manifest_element_count(manifest)
-    if tmp is not None:
-        tmp.cleanup()
+    with (tempfile.TemporaryDirectory() if cfg.out_dir is None
+          else nullcontext(cfg.out_dir / "params")) as manifest_dir:
+        manifest = write_manifest(manifest_dir, "params.manifest", block.params())
+        manifest_params = manifest_element_count(manifest)
     payload = asdict(report)
     payload["manifest_params"] = manifest_params
 
@@ -264,16 +262,15 @@ def cmd_golden(args) -> int:
     out_dir = cfg.out_dir
     if out_dir is None:
         raise ConfigError("golden needs --out <dir>")
-    tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
+    tol = cfg.tolerance
 
     if args.direction == "generate":
-        for i, kind in enumerate([cfg.block] if cfg.block else BLOCK_KINDS):
-            case = replace(cfg, block=kind, seed=cfg.seed + i,
-                           input_shape=cfg.resolved_input_shape(default_hw=8))
-            case_dir = out_dir / kind
+        for i, case in enumerate(_cases(cfg)):
+            case = replace(case, seed=cfg.seed + i)
+            case_dir = out_dir / case.block
             case_dir.mkdir(parents=True, exist_ok=True)
             rng = Rng(case.seed)
-            block = build_block(kind, case.build_block_config(), rng, case.np_dtype)
+            block = build_block(case.block, case.build_block_config(), rng, case.np_dtype)
             x = rng.tensor(case.input_shape, -1.0, 1.0, case.np_dtype)
             y = block.forward(x, mode="eval")
             write_tensor(case_dir / "input.vrft", x)

@@ -30,11 +30,6 @@ def _finite(x) -> bool:
         return False
 
 
-def default_hidden(c: int) -> int:
-    """Gated-conv hidden width: floor(2c/3)."""
-    return (2 * c) // 3
-
-
 @dataclass(frozen=True)
 class MscfConfig:
     """Multi-scale context fusion block hyperparameters."""
@@ -67,7 +62,7 @@ class MscfConfig:
 
 @dataclass(frozen=True)
 class GconvConfig:
-    """Gated convolution block hyperparameters."""
+    """Gated convolution block hyperparameters; ``hidden`` defaults to floor(2c/3)."""
 
     c: int
     hidden: int | None = None
@@ -79,7 +74,7 @@ class GconvConfig:
         if self.c < 1 or self.dw_kernel < 1:
             raise ConfigError("gconv: channels and dw_kernel must be >= 1")
         if self.hidden is None:
-            object.__setattr__(self, "hidden", default_hidden(self.c))
+            object.__setattr__(self, "hidden", (2 * self.c) // 3)
         if self.hidden < 1:
             raise ConfigError(f"gconv: hidden width {self.hidden} must be >= 1")
         if self.dw_kernel % 2 == 0:
@@ -233,15 +228,18 @@ class RunConfig:
     def np_dtype(self):
         return DTYPES[self.dtype]
 
-    def resolved_input_shape(self, default_hw: int = 6) -> tuple:
-        if self.input_shape is not None:
-            return tuple(self.input_shape)
-        return (1, self.channels, default_hw, default_hw)
-
     def build_block_config(self):
         if self.block is None:
             raise ConfigError("no block selected (use --block or the config file)")
         return block_config(self.block, self.channels, self.module)
+
+
+def parse_input_shape(text: str) -> tuple:
+    """An ``n,c,h,w`` (or ``NxCxHxW``) flag value as a tuple of ints."""
+    try:
+        return tuple(int(d) for d in text.replace("x", ",").split(","))
+    except ValueError:  # a dim that is not an int, or past Python's digit limit
+        raise ConfigError(f"cannot parse input shape {text!r}") from None
 
 
 def load_run_config(path, overrides: dict | None = None, **defaults) -> RunConfig:
@@ -251,7 +249,7 @@ def load_run_config(path, overrides: dict | None = None, **defaults) -> RunConfi
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return run_config(raw, str(path), overrides, **defaults)
 
@@ -260,10 +258,12 @@ def run_config(raw, where: str, overrides: dict | None = None, **defaults) -> Ru
     """The one path from a JSON object to a checked RunConfig: strict keys
     and types, then ``overrides`` (typed values, such as the CLI's flags)
     on top, tuple and path conversions, and validate_run_config once, on
-    the result. ``defaults`` stand in for keys that neither sets."""
+    the result. ``defaults`` stand in for keys that neither sets; a default
+    input shape may leave its channel dim (None) to the run's channels."""
     vals = {**defaults, **_take(RunConfig, raw, where), **(overrides or {})}
     if vals.get("input_shape") is not None:
-        vals["input_shape"] = tuple(vals["input_shape"])
+        channels = vals.get("channels", RunConfig.channels)
+        vals["input_shape"] = tuple(channels if d is None else d for d in vals["input_shape"])
     if vals.get("out_dir") is not None:
         try:
             vals["out_dir"] = Path(vals["out_dir"]).resolve()
@@ -281,16 +281,14 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.channels < 1:
         raise ConfigError("channels must be >= 1")
     if cfg.input_shape is not None:
-        if len(cfg.input_shape) != 4 or any(int(d) < 1 for d in cfg.input_shape):
+        if len(cfg.input_shape) != 4 or min(cfg.input_shape) < 1:
             raise ConfigError(f"input_shape must be 4 positive dims, got {cfg.input_shape}")
-        itemsize = np.dtype(DTYPES[cfg.dtype]).itemsize
-        if math.prod(int(d) for d in cfg.input_shape) * itemsize > np.iinfo(np.intp).max:
+        if math.prod(cfg.input_shape) * np.dtype(cfg.np_dtype).itemsize > np.iinfo(np.intp).max:
             raise ConfigError(f"input_shape {cfg.input_shape} holds more {cfg.dtype} bytes "
                               "than one array can index")
         if cfg.input_shape[1] != cfg.channels:
-            raise ConfigError(
-                f"input_shape channel dim {cfg.input_shape[1]} != channels {cfg.channels}"
-            )
+            raise ConfigError(f"input_shape channel dim {cfg.input_shape[1]} "
+                              f"!= channels {cfg.channels}")
     # NaN compares false both ways: every check against it would fail,
     # yet no comparison of it with 0 rejects it
     if cfg.tolerance is not None and not (_finite(cfg.tolerance) and cfg.tolerance >= 0):

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blocks import check_fits
 from .config import ConfigError, RunConfig, run_config
 from .tensor import Tensor
 
@@ -143,13 +144,15 @@ def read_golden_meta(path) -> RunConfig:
     pass the run-config checks (block, dtype, module, input shape)."""
     try:
         meta = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past Python's digit limit
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if (not isinstance(meta, dict) or sorted(meta) != sorted(_GOLDEN_META_KEYS)
             or None in meta.values()):
         raise FormatError(f"{path}: expected exactly the non-null keys "
                           f"{sorted(_GOLDEN_META_KEYS)}")
     try:
-        return run_config(meta, Path(path).name)
+        cfg = run_config(meta, Path(path).name)
+        check_fits(cfg)
+        return cfg
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -33,6 +33,7 @@ from vrfnet import (
     oracle_block,
 )
 from vrfnet import ops
+from vrfnet.blocks import conv_specs
 from vrfnet.config import block_config
 from vrfnet.layers import ParamBlock, sub_params
 
@@ -213,6 +214,28 @@ def test_gconv_default_hidden_width():
     assert GconvConfig(c=6).hidden == 4
     with pytest.raises(ConfigError):
         GconvConfig(c=1)  # floor(2/3) = 0 hidden channels
+
+
+def test_an_unknown_block_kind_is_rejected_by_the_builder_and_the_oracle():
+    cfg = GconvConfig(c=6)
+    with pytest.raises(ConfigError, match="unknown block kind 'conv'"):
+        build_block("conv", cfg)
+    with pytest.raises(ValueError, match="unknown block kind 'conv'"):
+        oracle_block("conv", cfg, Rng(1).tensor((1, 6, 2, 2)), {})
+
+
+@pytest.mark.parametrize("kind,module", [
+    ("mscf", {"dilations": [1, 3], "dw_kernel": 5, "mask_kernel": 3}),
+    ("mscf", {"use_ca": False}),
+    ("gconv", {"hidden": 3, "dw_kernel": 7}),
+    ("gmcf", {"mscf": {"ca_ratio": 2}, "gconv": {"hidden": 4}}),
+    ("gmcf-block", {"n_bottlenecks": 2}),
+    ("gmcf-block", {"n_bottlenecks": 0}),
+])
+def test_conv_specs_lists_the_convs_of_the_built_block(kind, module):
+    # check_fits bounds a block's convs by this list before it is built
+    cfg = block_config(kind, 8, module)
+    assert set(conv_specs(kind, cfg)) == set(build_block(kind, cfg).conv_specs().values())
 
 
 # ---------------------------------------------------------------- GMCF bottleneck
@@ -842,14 +865,30 @@ def _is_fast_path_arithmetic_in_the_oracle(node, module: str) -> bool:
         "einsum", "matmul", "dot", "tensordot")
 
 
+_CATCH_ALLS = ("Exception", "BaseException", "ValueError", "TypeError")
+
+
+def _is_catch_all_in_the_cli(node, module: str) -> bool:
+    # NonFiniteError, ShapeError and FormatError are ValueErrors: a broad
+    # except in the CLI would give them, or a bug, exit 2 and hide the
+    # traceback that shows where a check is missing
+    if module != "cli.py" or not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(getattr(t, "id", getattr(t, "attr", None)) in _CATCH_ALLS for t in caught)
+
+
 @pytest.mark.parametrize("banned", [_is_assert, _is_op_plumbing_outside_tape,
                                     _is_op_outside_the_entry_hook,
                                     _is_node_value_write_outside_tape,
                                     _is_import_inside_function,
-                                    _is_fast_path_arithmetic_in_the_oracle],
+                                    _is_fast_path_arithmetic_in_the_oracle,
+                                    _is_catch_all_in_the_cli],
                          ids=["assert", "op-plumbing-outside-tape", "op-outside-the-entry-hook",
                               "node-value-write-outside-tape", "import-inside-function",
-                              "fast-path-arithmetic-in-the-oracle"])
+                              "fast-path-arithmetic-in-the-oracle", "catch-all-in-the-cli"])
 def test_the_library_source_has_no(banned):
     found = []
     for path in sorted(Path(vrfnet.__file__).resolve().parent.glob("*.py")):

@@ -9,7 +9,8 @@ import pytest
 
 import vrfnet
 from vrfnet import Tensor, read_tensor, write_tensor
-from vrfnet.cli import main
+from vrfnet.cli import COMMAND_DEFAULTS, main
+from vrfnet.config import RunConfig
 
 GC_ARGS = ["--block", "gconv", "--channels", "6", "--input-shape", "1,6,4,4"]
 
@@ -66,14 +67,51 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
     # json reads Infinity and NaN as floats
     ({"block": "gmcf-block", "module": {"e": float("inf")}}, "e must be a finite number > 0"),
     ({"block": "gmcf-block", "module": {"e": float("nan")}}, "e must be a finite number > 0"),
+    # sizes no array can index: the input's channels, and a conv's weight
+    # or padded input; each ended in a traceback from numpy
+    ({"block": "gconv", "channels": 10**30}, "bytes"),
+    ({"block": "mscf", "channels": 4, "module": {"dilations": [10**30]}}, "bytes"),
+    ({"block": "gconv", "module": {"hidden": 10**30}}, "bytes"),
+    ({"block": "gconv", "module": {"dw_kernel": 10**30 + 1}}, "bytes"),
+    ({"block": "mscf", "module": {"mask_kernel": 10**21 + 1}}, "bytes"),
 ], ids=["mscf-null", "dilations-int", "dropout-str", "n_bottlenecks-str", "zero-scales",
-        "channels-str", "e-inf", "e-nan"])
+        "channels-str", "e-inf", "e-nan", "channels-1e30", "dilation-1e30", "hidden-1e30",
+        "dw_kernel-1e30", "mask_kernel-1e21"])
 def test_malformed_config_values_exit_2_with_one_line(tmp_path, capsys, run, key):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(run))
     assert main(["profile", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python reads ints of any length before 3.11")
+def test_an_int_past_the_interpreters_digit_limit_is_a_config_error_or_corrupt_meta(
+        tmp_path, capsys):
+    # int() raises a plain ValueError past the limit, which json.loads
+    # passes on as it is, not as a JSONDecodeError
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gconv",
+                 "--channels", "6"]) == 0
+    capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        digits = "1" * 641
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"seed": ' + digits + "}")
+        assert main(["profile", "--config", str(cfg)]) == 2
+        _one_line_config_error(capsys, "invalid JSON")
+        assert main(["profile", "--block", "gconv", "--input-shape", f"1,{digits},4,4"]) == 2
+        _one_line_config_error(capsys, "cannot parse input shape")
+        meta = out / "gconv" / "meta.json"
+        meta.write_text(meta.read_text().replace('"seed": 0', '"seed": ' + digits))
+        assert main(["golden", "verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("corrupt data") and "invalid JSON" in err and err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_config_file_is_checked_after_the_flags(tmp_path, capsys):
@@ -85,6 +123,32 @@ def test_config_file_is_checked_after_the_flags(tmp_path, capsys):
     assert main(["profile", "--config", str(cfg), "--channels", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "channels 5" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,says", [
+    (["profile", "--block", "gconv", "--input-shape", "1,x,4,4"], "cannot parse input shape"),
+    (["golden", "generate"], "golden needs --out"),
+    (["profile", "--config", "absent.json"], "cannot read config"),
+], ids=["input-shape", "golden-without-out", "unreadable-config"])
+def test_usage_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, args, says):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    _one_line_config_error(capsys, says)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_DEFAULTS))
+def test_each_commands_help_shows_its_own_defaults(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+    own = COMMAND_DEFAULTS[command]
+    n, _, h, w = own["input_shape"]
+    assert f"--dtype {{f32,f64}} (default {own['dtype']})" in text
+    assert f"n,c,h,w (default {n},C,{h},{w})" in text
+    tol = f"tolerance override (default {own['tolerance']:g})" if "tolerance" in own else None
+    assert (tol in text) if tol else "tolerance override (default" not in text
+    assert f"(default {RunConfig.channels})" in text and f"(default {RunConfig.seed})" in text
 
 
 def test_gradcheck_rejects_f32(capsys):
@@ -286,6 +350,18 @@ def test_input_shape_channels_other_than_channels_is_a_config_error_without_a_bl
     _one_line_config_error(capsys, "input_shape channel dim 16 != channels 8")
 
 
+@pytest.mark.parametrize("command", [["oracle-diff", "--specs", "0"], ["golden", "generate"]],
+                         ids=["oracle-diff", "golden-generate"])
+def test_each_block_kind_is_bounded_before_it_is_built_without_a_block(tmp_path, capsys,
+                                                                          command):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"module": {"dilations": [10**30]}}))
+    out = tmp_path / "gold"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    _one_line_config_error(capsys, "mscf: a 3x3 conv", "bytes")
+    assert not out.exists()
+
+
 def test_oracle_diff_zero_specs_still_compares_the_blocks(capsys):
     assert main(["oracle-diff", "--specs", "0"]) == 0
     assert "oracle-diff passed: 4 comparisons" in capsys.readouterr().out
@@ -344,7 +420,9 @@ def test_golden_round_trip_and_corruption(tmp_path, capsys):
     lambda meta: json.dumps({**json.loads(meta), "module": {"dw_kernell": 3}}),
     lambda meta: json.dumps({**json.loads(meta), "module": {"dw_kernel": "3"}}),
     lambda meta: json.dumps({**json.loads(meta), "tolerance": 1e-6}),
-], ids=["missing-channels", "not-json", "module-unknown-key", "module-mistyped", "extra-key"])
+    lambda meta: json.dumps({**json.loads(meta), "module": {"hidden": 10**30}}),
+], ids=["missing-channels", "not-json", "module-unknown-key", "module-mistyped", "extra-key",
+        "module-oversized"])
 def test_golden_verify_malformed_meta_exits_1_with_one_line(tmp_path, capsys, corrupt):
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gconv",
@@ -568,6 +646,19 @@ def test_golden_verify_through_oracle(tmp_path, capsys):
                  "--block", "mscf", "--channels", "8"]) == 0
     assert main(["golden", "verify", "--out", str(out), "--use-oracle"]) == 0
     assert "oracle path" in capsys.readouterr().out
+
+
+def test_golden_verify_through_oracle_fails_an_output_moved_past_the_tolerance(tmp_path,
+                                                                               capsys):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gconv",
+                 "--channels", "6"]) == 0
+    y = read_tensor(out / "gconv" / "output.vrft")
+    write_tensor(out / "gconv" / "output.vrft", Tensor(y.data + 1e-5))
+    capsys.readouterr()
+    assert main(["golden", "verify", "--out", str(out), "--use-oracle", "--tol", "1e-6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL gconv (oracle path)"), lines
 
 
 def test_golden_regeneration_is_deterministic(tmp_path):

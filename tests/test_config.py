@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
+from vrfnet.blocks import check_fits
 from vrfnet.cli import main
 from vrfnet.config import RunConfig, block_config, run_config
 
@@ -31,6 +33,27 @@ def test_gconv_defaults():
         GconvConfig(c=8, dropout=1.0)
     with pytest.raises(ConfigError):
         GconvConfig(c=8, activation="gelu")
+
+
+_MSCF_SIZES = "mscf: channels, kernels and ca_ratio must be >= 1"
+_GCONV_SIZES = "gconv: channels and dw_kernel must be >= 1"
+
+
+@pytest.mark.parametrize("cls,kw,says", [
+    (MscfConfig, {"c": 0}, _MSCF_SIZES),
+    (MscfConfig, {"c": 8, "dw_kernel": 0}, _MSCF_SIZES),
+    (MscfConfig, {"c": 8, "mask_kernel": -1}, _MSCF_SIZES),
+    (MscfConfig, {"c": 8, "ca_ratio": 0}, _MSCF_SIZES),
+    (MscfConfig, {"c": 8, "dilations": (3, 0)}, "mscf: dilations must be >= 1"),
+    (GconvConfig, {"c": 0}, _GCONV_SIZES),
+    (GconvConfig, {"c": 8, "dw_kernel": -1}, _GCONV_SIZES),
+    (GconvConfig, {"c": 8, "hidden": 0}, "gconv: hidden width 0 must be >= 1"),
+    (GmcfConfig, {"c": 0}, "gmcf: channels must be >= 1"),
+    (GmcfConfig, {"c": 8, "n_bottlenecks": -1}, "gmcf: n_bottlenecks must be >= 0"),
+])
+def test_block_configs_reject_sizes_below_their_lower_bound(cls, kw, says):
+    with pytest.raises(ConfigError, match=re.escape(says)):
+        cls(**kw)
 
 
 def test_gmcf_config_and_width_retargeting():
@@ -104,7 +127,7 @@ def test_run_config_file(tmp_path):
     cfg = load_run_config(path)
     assert cfg.block == "gconv" and cfg.seed == 7
     assert cfg.np_dtype == np.float64
-    assert cfg.resolved_input_shape() == (1, 6, 4, 4)
+    assert cfg.input_shape == (1, 6, 4, 4)
     assert cfg.build_block_config().c == 6
 
 
@@ -141,6 +164,20 @@ def test_input_shape_whose_bytes_overflow_an_array_index_is_a_config_error(dtype
     else:
         with pytest.raises(ConfigError, match="input_shape .* bytes"):
             run_config(raw, "run")
+
+
+@pytest.mark.parametrize("dtype,ok", [("f32", True), ("f64", False)])
+def test_a_conv_weight_whose_bytes_overflow_an_array_index_is_a_config_error(dtype, ok):
+    # gconv's expansion weight holds 2 * hidden * c = 2**61 - 16 values:
+    # 2**63 - 64 bytes in f32, which an index reaches, and twice that in
+    # f64, which none does; nothing of this size is allocated
+    run = run_config({"block": "gconv", "dtype": dtype, "input_shape": [1, 8, 1, 1],
+                      "module": {"hidden": 2**57 - 1}}, "run")
+    if ok:
+        check_fits(run)
+    else:
+        with pytest.raises(ConfigError, match="gconv: a 1x1 conv of 8 -> .* f64 bytes"):
+            check_fits(run)
 
 
 # ---------------------------------------------------------------- fuzzed run configs

@@ -11,6 +11,7 @@ from vrfnet import (
     ConvSpec,
     DropoutState,
     Rng,
+    ShapeError,
     Tape,
     Tensor,
     batch_norm,
@@ -42,6 +43,9 @@ def test_convspec_validation():
         ConvSpec(c_in=3, c_out=4, k=3, groups=2)  # 3 % 2 != 0
     with pytest.raises(ValueError):
         ConvSpec(4, 4, k=2)  # even kernel cannot preserve shape
+    for name in ("c_in", "c_out", "k", "dilation", "groups"):
+        with pytest.raises(ValueError, match=f"ConvSpec.{name} must be >= 1"):
+            ConvSpec(**{"c_in": 2, "c_out": 2, "k": 3, name: 0})
     spec = ConvSpec(4, 4, 3, dilation=5, groups=4)
     assert spec.padding == 5
     assert spec.depthwise
@@ -122,6 +126,17 @@ def test_conv_shape_errors():
     b = Rng(10).tensor((1, 4, 1, 1))
     with pytest.raises(Exception, match="channels"):
         conv2d(x, w, b, spec)
+    x = Rng(8).tensor((1, 4, 5, 5))
+    with pytest.raises(ShapeError, match="weight shape"):
+        conv2d(x, Rng(9).tensor((4, 4, 1, 1)), b, spec)
+    with pytest.raises(ValueError, match="bias tensor presence"):
+        conv2d(x, w, None, spec)
+    with pytest.raises(ValueError, match="bias tensor presence"):
+        conv2d(x, w, b, ConvSpec(4, 4, 3, bias=False))
+    with pytest.raises(ShapeError, match="bias must have shape"):
+        conv2d(x, w, Rng(10).tensor((1, 3, 1, 1)), spec)
+    with pytest.raises(TypeError, match="dtypes must match"):
+        conv2d(x, Rng(9).tensor(spec.weight_shape, dtype=np.float32), b, spec)
 
 
 def test_conv_gradients():
@@ -806,6 +821,16 @@ def test_batch_norm_train_rejects_single_element_stats():
         batch_norm(x, gamma, beta, *_initial_stats(2), BN_EPS, BN_MOMENTUM, "train")
 
 
+def test_batch_norm_rejects_stats_of_another_width_and_an_unknown_mode():
+    gamma = Tensor(np.ones((1, 2, 1, 1)))
+    beta = Tensor(np.zeros((1, 2, 1, 1)))
+    x = Rng(16).tensor((2, 2, 3, 3))
+    with pytest.raises(ShapeError, match=r"stats/affine must have shape \(1, 2, 1, 1\)"):
+        batch_norm(x, gamma, beta, *_initial_stats(3), BN_EPS, BN_MOMENTUM, "eval")
+    with pytest.raises(ValueError, match="mode must be 'train' or 'eval', got 'test'"):
+        batch_norm(x, gamma, beta, *_initial_stats(2), BN_EPS, BN_MOMENTUM, "test")
+
+
 def test_batch_norm_gradients_probe_loss():
     # a probe-weighted loss keeps gradients O(1); a plain sum is nearly
     # invariant to the input under train-mode normalization
@@ -845,6 +870,11 @@ def test_dropout_rejects_p_out_of_range():
         DropoutState(1.0, Rng(0))
     with pytest.raises(ValueError):
         DropoutState(-0.1, Rng(0))
+
+
+def test_dropout_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'train' or 'eval', got 'test'"):
+        dropout(Rng(18).tensor((1, 2, 2, 2)), DropoutState(0.5, Rng(0)), "test")
 
 
 def test_dropout_gradient():

@@ -14,6 +14,7 @@ from vrfnet import (
     block_gradient_errors,
     build_block,
     hadamard,
+    slice_channels,
 )
 from vrfnet import blocks, ops, tape
 from vrfnet.config import block_config
@@ -198,3 +199,13 @@ def test_an_op_takes_keyword_arguments_under_a_replay_and_outside_it():
     assert dropout(x, state, mode="eval") is x
     assert ProbeReplay()(None, lambda: dropout(x, state, mode="eval")) is x
 
+
+
+def test_an_argument_equal_in_value_but_of_another_type_misses_the_memo():
+    # True == 1, but an op may treat a bool otherwise than an int
+    x = Rng(74).tensor((1, 3, 2, 2))
+    replay = ProbeReplay()
+    first = replay(None, lambda: slice_channels(x, 1, 2))
+    assert replay(None, lambda: slice_channels(x, 1, 2)) is first
+    other = replay(None, lambda: slice_channels(x, True, 2))
+    assert other is not first and np.array_equal(other.data, first.data)

@@ -87,6 +87,21 @@ def test_slice_channels_views_contiguous_slices():
     assert not a.data.flags.writeable and not b.data.flags.writeable
 
 
+def test_concat_and_slice_reject_parts_that_do_not_fit():
+    a = Rng(8).tensor((1, 2, 3, 3))
+    with pytest.raises(TypeError, match="concat dtype mismatch"):
+        concat_channels([a, Rng(9).tensor((1, 2, 3, 3), dtype=np.float32)], 4)
+    with pytest.raises(ShapeError, match=r"matching \(n,h,w\)"):
+        concat_channels([a, Rng(9).tensor((1, 2, 3, 2))], 4)
+    with pytest.raises(ShapeError, match="wider than the 3 channels given"):
+        concat_channels([a, a], 3)
+    with pytest.raises(ShapeError, match="are 4 channels wide, not 5"):
+        concat_channels([a, a], 5)
+    for start, stop in ((0, 0), (-1, 1), (1, 3)):
+        with pytest.raises(ShapeError, match=rf"slice \[{start}:{stop}\] out of range"):
+            slice_channels(a, start, stop)
+
+
 def test_shape_mismatch_error_names_both_shapes():
     a = Rng(6).tensor((1, 2, 4, 4))
     b = Rng(7).tensor((1, 3, 4, 4))
