@@ -22,8 +22,6 @@ which makes GConv and the GMCF bottleneck exact identities in eval mode.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention
@@ -222,51 +220,6 @@ def build_block(kind: str, cfg, rng: Rng | None = None, dtype=np.float64) -> Par
     except KeyError:
         raise ConfigError(f"unknown block kind {kind!r}") from None
     return cls(cfg, rng, dtype)
-
-
-def conv_specs(kind: str, cfg) -> "list[ConvSpec]":
-    """The ConvSpec of each conv of a ``kind`` block built from ``cfg``, as
-    the constructors above make them, without building it. The bottlenecks
-    of a gmcf-block hold equal convs, so they are listed once."""
-    if kind == "mscf":
-        specs = [ConvSpec(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
-                 for d in cfg.dilations]
-        specs.append(ConvSpec(2, cfg.n_scales, cfg.mask_kernel))
-        if cfg.use_ca:
-            r = cfg.c // cfg.ca_ratio
-            specs += [ConvSpec(cfg.c, r, 1), ConvSpec(r, cfg.c, 1)]
-        return specs
-    if kind == "gconv":
-        h = cfg.hidden
-        return [ConvSpec(cfg.c, 2 * h, 1), ConvSpec(h, h, cfg.dw_kernel, groups=h),
-                ConvSpec(h, cfg.c, 1)]
-    if kind == "gmcf":
-        return conv_specs("mscf", cfg.mscf) + conv_specs("gconv", cfg.gconv)
-    ch = cfg.hidden_width
-    inner = conv_specs("gmcf", cfg.at_width(ch)) if cfg.n_bottlenecks else []
-    return [ConvSpec(cfg.c, 2 * ch, 1), ConvSpec((2 + cfg.n_bottlenecks) * ch, cfg.c, 1), *inner]
-
-
-def check_fits(run) -> None:
-    """ConfigError unless each conv of the block that run config ``run``
-    names, on its input shape, has a weight, a zero-padded input and an
-    output that one array can index in the run's dtype, as the input
-    itself must. Sizes that fit but cannot be allocated are left to
-    MemoryError. Without a block or an input shape there is nothing to
-    check."""
-    if run.block is None or run.input_shape is None:
-        return
-    n, _, h, w = run.input_shape
-    limit = np.iinfo(np.intp).max // np.dtype(run.np_dtype).itemsize
-    for spec in conv_specs(run.block, run.build_block_config()):
-        reach = 2 * spec.padding
-        sizes = (math.prod(spec.weight_shape), n * spec.c_in * (h + reach) * (w + reach),
-                 n * spec.c_out * h * w)
-        if max(sizes) > limit:
-            raise ConfigError(
-                f"{run.block}: a {spec.k}x{spec.k} conv of {spec.c_in} -> {spec.c_out} channels "
-                f"at dilation {spec.dilation} on input {run.input_shape} holds more {run.dtype} "
-                "bytes than one array can index")
 
 
 def has_dropout(block: ParamBlock) -> bool:

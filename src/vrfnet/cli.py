@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import block_gradient_errors, build_block, check_fits, has_dropout
+from .blocks import block_gradient_errors, build_block, has_dropout
 from .config import (BLOCK_KINDS, DTYPES, ConfigError, RunConfig, load_run_config,
                      parse_input_shape, run_config)
 from .ops import ConvSpec, conv2d
@@ -106,17 +106,18 @@ def _run_config(args):
 
 
 def _cases(cfg):
-    """The run config if it names a block, else one for each block kind;
-    each is bounded by check_fits just before the caller builds it."""
+    """The run config if it names a block, else one for each block kind."""
     for kind in (cfg.block,) if cfg.block else BLOCK_KINDS:
-        case = replace(cfg, block=kind)
-        check_fits(case)
-        yield case
+        yield replace(cfg, block=kind)
 
 
-def _make_block(cfg):
-    check_fits(cfg)
-    return build_block(cfg.block, cfg.build_block_config(), Rng(cfg.seed), cfg.np_dtype)
+def _make_block(cfg, rng):
+    """The block ``cfg`` names, initialized from ``rng`` (None: zeros);
+    ConfigError if a conv of it cannot index a plane of cfg's input shape.
+    Every command builds its blocks here."""
+    block = build_block(cfg.block, cfg.build_block_config(), rng, cfg.np_dtype)
+    block.check_fits(cfg.input_shape)
+    return block
 
 
 def _emit(out_dir, name: str, lines: "list[str]") -> None:
@@ -130,7 +131,7 @@ def cmd_gradcheck(args) -> int:
     if cfg.dtype != "f64":
         raise ConfigError("gradcheck requires --dtype f64 (f32 finite differences are too noisy)")
     tol = cfg.tolerance
-    block = _make_block(cfg)
+    block = _make_block(cfg, Rng(cfg.seed))
     shape = cfg.input_shape
     n, _, h, w = shape
     # the buffers are batch norm's running statistics; in train mode it
@@ -183,16 +184,19 @@ def _oracle_reports(cfg, specs: int, cases):
         x = rng.tensor((n, spec.c_in, h, w), -1.0, 1.0, dtype)
         wt = rng.tensor(spec.weight_shape, -1.0 / spec.fan_in, 1.0 / spec.fan_in, dtype)
         bt = rng.tensor(spec.bias_shape, -0.1, 0.1, dtype) if spec.bias else None
+        fast = conv2d(x, wt, bt, spec)
+        ref = oracle_conv2d(x, wt, bt, spec)
         report = compare(f"conv2d[{spec.k}x{spec.k} d{spec.dilation} g{spec.groups}]",
-                         conv2d(x, wt, bt, spec), oracle_conv2d(x, wt, bt, spec), cfg.seed)
+                         fast, ref, cfg.seed)
         report.shapes = [x.shape, spec.weight_shape]
         yield report.op, report
     for case in cases:
-        kind, bcfg = case.block, case.build_block_config()
-        block = build_block(kind, bcfg, Rng(cfg.seed + 7), dtype)
+        kind = case.block
+        block = _make_block(case, Rng(cfg.seed + 7))
         x = Rng(cfg.seed + 8).tensor(cfg.input_shape, -1.0, 1.0, dtype)
-        ref = oracle_block(kind, bcfg, x, block.params(), block.buffers(), "eval")
-        yield f"block {kind}", compare(kind, block.forward(x, mode="eval"), ref, cfg.seed)
+        fast = block.forward(x, mode="eval")
+        ref = oracle_block(kind, block.cfg, x, block.params(), block.buffers(), "eval")
+        yield f"block {kind}", compare(kind, fast, ref, cfg.seed)
 
 
 def cmd_oracle_diff(args) -> int:
@@ -227,7 +231,7 @@ def cmd_profile(args) -> int:
     if args.reps and args.reps < BENCH_MIN_REPS:
         raise ConfigError(f"--reps must be 0 (no timing) or >= {BENCH_MIN_REPS}, got {args.reps}")
 
-    block = _make_block(cfg)
+    block = _make_block(cfg, Rng(cfg.seed))
     shape = cfg.input_shape
     report = cost_report(block, shape, bench_reps=args.reps)
 
@@ -267,10 +271,10 @@ def cmd_golden(args) -> int:
     if args.direction == "generate":
         for i, case in enumerate(_cases(cfg)):
             case = replace(case, seed=cfg.seed + i)
+            rng = Rng(case.seed)
+            block = _make_block(case, rng)
             case_dir = out_dir / case.block
             case_dir.mkdir(parents=True, exist_ok=True)
-            rng = Rng(case.seed)
-            block = build_block(case.block, case.build_block_config(), rng, case.np_dtype)
             x = rng.tensor(case.input_shape, -1.0, 1.0, case.np_dtype)
             y = block.forward(x, mode="eval")
             write_tensor(case_dir / "input.vrft", x)
@@ -290,7 +294,10 @@ def cmd_golden(args) -> int:
         meta = read_golden_meta(case_dir / GOLDEN_META)
         dtype = np.dtype(meta.np_dtype)
         bcfg = meta.build_block_config()
-        block = build_block(meta.block, bcfg, None, dtype)
+        try:
+            block = _make_block(meta, None)
+        except ConfigError as exc:  # sizes no array can index: the meta is corrupt
+            raise FormatError(f"{case_dir}: {exc}") from None
         try:
             block.set_params(dict(read_manifest(case_dir / "params.manifest")))
             block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))

@@ -260,7 +260,9 @@ def run_config(raw, where: str, overrides: dict | None = None, **defaults) -> Ru
     on top, tuple and path conversions, and validate_run_config once, on
     the result. ``defaults`` stand in for keys that neither sets; a default
     input shape may leave its channel dim (None) to the run's channels."""
-    vals = {**defaults, **_take(RunConfig, raw, where), **(overrides or {})}
+    given = {**_take(RunConfig, raw, where), **(overrides or {})}
+    # a null in the file means "not set", as an absent key does
+    vals = {**defaults, **{k: v for k, v in given.items() if v is not None}}
     if vals.get("input_shape") is not None:
         channels = vals.get("channels", RunConfig.channels)
         vals["input_shape"] = tuple(channels if d is None else d for d in vals["input_shape"])
@@ -281,14 +283,16 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.channels < 1:
         raise ConfigError("channels must be >= 1")
     if cfg.input_shape is not None:
-        if len(cfg.input_shape) != 4 or min(cfg.input_shape) < 1:
+        if len(cfg.input_shape) != 4 or any(int(d) < 1 for d in cfg.input_shape):
             raise ConfigError(f"input_shape must be 4 positive dims, got {cfg.input_shape}")
-        if math.prod(cfg.input_shape) * np.dtype(cfg.np_dtype).itemsize > np.iinfo(np.intp).max:
+        itemsize = np.dtype(DTYPES[cfg.dtype]).itemsize
+        if math.prod(int(d) for d in cfg.input_shape) * itemsize > np.iinfo(np.intp).max:
             raise ConfigError(f"input_shape {cfg.input_shape} holds more {cfg.dtype} bytes "
                               "than one array can index")
         if cfg.input_shape[1] != cfg.channels:
-            raise ConfigError(f"input_shape channel dim {cfg.input_shape[1]} "
-                              f"!= channels {cfg.channels}")
+            raise ConfigError(
+                f"input_shape channel dim {cfg.input_shape[1]} != channels {cfg.channels}"
+            )
     # NaN compares false both ways: every check against it would fail,
     # yet no comparison of it with 0 rejects it
     if cfg.tolerance is not None and not (_finite(cfg.tolerance) and cfg.tolerance >= 0):

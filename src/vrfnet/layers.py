@@ -18,10 +18,12 @@ children included, reads its own registry.
 from __future__ import annotations
 
 import functools
+import math
 from collections import OrderedDict
 
 import numpy as np
 
+from .config import ConfigError
 from .ops import ConvSpec, conv2d, init_conv_params
 from .tape import value_of
 from .tensor import NonFiniteError, Rng, ShapeError, Tensor
@@ -44,6 +46,12 @@ def debug_finite(forward):
     return wrapper
 
 
+def _max_elements(dtype) -> int:
+    """The most ``dtype`` values one array can hold: its bytes must fit
+    an index (numpy's intp)."""
+    return np.iinfo(np.intp).max // np.dtype(dtype).itemsize
+
+
 class ParamBlock:
     """Base: registries of parameters, buffers and conv specs, child blocks,
     conv helpers."""
@@ -57,6 +65,11 @@ class ParamBlock:
     # -- registry ---------------------------------------------------------
 
     def _add_conv(self, name: str, spec: ConvSpec, rng: Rng | None, dtype) -> None:
+        """Register conv ``name``; ConfigError, before anything is
+        allocated, if its weight holds more bytes than one array can index."""
+        if math.prod(spec.weight_shape) > _max_elements(dtype):
+            raise ConfigError(f"{type(self).__name__}.{name}: a {spec.weight_shape} weight "
+                              f"holds more {np.dtype(dtype)} bytes than one array can index")
         w, b = init_conv_params(spec, rng, dtype)
         self._specs[name] = spec
         self._params[name + ".w"] = w
@@ -122,6 +135,24 @@ class ParamBlock:
     def set_buffers(self, new: "dict[str, Tensor]") -> None:
         """Replace every buffer by flat name (see ``_replace``)."""
         self._replace("_buffers", new)
+
+    def check_fits(self, shape) -> None:
+        """ConfigError unless each conv, run on an input of ``shape``
+        (n, c, h, w) to this block, pads its input to and writes planes
+        that one array can index in its weight's dtype, as the input itself
+        must. Every conv keeps n, h and w; sizes that fit but cannot be
+        allocated are left to MemoryError."""
+        n, _, h, w = shape
+        params = self.params()
+        for name, spec in self.conv_specs().items():
+            reach = 2 * spec.padding
+            dtype = params[name + ".w"].dtype
+            planes = (n * spec.c_in * (h + reach) * (w + reach), n * spec.c_out * h * w)
+            if max(planes) > _max_elements(dtype):
+                raise ConfigError(
+                    f"{type(self).__name__}: conv {name} ({spec.k}x{spec.k}, dilation "
+                    f"{spec.dilation}) on input {tuple(shape)} holds more {dtype} bytes "
+                    "than one array can index")
 
     # -- forward helpers ----------------------------------------------------
 

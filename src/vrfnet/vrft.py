@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import check_fits
 from .config import ConfigError, RunConfig, run_config
 from .tensor import Tensor
 
@@ -151,8 +150,6 @@ def read_golden_meta(path) -> RunConfig:
         raise FormatError(f"{path}: expected exactly the non-null keys "
                           f"{sorted(_GOLDEN_META_KEYS)}")
     try:
-        cfg = run_config(meta, Path(path).name)
-        check_fits(cfg)
-        return cfg
+        return run_config(meta, Path(path).name)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -33,7 +33,6 @@ from vrfnet import (
     oracle_block,
 )
 from vrfnet import ops
-from vrfnet.blocks import conv_specs
 from vrfnet.config import block_config
 from vrfnet.layers import ParamBlock, sub_params
 
@@ -224,18 +223,36 @@ def test_an_unknown_block_kind_is_rejected_by_the_builder_and_the_oracle():
         oracle_block("conv", cfg, Rng(1).tensor((1, 6, 2, 2)), {})
 
 
-@pytest.mark.parametrize("kind,module", [
-    ("mscf", {"dilations": [1, 3], "dw_kernel": 5, "mask_kernel": 3}),
-    ("mscf", {"use_ca": False}),
-    ("gconv", {"hidden": 3, "dw_kernel": 7}),
-    ("gmcf", {"mscf": {"ca_ratio": 2}, "gconv": {"hidden": 4}}),
-    ("gmcf-block", {"n_bottlenecks": 2}),
-    ("gmcf-block", {"n_bottlenecks": 0}),
-])
-def test_conv_specs_lists_the_convs_of_the_built_block(kind, module):
-    # check_fits bounds a block's convs by this list before it is built
-    cfg = block_config(kind, 8, module)
-    assert set(conv_specs(kind, cfg)) == set(build_block(kind, cfg).conv_specs().values())
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_conv_weight_no_array_can_index_is_a_config_error_before_it_is_allocated(dtype):
+    # a weight of 2**61 - 16 values: 2**63 - 64 bytes in f32, which an
+    # index reaches (so numpy is asked for it, and cannot give it), and
+    # twice that in f64, which none does
+    spec = ConvSpec(8, 2**58 - 2, 1, bias=False)
+    if dtype == np.float32:
+        with pytest.raises(MemoryError):
+            ConvLayer(spec, None, dtype)
+    else:
+        with pytest.raises(ConfigError, match=r"ConvLayer\.conv: .* float64 bytes"):
+            ConvLayer(spec, None, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_padded_plane_no_array_can_index_is_a_config_error(dtype):
+    # dilation 2**29 pads a 1x1 plane to (2**30 + 1)**2 values: more than
+    # an index reaches in f64 bytes, not in f32 bytes
+    block = ConvLayer(ConvSpec(1, 1, 3, dilation=2**29), None, dtype)
+    if dtype == np.float32:
+        block.check_fits((1, 1, 1, 1))
+    else:
+        with pytest.raises(ConfigError, match=r"ConvLayer: conv conv \(3x3, dilation 536870912\)"):
+            block.check_fits((1, 1, 1, 1))
+    # a gmcf-block's bottleneck convs are reached through its children
+    gmcf = build_block("gmcf-block", block_config("gmcf-block", 8, {
+        "mscf": {"dilations": [1, 2**20]}}))
+    gmcf.check_fits((1, 8, 8, 8))
+    with pytest.raises(ConfigError, match=r"conv m0\.mscf\.scale1 "):
+        gmcf.check_fits((2**20, 8, 8, 8))
 
 
 # ---------------------------------------------------------------- GMCF bottleneck

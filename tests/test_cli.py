@@ -11,6 +11,7 @@ import vrfnet
 from vrfnet import Tensor, read_tensor, write_tensor
 from vrfnet.cli import COMMAND_DEFAULTS, main
 from vrfnet.config import RunConfig
+from vrfnet.vrft import read_golden_meta
 
 GC_ARGS = ["--block", "gconv", "--channels", "6", "--input-shape", "1,6,4,4"]
 
@@ -123,6 +124,26 @@ def test_config_file_is_checked_after_the_flags(tmp_path, capsys):
     assert main(["profile", "--config", str(cfg), "--channels", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "channels 5" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["tolerance", "input_shape"])
+def test_a_null_in_the_config_file_leaves_the_key_to_the_commands_default(tmp_path, capsys,
+                                                                           key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gconv", "channels": 6, key: None}))
+    gradcheck = COMMAND_DEFAULTS["gradcheck"]
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert f"within {gradcheck['tolerance']:g}" in capsys.readouterr().out
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--config", str(cfg), "--out", str(out)]) == 0
+    n, _, h, w = COMMAND_DEFAULTS["golden"]["input_shape"]
+    assert read_golden_meta(out / "gconv" / "meta.json").input_shape == (n, 6, h, w)
+    capsys.readouterr()
+    assert main(["golden", "verify", "--config", str(cfg), "--out", str(out),
+                 "--use-oracle"]) == 0
+    assert f"tol={COMMAND_DEFAULTS['golden']['tolerance']:g}" in capsys.readouterr().out
+    assert main(["oracle-diff", "--config", str(cfg), "--specs", "0"]) == 0
+    assert main(["profile", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("args,says", [
@@ -358,7 +379,7 @@ def test_each_block_kind_is_bounded_before_it_is_built_without_a_block(tmp_path,
     cfg.write_text(json.dumps({"module": {"dilations": [10**30]}}))
     out = tmp_path / "gold"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-    _one_line_config_error(capsys, "mscf: a 3x3 conv", "bytes")
+    _one_line_config_error(capsys, "MscfBlock: conv scale0 (3x3, dilation", "bytes")
     assert not out.exists()
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
-from vrfnet.blocks import check_fits
 from vrfnet.cli import main
 from vrfnet.config import RunConfig, block_config, run_config
 
@@ -164,20 +163,6 @@ def test_input_shape_whose_bytes_overflow_an_array_index_is_a_config_error(dtype
     else:
         with pytest.raises(ConfigError, match="input_shape .* bytes"):
             run_config(raw, "run")
-
-
-@pytest.mark.parametrize("dtype,ok", [("f32", True), ("f64", False)])
-def test_a_conv_weight_whose_bytes_overflow_an_array_index_is_a_config_error(dtype, ok):
-    # gconv's expansion weight holds 2 * hidden * c = 2**61 - 16 values:
-    # 2**63 - 64 bytes in f32, which an index reaches, and twice that in
-    # f64, which none does; nothing of this size is allocated
-    run = run_config({"block": "gconv", "dtype": dtype, "input_shape": [1, 8, 1, 1],
-                      "module": {"hidden": 2**57 - 1}}, "run")
-    if ok:
-        check_fits(run)
-    else:
-        with pytest.raises(ConfigError, match="gconv: a 1x1 conv of 8 -> .* f64 bytes"):
-            check_fits(run)
 
 
 # ---------------------------------------------------------------- fuzzed run configs
