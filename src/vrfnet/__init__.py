@@ -47,6 +47,7 @@ from .attention import ChannelAttention, SpatialAttention
 from .config import (
     ConfigError,
     GconvConfig,
+    GmcfBlockConfig,
     GmcfConfig,
     MscfConfig,
     RunConfig,
@@ -71,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelAttention", "ConfigError", "ConvLayer", "ConvSpec",
     "CostReport", "DropoutState", "FormatError", "GConvBlock", "GconvConfig",
-    "GmcfBlock", "GmcfBottleneck", "GmcfConfig", "MscfBlock", "MscfConfig",
+    "GmcfBlock", "GmcfBlockConfig", "GmcfBottleneck", "GmcfConfig", "MscfBlock", "MscfConfig",
     "Node", "NonFiniteError", "OpCounter", "OracleReport", "Rng", "RunConfig", "ShapeError",
     "SpatialAttention", "Tape", "Tensor",
     "add", "batch_norm", "bench", "block_config",

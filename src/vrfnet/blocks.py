@@ -25,11 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import ChannelAttention, SpatialAttention
-from .config import ConfigError, GconvConfig, GmcfConfig, MscfConfig
+from .config import ConfigError, GconvConfig, GmcfBlockConfig, GmcfConfig, MscfConfig
 from .eltwise import add, concat_channels, hadamard, select_scales, slice_channels, sum_all
 from .layers import ParamBlock, debug_finite, sub_params
 from .ops import ConvSpec, DropoutState, batch_norm, dropout, relu, sigmoid_gate
-from .tape import ProbeReplay, Tape, fd_max_rel_err
+from .tape import FD_STEP, ProbeReplay, Tape, fd_max_rel_err
 from .tensor import Rng, Tensor
 
 
@@ -166,18 +166,17 @@ class GmcfBlock(ParamBlock):
 
     kind = "gmcf-block"
 
-    def __init__(self, cfg: GmcfConfig, rng: Rng | None = None, dtype=np.float64,
+    def __init__(self, cfg: GmcfBlockConfig, rng: Rng | None = None, dtype=np.float64,
                  dropout_rng: Rng | None = None):
         super().__init__()
         self.cfg = cfg
-        ch = cfg.hidden_width
+        ch = cfg.bottleneck.c
         self.ch = ch
         self._add_conv("cv1", ConvSpec(cfg.c, 2 * ch, 1), rng, dtype)
-        inner = cfg.at_width(ch)
         for i in range(cfg.n_bottlenecks):
-            self._add_child(
-                f"m{i}", GmcfBottleneck(inner, rng, dtype, _dropout_stream(dropout_rng, f"m{i}"))
-            )
+            self._add_child(f"m{i}", GmcfBottleneck(
+                cfg.bottleneck, rng, dtype, _dropout_stream(dropout_rng, f"m{i}")
+            ))
         self._add_conv("cv2", ConvSpec((2 + cfg.n_bottlenecks) * ch, cfg.c, 1), rng, dtype)
 
     @debug_finite
@@ -228,20 +227,19 @@ def has_dropout(block: ParamBlock) -> bool:
     return (state is not None and state.p > 0) or any(map(has_dropout, block._children.values()))
 
 
-def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
-                          h: float = 1e-6) -> "dict[str, float]":
+def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval") -> "dict[str, float]":
     """Finite-difference check of every parameter and the input.
 
     The tape gradient of sum(output) is computed once in the input's own
     dtype (float64 required); the central-difference probes are then
     evaluated in extended precision so the comparison is limited by the
     tape's rounding rather than by cancellation between f(t+h) and
-    f(t-h). Returns max relative error per name ('input' plus each
-    parameter), denominator floored at 1e-8. In train mode each forward
-    draws new dropout masks, so a dropout p > 0 raises ValueError before
-    any forward runs, and batch norm normalizes with batch statistics:
-    the running statistics its forwards update are put back afterwards,
-    so the block is left as it was.
+    f(t-h), h = ``FD_STEP``. Returns max relative error per name
+    ('input' plus each parameter), denominator floored at 1e-8. In train
+    mode each forward draws new dropout masks, so a dropout p > 0 raises
+    ValueError before any forward runs, and batch norm normalizes with
+    batch statistics: the running statistics its forwards update are put
+    back afterwards, so the block is left as it was.
 
     The parameter probes run under one :class:`~vrfnet.tape.ProbeReplay`:
     an op that does not read the probed parameter returns the result it
@@ -272,7 +270,7 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
 
         errors: dict[str, float] = {}
         errors["input"] = fd_max_rel_err(
-            lambda t: block.forward(t, fd_params, mode).data.sum(), fd_x, x_grad, h
+            lambda t: block.forward(t, fd_params, mode).data.sum(), fd_x, x_grad, FD_STEP
         )
         replay = ProbeReplay()
         for name in params:
@@ -281,7 +279,7 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval",
                 bound[_name] = t
                 return replay(t, block.forward, fd_x, bound, mode).data.sum()
 
-            errors[name] = fd_max_rel_err(loss_at, fd_params[name], param_grads[name], h)
+            errors[name] = fd_max_rel_err(loss_at, fd_params[name], param_grads[name], FD_STEP)
         return errors
     finally:
         block.set_buffers(buffers)

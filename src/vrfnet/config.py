@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -19,6 +19,12 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+def fits_index(count: int, dtype) -> bool:
+    """Whether ``count`` values of ``dtype`` hold no more bytes than one
+    array can index (numpy's intp)."""
+    return count <= np.iinfo(np.intp).max // np.dtype(dtype).itemsize
 
 
 def _finite(x) -> bool:
@@ -87,7 +93,7 @@ class GconvConfig:
 
 @dataclass(frozen=True)
 class GmcfConfig:
-    """Gated multi-scale fusion bottleneck (and its split/concat wrapper)."""
+    """Gated multi-scale fusion bottleneck hyperparameters."""
 
     c: int
     mscf: MscfConfig = None
@@ -95,8 +101,6 @@ class GmcfConfig:
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
     dropout: float = 0.0
-    n_bottlenecks: int = 1
-    e: float = 0.5
 
     def __post_init__(self):
         if self.c < 1:
@@ -112,32 +116,43 @@ class GmcfConfig:
         # written so that NaN, which compares false both ways, fails them
         if not (_finite(self.bn_eps) and self.bn_eps > 0):
             raise ConfigError(f"gmcf: bn_eps must be a finite number > 0, got {self.bn_eps!r}")
-        if not (_finite(self.e) and self.e > 0):
-            raise ConfigError(f"gmcf: e must be a finite number > 0, got {self.e!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ConfigError(f"gmcf: bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
+
+
+def _branch_width(c: int, e: float) -> int:
+    """A gmcf-block's branch width e*c, for e a finite number > 0; an integer >= 1."""
+    if not (_finite(e) and e > 0):
+        raise ConfigError(f"gmcf-block: e must be a finite number > 0, got {e!r}")
+    ch = e * c
+    if not _finite(ch) or ch != int(ch) or int(ch) < 1:
+        raise ConfigError(f"gmcf-block: branch width e*c = {ch} is not a positive integer")
+    return int(ch)
+
+
+@dataclass(frozen=True)
+class GmcfBlockConfig:
+    """Split/concat wrapper chaining ``n_bottlenecks`` GMCF bottlenecks at the
+    branch width e*c, which ``bottleneck`` (default ``GmcfConfig(c=e*c)``) has."""
+
+    c: int
+    bottleneck: GmcfConfig = None
+    n_bottlenecks: int = 1
+    e: float = 0.5
+
+    def __post_init__(self):
+        width = _branch_width(self.c, self.e)
         if self.n_bottlenecks < 0:
-            raise ConfigError("gmcf: n_bottlenecks must be >= 0")
-
-    @property
-    def hidden_width(self) -> int:
-        """Wrapper branch width e*c; must be integral."""
-        ch = self.e * self.c
-        if not _finite(ch) or ch != int(ch) or int(ch) < 1:
-            raise ConfigError(f"gmcf: hidden width e*c = {ch} is not a positive integer")
-        return int(ch)
-
-    def at_width(self, width: int) -> "GmcfConfig":
-        """Same hyperparameters re-targeted at a different channel width
-        (used for the bottlenecks inside the wrapper); GConv's hidden
-        width is derived again for the new width."""
-        return replace(self, c=width, mscf=replace(self.mscf, c=width),
-                       gconv=replace(self.gconv, c=width, hidden=None))
+            raise ConfigError("gmcf-block: n_bottlenecks must be >= 0")
+        if self.bottleneck is None:
+            object.__setattr__(self, "bottleneck", GmcfConfig(c=width))
+        if self.bottleneck.c != width:
+            raise ConfigError(f"gmcf-block: bottleneck width {self.bottleneck.c} != e*c = {width}")
 
 
 # the block config class of each block kind
 _KIND_CONFIGS = {"mscf": MscfConfig, "gconv": GconvConfig, "gmcf": GmcfConfig,
-                 "gmcf-block": GmcfConfig}
+                 "gmcf-block": GmcfBlockConfig}
 BLOCK_KINDS = tuple(_KIND_CONFIGS)
 
 # JSON value types accepted for each field annotation
@@ -147,42 +162,38 @@ _JSON_TYPES = {
 }
 
 
-def _json_type_ok(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field annotated ``annotation``. Bools
-    never pass as numbers; a tuple is a sequence of integers."""
-    for kind in annotation.split(" | "):
-        if kind == "None":
-            ok = value is None
-        elif kind == "tuple":
-            ok = isinstance(value, (list, tuple)) and all(_json_type_ok(v, "int") for v in value)
-        else:
-            ok = isinstance(value, _JSON_TYPES[kind]) and (
-                kind == "bool" or not isinstance(value, bool))
-        if ok:
-            return True
-    return False
+def _json_type_ok(value, kind: str) -> bool:
+    """Whether a JSON value fits a field of JSON type ``kind``. Bools never
+    pass as numbers; a tuple is a sequence of integers."""
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and all(_json_type_ok(v, "int") for v in value)
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
 
 
-def _take(cls, d, where: str) -> dict:
-    """Check a strict JSON object against the fields of dataclass ``cls``
-    (except ``c``): no unknown keys, every value of its field's type.
-    Omitted keys keep the dataclass defaults."""
+def _json_fields(cls) -> dict:
+    """The JSON keys of config ``cls``, its fields but ``c``, by type less None."""
+    return {f.name: f.type.removesuffix(" | None") for f in fields(cls) if f.name != "c"}
+
+
+def _take(d, where: str, types: dict) -> dict:
+    """Check a strict JSON object against ``types`` (see :func:`_json_fields`): no
+    unknown keys, every value of its key's type. A null sets nothing, as an omitted key."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
-    types = {f.name: f.type for f in fields(cls) if f.name != "c"}
     unknown = set(d) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(types)}")
-    for name, value in d.items():
+    vals = {name: value for name, value in d.items() if value is not None}
+    for name, value in vals.items():
         if not _json_type_ok(value, types[name]):
             raise ConfigError(f"{where}: {name} must be {types[name]}, got {value!r}")
-    return dict(d)
+    return vals
 
 
 def _from_dict(cls, c: int, d, where: str):
     """Config ``cls`` at width ``c`` from a strict JSON object; a key whose
     field is itself a config is built the same way from its sub-object."""
-    vals = _take(cls, d, where)
+    vals = _take(d, where, _json_fields(cls))
     hints = get_type_hints(cls)
     for name, value in vals.items():
         if is_dataclass(hints[name]):
@@ -193,22 +204,21 @@ def _from_dict(cls, c: int, d, where: str):
 def block_config(kind: str, c: int, module: dict | None = None):
     if kind not in _KIND_CONFIGS:
         raise ConfigError(f"unknown block kind {kind!r}; expected one of {BLOCK_KINDS}")
+    cls, where = _KIND_CONFIGS[kind], f"module({kind})"
     module = {} if module is None else module
-    cfg = _from_dict(_KIND_CONFIGS[kind], c, module, f"module({kind})")
-    # a bottleneck has no wrapper, which these keys size: it would ignore them
-    if kind == "gmcf" and {"n_bottlenecks", "e"} & set(module):
-        raise ConfigError("module(gmcf): n_bottlenecks and e apply to gmcf-block only")
-    if kind == "gmcf-block":
-        # raises unless the wrapper's branch width e*c is a positive integer
-        width = cfg.hidden_width
-        # the bottlenecks' config at that width, which build_block would
-        # otherwise reject naming a width the caller never gave
-        try:
-            cfg.at_width(width)
-        except ConfigError as exc:
-            raise ConfigError(
-                f"module(gmcf-block): bottlenecks at e*c = {width} channels: {exc}") from None
-    return cfg
+    if cls is not GmcfBlockConfig:
+        return _from_dict(cls, c, module, where)
+    # a gmcf-block's module is flat: n_bottlenecks and e size the wrapper;
+    # every other key configures its bottlenecks, once, at the width e*c
+    sizes = {k: t for k, t in _json_fields(cls).items() if k != "bottleneck"}
+    vals = _take(module, where, {**_json_fields(GmcfConfig), **sizes})
+    own = {k: vals.pop(k) for k in sizes if k in vals}
+    width = _branch_width(c, own.get("e", cls.e))
+    try:
+        bottleneck = _from_dict(GmcfConfig, width, vals, "bottleneck")
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: bottlenecks at e*c = {width} channels: {exc}") from None
+    return cls(c, bottleneck, **own)
 
 
 @dataclass
@@ -260,9 +270,7 @@ def run_config(raw, where: str, overrides: dict | None = None, **defaults) -> Ru
     on top, tuple and path conversions, and validate_run_config once, on
     the result. ``defaults`` stand in for keys that neither sets; a default
     input shape may leave its channel dim (None) to the run's channels."""
-    given = {**_take(RunConfig, raw, where), **(overrides or {})}
-    # a null in the file means "not set", as an absent key does
-    vals = {**defaults, **{k: v for k, v in given.items() if v is not None}}
+    vals = {**defaults, **_take(raw, where, _json_fields(RunConfig)), **(overrides or {})}
     if vals.get("input_shape") is not None:
         channels = vals.get("channels", RunConfig.channels)
         vals["input_shape"] = tuple(channels if d is None else d for d in vals["input_shape"])
@@ -285,8 +293,7 @@ def validate_run_config(cfg: RunConfig) -> None:
     if cfg.input_shape is not None:
         if len(cfg.input_shape) != 4 or any(int(d) < 1 for d in cfg.input_shape):
             raise ConfigError(f"input_shape must be 4 positive dims, got {cfg.input_shape}")
-        itemsize = np.dtype(DTYPES[cfg.dtype]).itemsize
-        if math.prod(int(d) for d in cfg.input_shape) * itemsize > np.iinfo(np.intp).max:
+        if not fits_index(math.prod(int(d) for d in cfg.input_shape), DTYPES[cfg.dtype]):
             raise ConfigError(f"input_shape {cfg.input_shape} holds more {cfg.dtype} bytes "
                               "than one array can index")
         if cfg.input_shape[1] != cfg.channels:

@@ -23,7 +23,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, fits_index
 from .ops import ConvSpec, conv2d, init_conv_params
 from .tape import value_of
 from .tensor import NonFiniteError, Rng, ShapeError, Tensor
@@ -46,12 +46,6 @@ def debug_finite(forward):
     return wrapper
 
 
-def _max_elements(dtype) -> int:
-    """The most ``dtype`` values one array can hold: its bytes must fit
-    an index (numpy's intp)."""
-    return np.iinfo(np.intp).max // np.dtype(dtype).itemsize
-
-
 class ParamBlock:
     """Base: registries of parameters, buffers and conv specs, child blocks,
     conv helpers."""
@@ -67,7 +61,7 @@ class ParamBlock:
     def _add_conv(self, name: str, spec: ConvSpec, rng: Rng | None, dtype) -> None:
         """Register conv ``name``; ConfigError, before anything is
         allocated, if its weight holds more bytes than one array can index."""
-        if math.prod(spec.weight_shape) > _max_elements(dtype):
+        if not fits_index(math.prod(spec.weight_shape), dtype):
             raise ConfigError(f"{type(self).__name__}.{name}: a {spec.weight_shape} weight "
                               f"holds more {np.dtype(dtype)} bytes than one array can index")
         w, b = init_conv_params(spec, rng, dtype)
@@ -148,7 +142,7 @@ class ParamBlock:
             reach = 2 * spec.padding
             dtype = params[name + ".w"].dtype
             planes = (n * spec.c_in * (h + reach) * (w + reach), n * spec.c_out * h * w)
-            if max(planes) > _max_elements(dtype):
+            if not fits_index(max(planes), dtype):
                 raise ConfigError(
                     f"{type(self).__name__}: conv {name} ({spec.k}x{spec.k}, dilation "
                     f"{spec.dilation}) on input {tuple(shape)} holds more {dtype} bytes "

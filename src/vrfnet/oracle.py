@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GconvConfig, GmcfConfig, MscfConfig
+from .config import GconvConfig, GmcfBlockConfig, GmcfConfig, MscfConfig
 from .ops import ConvSpec
 from .tape import OpCounter
 from .tensor import Tensor
@@ -199,19 +199,18 @@ def oracle_gmcf_bottleneck(x: Tensor, cfg: GmcfConfig, params, buffers,
     return oracle_gconv(Tensor.wrap(y1), cfg.gconv, params, prefix + "gconv.", counter)
 
 
-def oracle_gmcf_block(x: Tensor, cfg: GmcfConfig, params, buffers,
+def oracle_gmcf_block(x: Tensor, cfg: GmcfBlockConfig, params, buffers,
                       mode="eval", counter=None) -> Tensor:
     xd = _f64(x)
-    ch = cfg.hidden_width
+    ch = cfg.bottleneck.c
     both = oracle_conv2d(
         Tensor.wrap(xd), params["cv1.w"], params.get("cv1.b"),
         ConvSpec(cfg.c, 2 * ch, 1), counter,
     ).data
     branches = [both[:, :ch].copy(), both[:, ch:].copy()]
-    inner = cfg.at_width(ch)
     for i in range(cfg.n_bottlenecks):
         nxt = oracle_gmcf_bottleneck(
-            Tensor.wrap(branches[-1]), inner, params, buffers, mode, f"m{i}.", counter
+            Tensor.wrap(branches[-1]), cfg.bottleneck, params, buffers, mode, f"m{i}.", counter
         )
         branches.append(nxt.data)
     cat = np.concatenate(branches, axis=1)

@@ -106,6 +106,7 @@ import numpy as np
 from .tensor import ShapeError, Tensor
 
 _SCALAR_SHAPE = (1, 1, 1, 1)
+FD_STEP = 1e-6  # the central-difference step of the gradient checks
 
 
 @dataclass
@@ -399,7 +400,7 @@ def tape_of(*args) -> Tape | None:
     return tape
 
 
-def finite_diff_check(f, x: Tensor, h: float = 1e-6) -> float:
+def finite_diff_check(f, x: Tensor, h: float = FD_STEP) -> float:
     """Max relative error between tape gradients of f and central differences.
 
     ``f`` maps a tensor (or node) to a scalar tensor (or node) and must be

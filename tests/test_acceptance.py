@@ -47,7 +47,7 @@ def test_criterion_1_gradient_suite():
             cfg = block_config(kind, c)
             block = build_block(kind, cfg, Rng(seeds[kind]), np.float64)
             x = Rng(seeds[kind] + 50).tensor((1, c, 6, 6), -2.0, 2.0, np.float64)
-            errors = block_gradient_errors(block, x, mode="eval", h=1e-6)
+            errors = block_gradient_errors(block, x, mode="eval")
             worst = max(errors.values())
             worst_name = max(errors, key=errors.get)
             assert worst < GRAD_TOL, f"{kind} c={c}: {worst_name} err {worst:.3e}"

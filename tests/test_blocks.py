@@ -19,6 +19,7 @@ from vrfnet import (
     GConvBlock,
     GconvConfig,
     GmcfBlock,
+    GmcfBlockConfig,
     GmcfBottleneck,
     GmcfConfig,
     MscfBlock,
@@ -328,7 +329,7 @@ def test_train_gradient_check_rejects_dropout_and_leaves_the_block_as_it_was(kin
 # ---------------------------------------------------------------- GMCF block (C2f wrapper)
 
 def test_gmcf_block_no_bottlenecks_degenerates_to_two_pointwise():
-    cfg = GmcfConfig(c=8, n_bottlenecks=0)
+    cfg = GmcfBlockConfig(c=8, n_bottlenecks=0)
     block = GmcfBlock(cfg)  # zero weights: output is the cv2 bias alone, here zero
     x = Rng(24).tensor((1, 8, 6, 6))
     npt.assert_array_equal(block.forward(x).data, np.zeros((1, 8, 6, 6)))
@@ -344,7 +345,7 @@ def test_gmcf_block_no_bottlenecks_degenerates_to_two_pointwise():
 
 def test_gmcf_block_zero_bottleneck_equals_identity_chain():
     # random split/fuse convs, zeroed bottleneck: the chained branch passes through
-    cfg = GmcfConfig(c=8, n_bottlenecks=1)
+    cfg = GmcfBlockConfig(c=8, n_bottlenecks=1)
     block = GmcfBlock(cfg, Rng(26))
     params = dict(block.params())
     for name in params:
@@ -361,7 +362,7 @@ def test_gmcf_block_zero_bottleneck_equals_identity_chain():
 
 
 def test_gmcf_block_matches_composed_oracle():
-    cfg = GmcfConfig(c=32, n_bottlenecks=2)
+    cfg = GmcfBlockConfig(c=32, n_bottlenecks=2)
     block = GmcfBlock(cfg, Rng(28), np.float32)
     x = Rng(29).tensor((1, 32, 8, 8), dtype=np.float32)
     fast = block.forward(x, mode="eval")
@@ -371,12 +372,12 @@ def test_gmcf_block_matches_composed_oracle():
 
 def test_gmcf_block_rejects_fractional_hidden_width():
     with pytest.raises(ConfigError, match="integer"):
-        GmcfBlock(GmcfConfig(c=8, e=0.3))
+        GmcfBlock(GmcfBlockConfig(c=8, e=0.3))
 
 
 def test_gmcf_block_releases_intermediates_at_their_last_use():
     # batch 2, so the cv1 slices are copies rather than views of its output
-    block = GmcfBlock(GmcfConfig(c=8), Rng(34))
+    block = GmcfBlock(GmcfBlockConfig(c=8), Rng(34))
     bottleneck = block._children["m0"]
     mscf, gconv = bottleneck._children["mscf"], bottleneck._children["gconv"]
     x = Rng(35).tensor((2, 8, 6, 6))
@@ -512,8 +513,7 @@ def _channel_perms(block, rng):
     p = rng.permutation(cfg.c)
     if block.kind == "gmcf":
         return p, *_bottleneck_perms(cfg, "", p, rng.permutation(cfg.gconv.hidden))
-    ch, n = block.ch, cfg.n_bottlenecks
-    inner = cfg.at_width(ch)
+    ch, n, inner = block.ch, cfg.n_bottlenecks, cfg.bottleneck
     q, qh = rng.permutation(ch), rng.permutation(inner.gconv.hidden)
     convs = {"cv1": (np.concatenate([q, ch + q]), p),
              "cv2": (p, np.concatenate([q + i * ch for i in range(2 + n)]))}
@@ -659,7 +659,7 @@ def test_set_params_validates_names_and_shapes():
 
 
 def test_set_buffers_validates_names_shapes_and_dtypes():
-    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(38))
+    block = GmcfBlock(GmcfBlockConfig(c=8, n_bottlenecks=2), Rng(38))
     good = block.buffers()
     missing = dict(list(good.items())[:-1])
     extra = {**good, "m0.bn.running_vax": good["m0.bn.running_var"]}
@@ -695,15 +695,18 @@ _GMCF_SITES = ("drop", "gconv.drop")
 _BLOCK_SITES = ("m0.drop", "m0.gconv.drop", "m1.drop", "m1.gconv.drop")
 
 
-def _dropout_cfg(c, n_bottlenecks=1):
-    return GmcfConfig(c=c, dropout=0.5, gconv=GconvConfig(c=c, dropout=0.5),
-                      n_bottlenecks=n_bottlenecks)
+def _dropout_cfg(c):
+    return GmcfConfig(c=c, dropout=0.5, gconv=GconvConfig(c=c, dropout=0.5))
+
+
+# a gmcf-block at c = 8 whose two bottlenecks are _dropout_cfg(4)
+_DROPOUT_BLOCK = GmcfBlockConfig(c=8, bottleneck=_dropout_cfg(4), n_bottlenecks=2)
 
 
 def test_sibling_dropout_sites_draw_independent_masks():
     # every site used to get its own Rng(0), so equal shapes drew equal masks
     for kind, cfg, sites in (("gmcf", _dropout_cfg(4), _GMCF_SITES),
-                             ("gmcf-block", _dropout_cfg(8, 2), _BLOCK_SITES)):
+                             ("gmcf-block", _DROPOUT_BLOCK, _BLOCK_SITES)):
         masks = list(_dropout_masks(build_block(kind, cfg, Rng(1)), sites).values())
         for i in range(len(masks)):
             for j in range(i):
@@ -711,7 +714,7 @@ def test_sibling_dropout_sites_draw_independent_masks():
 
 
 def test_dropout_masks_follow_the_seed_and_layer_path():
-    cfg = _dropout_cfg(8, 2)
+    cfg = _DROPOUT_BLOCK
     a = _dropout_masks(GmcfBlock(cfg, Rng(1), dropout_rng=Rng(5)), _BLOCK_SITES)
     b = _dropout_masks(GmcfBlock(cfg, Rng(2), dropout_rng=Rng(5)), _BLOCK_SITES)
     c = _dropout_masks(GmcfBlock(cfg, Rng(1), dropout_rng=Rng(6)), _BLOCK_SITES)
@@ -719,14 +722,14 @@ def test_dropout_masks_follow_the_seed_and_layer_path():
         npt.assert_array_equal(a[path], b[path])  # the parameter rng plays no part
         assert not np.array_equal(a[path], c[path])
     # a bottleneck draws what the same bottleneck draws inside a gmcf-block
-    inner = GmcfBottleneck(cfg.at_width(4), None, dropout_rng=Rng(5).child("m1"))
+    inner = GmcfBottleneck(cfg.bottleneck, None, dropout_rng=Rng(5).child("m1"))
     m1 = _dropout_masks(inner, _GMCF_SITES)
     npt.assert_array_equal(m1["drop"], a["m1.drop"])
     npt.assert_array_equal(m1["gconv.drop"], a["m1.gconv.drop"])
 
 
 def test_param_views_read_the_flat_dict_without_copies():
-    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(39))
+    block = GmcfBlock(GmcfBlockConfig(c=8, n_bottlenecks=2), Rng(39))
     flat = block.params()
     sa = sub_params(sub_params(sub_params(flat, "m1."), "mscf."), "sa.")
     assert sa["conv.w"] is flat["m1.mscf.sa.conv.w"]

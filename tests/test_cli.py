@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import vrfnet
-from vrfnet import Tensor, read_tensor, write_tensor
+from vrfnet import Tensor, read_manifest, read_tensor, write_tensor
 from vrfnet.cli import COMMAND_DEFAULTS, main
-from vrfnet.config import RunConfig
+from vrfnet.config import RunConfig, block_config, load_run_config
 from vrfnet.vrft import read_golden_meta
 
 GC_ARGS = ["--block", "gconv", "--channels", "6", "--input-shape", "1,6,4,4"]
@@ -59,7 +59,6 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("run,key", [
-    ({"block": "gmcf", "module": {"mscf": None}}, "mscf"),
     ({"block": "gmcf", "module": {"mscf": {"dilations": 5}}}, "dilations"),
     ({"block": "gmcf", "module": {"dropout": "a"}}, "dropout"),
     ({"block": "gmcf-block", "module": {"n_bottlenecks": "2"}}, "n_bottlenecks"),
@@ -75,7 +74,7 @@ def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
     ({"block": "gconv", "module": {"hidden": 10**30}}, "bytes"),
     ({"block": "gconv", "module": {"dw_kernel": 10**30 + 1}}, "bytes"),
     ({"block": "mscf", "module": {"mask_kernel": 10**21 + 1}}, "bytes"),
-], ids=["mscf-null", "dilations-int", "dropout-str", "n_bottlenecks-str", "zero-scales",
+], ids=["dilations-int", "dropout-str", "n_bottlenecks-str", "zero-scales",
         "channels-str", "e-inf", "e-nan", "channels-1e30", "dilation-1e30", "hidden-1e30",
         "dw_kernel-1e30", "mask_kernel-1e21"])
 def test_malformed_config_values_exit_2_with_one_line(tmp_path, capsys, run, key):
@@ -126,18 +125,25 @@ def test_config_file_is_checked_after_the_flags(tmp_path, capsys):
     assert err.startswith("config error") and "channels 5" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["tolerance", "input_shape"])
+@pytest.mark.parametrize("run", [
+    {"block": "gconv", "tolerance": None},
+    {"block": "gconv", "input_shape": None},
+    # inside a module too: the block's own default fills the key
+    {"block": "gmcf", "module": {"dropout": None}},
+    {"block": "gmcf", "module": {"mscf": None}},
+], ids=["tolerance", "input_shape", "module-dropout", "module-mscf"])
 def test_a_null_in_the_config_file_leaves_the_key_to_the_commands_default(tmp_path, capsys,
-                                                                           key):
+                                                                           run):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"block": "gconv", "channels": 6, key: None}))
+    cfg.write_text(json.dumps({"channels": 4, **run}))
+    assert load_run_config(cfg).build_block_config() == block_config(run["block"], 4)
     gradcheck = COMMAND_DEFAULTS["gradcheck"]
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     assert f"within {gradcheck['tolerance']:g}" in capsys.readouterr().out
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--config", str(cfg), "--out", str(out)]) == 0
     n, _, h, w = COMMAND_DEFAULTS["golden"]["input_shape"]
-    assert read_golden_meta(out / "gconv" / "meta.json").input_shape == (n, 6, h, w)
+    assert read_golden_meta(out / run["block"] / "meta.json").input_shape == (n, 4, h, w)
     capsys.readouterr()
     assert main(["golden", "verify", "--config", str(cfg), "--out", str(out),
                  "--use-oracle"]) == 0
@@ -478,7 +484,7 @@ def test_gmcf_block_keys_in_a_gmcf_module_are_a_config_error_or_corrupt_meta(
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"block": "gmcf", "module": module}))
     assert main(["profile", "--config", str(cfg)]) == 2
-    _one_line_config_error(capsys, "gmcf-block only")
+    _one_line_config_error(capsys, "module(gmcf): unknown key(s)", "'e'")
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
                  "--channels", "8"]) == 0
@@ -486,7 +492,24 @@ def test_gmcf_block_keys_in_a_gmcf_module_are_a_config_error_or_corrupt_meta(
     capsys.readouterr()
     assert main(["golden", "verify", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("corrupt data") and "gmcf-block only" in err and err.count("\n") == 1
+    assert err.startswith("corrupt data") and "unknown key(s)" in err and err.count("\n") == 1
+
+
+def test_a_gmcf_block_module_configures_its_bottlenecks_at_the_width_they_run(
+        tmp_path, capsys):
+    # MSCF runs at e*c = 4 channels, which ca_ratio 4 divides; c = 10 it
+    # does not, and the block has no MSCF at that width
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"block": "gmcf-block", "channels": 10,
+                               "module": {"e": 0.4, "mscf": {"ca_ratio": 4}}}))
+    assert main(["profile", "--config", str(cfg)]) == 0
+    # a given hidden width reaches the bottlenecks: GConv's expansion is 2 * 5 wide
+    cfg.write_text(json.dumps({"block": "gmcf-block", "channels": 8,
+                               "module": {"gconv": {"hidden": 5}}}))
+    assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 0
+    params = dict(read_manifest(tmp_path / "rep" / "params" / "params.manifest"))
+    assert params["m0.gconv.proj.w"].shape == (10, 4, 1, 1)
+    capsys.readouterr()
 
 
 def _drop_last_line(path):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vrfnet import ConfigError, GconvConfig, GmcfConfig, MscfConfig, load_run_config
+from vrfnet import (ConfigError, GconvConfig, GmcfBlockConfig, GmcfConfig, MscfConfig,
+                    load_run_config)
 from vrfnet.cli import main
 from vrfnet.config import RunConfig, block_config, run_config
 
@@ -48,7 +49,8 @@ _GCONV_SIZES = "gconv: channels and dw_kernel must be >= 1"
     (GconvConfig, {"c": 8, "dw_kernel": -1}, _GCONV_SIZES),
     (GconvConfig, {"c": 8, "hidden": 0}, "gconv: hidden width 0 must be >= 1"),
     (GmcfConfig, {"c": 0}, "gmcf: channels must be >= 1"),
-    (GmcfConfig, {"c": 8, "n_bottlenecks": -1}, "gmcf: n_bottlenecks must be >= 0"),
+    (GmcfBlockConfig, {"c": 8, "n_bottlenecks": -1}, "gmcf-block: n_bottlenecks must be >= 0"),
+    (GmcfBlockConfig, {"c": 0}, "gmcf-block: branch width e*c = 0.0 is not a positive integer"),
 ])
 def test_block_configs_reject_sizes_below_their_lower_bound(cls, kw, says):
     with pytest.raises(ConfigError, match=re.escape(says)):
@@ -58,11 +60,14 @@ def test_block_configs_reject_sizes_below_their_lower_bound(cls, kw, says):
 def test_gmcf_config_and_width_retargeting():
     cfg = GmcfConfig(c=16)
     assert cfg.mscf.c == 16 and cfg.gconv.c == 16
-    assert cfg.hidden_width == 8
-    inner = cfg.at_width(8)
-    assert inner.c == 8 and inner.mscf.c == 8 and inner.gconv.hidden == 5
     with pytest.raises(ConfigError):
         GmcfConfig(c=16, mscf=MscfConfig(c=8))  # width mismatch
+    # a gmcf-block's bottlenecks are configured at its branch width e*c
+    block = GmcfBlockConfig(c=16)
+    assert block.bottleneck == GmcfConfig(c=8) and block.bottleneck.gconv.hidden == 5
+    assert GmcfBlockConfig(c=16, e=0.25).bottleneck == GmcfConfig(c=4)
+    with pytest.raises(ConfigError, match=re.escape("bottleneck width 16 != e*c = 8")):
+        GmcfBlockConfig(c=16, bottleneck=cfg)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -84,18 +89,25 @@ def test_gmcf_accepts_batch_norm_hyperparameters_at_the_edges_of_their_range():
 
 
 def test_width_retargeting_keeps_hyperparameters_and_rederives_hidden():
-    cfg = GmcfConfig(c=16, mscf=MscfConfig(c=16, dilations=(2,), use_ca=False),
-                     gconv=GconvConfig(c=16, hidden=3, activation="relu"), dropout=0.2)
-    inner = cfg.at_width(8)
-    assert inner.gconv == GconvConfig(c=8, activation="relu")  # hidden back to floor(2c/3)
-    assert inner.mscf == MscfConfig(c=8, dilations=(2,), use_ca=False)
-    assert (inner.dropout, inner.n_bottlenecks, inner.e) == (0.2, 1, 0.5)
+    # a gmcf-block module's bottleneck keys are built once, at e*c = 8: an
+    # absent hidden width is derived there, a given one reaches the bottlenecks
+    module = {"mscf": {"dilations": [2], "use_ca": False}, "gconv": {"activation": "relu"},
+              "dropout": 0.2}
+    cfg = block_config("gmcf-block", 16, module)
+    assert cfg.bottleneck == GmcfConfig(
+        c=8, mscf=MscfConfig(c=8, dilations=(2,), use_ca=False),
+        gconv=GconvConfig(c=8, activation="relu"), dropout=0.2)
+    assert cfg.bottleneck.gconv.hidden == 5  # floor(2 * 8 / 3), not floor(2 * 16 / 3)
+    assert (cfg.n_bottlenecks, cfg.e) == (1, 0.5)
+    module["gconv"]["hidden"] = 3
+    assert block_config("gmcf-block", 16, module).bottleneck.gconv.hidden == 3
 
 
 def test_json_defaults_are_the_dataclass_defaults():
     assert block_config("gmcf", 8, {}) == GmcfConfig(c=8)
     assert block_config("mscf", 8, {}) == MscfConfig(c=8)
     assert block_config("gconv", 8, {}) == GconvConfig(c=8)
+    assert block_config("gmcf-block", 8, {}) == GmcfBlockConfig(c=8)
 
 
 def test_strict_unknown_keys():
@@ -105,11 +117,13 @@ def test_strict_unknown_keys():
         block_config("gconv", 8, {"hidden_width": 4})
     with pytest.raises(ConfigError, match="use_ca"):
         block_config("gmcf", 8, {"use_ca": True})  # belongs under "mscf"
+    with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['bottleneck']")):
+        block_config("gmcf-block", 8, {"bottleneck": {}})  # its keys sit beside e
 
 
 def test_nested_module_config():
     cfg = block_config("gmcf-block", 8, {"mscf": {"use_ca": False}, "n_bottlenecks": 2, "e": 0.5})
-    assert not cfg.mscf.use_ca
+    assert not cfg.bottleneck.mscf.use_ca
     assert cfg.n_bottlenecks == 2
 
 
@@ -178,7 +192,7 @@ _JSON = st.recursive(
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
     max_leaves=8,
 )
-_BLOCK_KEYS = sorted({f.name for cls in (MscfConfig, GconvConfig, GmcfConfig)
+_BLOCK_KEYS = sorted({f.name for cls in (MscfConfig, GconvConfig, GmcfConfig, GmcfBlockConfig)
                       for f in fields(cls)} - {"c"})
 # a module object: known keys, MSCF and GConv sub-objects among them
 _MODULE = st.dictionaries(

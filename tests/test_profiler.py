@@ -104,8 +104,12 @@ def test_count_macs_matches_instrumented_oracle(kind, c, shape):
 @given(data=st.data())
 def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
     kind = data.draw(st.sampled_from(["mscf", "gconv", "gmcf", "gmcf-block"]))
-    c = data.draw(st.sampled_from([4, 6, 8]) if kind == "gmcf-block" else st.integers(2, 8))
-    width = c // 2 if kind == "gmcf-block" else c  # where channel attention runs
+    c = data.draw(st.sampled_from([4, 8]) if kind == "gmcf-block" else st.integers(2, 8))
+    # a gmcf-block's bottlenecks, and their channel attention, run at
+    # e*c, an integer (c is a multiple of 4) of at least 2, which GConv's
+    # hidden width floor(2 e c / 3) needs
+    e = data.draw(st.sampled_from([0.5, 0.75, 1.0, 1.5]))
+    width = int(e * c) if kind == "gmcf-block" else c
     dtype = data.draw(st.sampled_from([np.float32, np.float64]))
     # tied: the input's channels repeat, and MSCF's branches share one
     # dilation and scale 0's taps, so the channel max of the spatial
@@ -126,7 +130,7 @@ def test_count_costs_matches_instrumented_oracle_on_random_configs(data):
     else:
         module = {"mscf": mscf, "gconv": gconv}
         if kind == "gmcf-block":
-            module["n_bottlenecks"] = data.draw(st.integers(0, 3))
+            module.update(n_bottlenecks=data.draw(st.integers(0, 3)), e=e)
     shape = (data.draw(st.integers(1, 2)), c, data.draw(st.integers(1, 6)),
              data.draw(st.integers(1, 6)))
     if tied:

@@ -16,6 +16,7 @@ from vrfnet import (
     GConvBlock,
     GconvConfig,
     GmcfBlock,
+    GmcfBlockConfig,
     GmcfBottleneck,
     GmcfConfig,
     MscfBlock,
@@ -215,7 +216,7 @@ def test_a_taped_gmcf_block_holds_no_bottleneck_output_beside_its_concat():
     # read their input through that node or keep only its shape, so the
     # array each bottleneck wrote is freed. Were those rules to keep the
     # tensor they were given, output 0 would outlive the forward.
-    block = GmcfBlock(GmcfConfig(c=8, n_bottlenecks=2), Rng(36))
+    block = GmcfBlock(GmcfBlockConfig(c=8, n_bottlenecks=2), Rng(36))
     written = []
     for child in (block._children["m0"], block._children["m1"]):
         def forward(xin, params=None, mode="eval", _child=child):
@@ -420,7 +421,7 @@ def test_gconv_parameter_gradients_match_fd():
     # every parameter gradient of a full gated-conv block, h = 1e-6
     block = GConvBlock(GconvConfig(c=6), Rng(7), np.float64)
     x = Rng(8).tensor((1, 6, 4, 4))
-    errors = block_gradient_errors(block, x, h=1e-6)
+    errors = block_gradient_errors(block, x)
     for name, err in errors.items():
         assert err < 1e-6, f"{name}: {err}"
 
