@@ -237,7 +237,7 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval") -> "
     f(t-h), h = ``FD_STEP``. Returns max relative error per name
     ('input' plus each parameter), denominator floored at 1e-8. In train
     mode each forward draws new dropout masks, so a dropout p > 0 raises
-    ValueError before any forward runs, and batch norm normalizes with
+    ConfigError before any forward runs, and batch norm normalizes with
     batch statistics: the running statistics its forwards update are put
     back afterwards, so the block is left as it was.
 
@@ -251,7 +251,8 @@ def block_gradient_errors(block: ParamBlock, x: Tensor, mode: str = "eval") -> "
     if x.dtype != np.float64:
         raise TypeError("gradient checks require float64 blocks and inputs")
     if mode == "train" and has_dropout(block):
-        raise ValueError("train-mode gradient checks need dropout 0 (new masks every probe)")
+        raise ConfigError("train-mode gradient checks need dropout 0 (new masks every probe); "
+                          "check in eval mode, where dropout is the identity")
     params = block.params()
     buffers = block.buffers()
     try:

@@ -1,8 +1,11 @@
 """Command-line entry point: gradcheck, oracle-diff, profile, golden.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
-config error, each failure with a one-line message. The VRF_THREADS cap
-is applied when the package is imported (see ``vrfnet/__init__.py``).
+config error, each failure with a one-line message. No rule the library
+enforces is restated here: its error reaches ``main``, which maps it to
+an exit code; a forward that turns finite inputs into NaN or inf exits
+1. The VRF_THREADS cap is applied when the package is imported (see
+``vrfnet/__init__.py``).
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import block_gradient_errors, build_block, has_dropout
+from .blocks import block_gradient_errors, build_block
 from .config import (BLOCK_KINDS, DTYPES, ConfigError, RunConfig, load_run_config,
                      parse_input_shape, run_config)
 from .ops import ConvSpec, conv2d
 from .oracle import compare, oracle_block, oracle_conv2d
-from .profiler import BENCH_MIN_REPS, cost_report, count_params, ffn_cost, format_table
+from .profiler import cost_report, count_params, ffn_cost, format_table
 from .tensor import NonFiniteError, Rng, ShapeError
 from .vrft import (
     FormatError,
@@ -132,25 +135,16 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck requires --dtype f64 (f32 finite differences are too noisy)")
     tol = cfg.tolerance
     block = _make_block(cfg, Rng(cfg.seed))
-    shape = cfg.input_shape
-    n, _, h, w = shape
-    # the buffers are batch norm's running statistics; in train mode it
-    # normalizes with the variance over n*h*w values
-    if args.mode == "train" and block.buffers() and n * h * w < 2:
-        raise ConfigError(f"train mode needs n*h*w >= 2 for batch norm's variance, "
-                          f"got input shape {shape}")
-    if args.mode == "train" and has_dropout(block):
-        raise ConfigError("train mode needs dropout 0 (new masks every forward); use --mode eval")
-    x = Rng(cfg.seed + 1).tensor(shape, -2.0, 2.0, cfg.np_dtype)
+    x = Rng(cfg.seed + 1).tensor(cfg.input_shape, -2.0, 2.0, cfg.np_dtype)
     errors = block_gradient_errors(block, x, mode=args.mode)
 
     lines, failures = [], []
     for name, err in errors.items():
-        status = "ok" if err < tol else "FAIL"
-        print(f"{status:4s} {name:30s} max_rel_err={err:.3e}")
+        ok = err < tol  # False for a NaN error
+        print(f"{'ok' if ok else 'FAIL':4s} {name:30s} max_rel_err={err:.3e}")
         lines.append(json.dumps({"name": name, "max_rel_err": err, "tol": tol,
-                                 "pass": err < tol}, sort_keys=True))
-        if err >= tol:
+                                 "pass": ok}, sort_keys=True))
+        if not ok:
             failures.append(name)
     _emit(cfg.out_dir, "gradcheck.jsonl", lines)
     if failures:
@@ -213,7 +207,7 @@ def cmd_oracle_diff(args) -> int:
     for label, report in _oracle_reports(cfg, args.specs, () if args.skip_blocks else _cases(cfg)):
         lines.append(json.dumps(asdict(report), sort_keys=True))
         worst = max(worst, report.max_abs_diff)
-        if report.max_abs_diff > tol:
+        if not report.max_abs_diff <= tol:  # a NaN diff fails
             failed = True
             print(f"DIVERGED {label}: {report.max_abs_diff:.3e} > {tol:g}", file=sys.stderr)
 
@@ -228,9 +222,6 @@ def cmd_oracle_diff(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _run_config(args)
-    if args.reps and args.reps < BENCH_MIN_REPS:
-        raise ConfigError(f"--reps must be 0 (no timing) or >= {BENCH_MIN_REPS}, got {args.reps}")
-
     block = _make_block(cfg, Rng(cfg.seed))
     shape = cfg.input_shape
     report = cost_report(block, shape, bench_reps=args.reps)
@@ -293,7 +284,6 @@ def cmd_golden(args) -> int:
     for case_dir in cases:
         meta = read_golden_meta(case_dir / GOLDEN_META)
         dtype = np.dtype(meta.np_dtype)
-        bcfg = meta.build_block_config()
         try:
             block = _make_block(meta, None)
         except ConfigError as exc:  # sizes no array can index: the meta is corrupt
@@ -310,10 +300,12 @@ def cmd_golden(args) -> int:
             # a file missing from a case is corrupt data; a missing --out
             # directory stays a usage error (main)
             raise FormatError(f"{case_dir}: missing {Path(exc.filename).name}") from None
+        # every block keeps its input's shape, so both files have meta's
         declared = (meta.input_shape, dtype)
-        if (x.shape, x.dtype) != declared:
-            raise FormatError(f"{case_dir}: input.vrft is {x.shape} {x.dtype}, "
-                              f"meta.json says {declared[0]} {declared[1]}")
+        for name, t in (("input.vrft", x), ("output.vrft", stored)):
+            if (t.shape, t.dtype) != declared:
+                raise FormatError(f"{case_dir}: {name} is {t.shape} {t.dtype}, "
+                                  f"meta.json says {declared[0]} {declared[1]}")
         # checked before the forward, whose debug_finite check would
         # otherwise blame a block for them
         for name, t in {"input.vrft": x, **block.params(), **block.buffers()}.items():
@@ -326,18 +318,13 @@ def cmd_golden(args) -> int:
         # overflowed; the oracle checks nothing, so its output is scanned.
         try:
             with np.errstate(all="ignore"):
-                ref = (oracle_block(meta.block, bcfg, x, block.params(), block.buffers(), "eval")
+                ref = (oracle_block(meta.block, block.cfg, x, block.params(),
+                                    block.buffers(), "eval")
                        if args.use_oracle else block.forward(x, mode="eval"))
             if args.use_oracle and not np.isfinite(ref.data).all():
                 raise NonFiniteError("output has non-finite values")
         except NonFiniteError as exc:
             print(f"FAIL {case_dir.name}: {exc}", file=sys.stderr)
-            failures.append(case_dir.name)
-            continue
-        expected = (ref.shape, dtype)
-        if (stored.shape, stored.dtype) != expected:
-            print(f"FAIL {case_dir.name}: stored output is {stored.shape} {stored.dtype}, "
-                  f"expected {expected[0]} {expected[1]}", file=sys.stderr)
             failures.append(case_dir.name)
             continue
         if args.use_oracle:
@@ -380,6 +367,9 @@ def main(argv=None) -> int:
         return 2
     except FormatError as exc:
         print(f"corrupt data: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except (ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -561,7 +561,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, eps, momentum, mode):
     m = n * h * w
     if mode == "train":
         if m < 2:
-            raise ValueError("train-mode batch norm needs n*h*w >= 2 (variance undefined)")
+            raise ShapeError("train-mode batch norm needs n*h*w >= 2 (variance undefined), "
+                             f"got shape {tx.shape}")
         # the sums divided in place by m, as np.mean and np.var compute
         # them: np.var's own centred copy is the one x - mean below
         mean = np.add.reduce(tx.data, axis=axes, keepdims=True, dtype=tx.dtype)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _cap, _cap_missed
+from .config import ConfigError
 from .layers import ParamBlock
 from .ops import ConvSpec, conv2d, init_conv_params, relu
 from .tape import OpCounter, counting
@@ -98,9 +99,10 @@ def _threads_stamp() -> str:
 
 def bench(block: ParamBlock, input_shape, reps: int) -> dict:
     """Median/IQR wall time of eval-mode forward over ``reps`` runs, after
-    two untimed ones, stamped with the VRF_THREADS cap (see _threads_stamp)."""
+    two untimed ones, stamped with the VRF_THREADS cap (see _threads_stamp).
+    Fewer than BENCH_MIN_REPS runs is a ConfigError."""
     if reps < BENCH_MIN_REPS:
-        raise ValueError(f"bench needs reps >= {BENCH_MIN_REPS}")
+        raise ConfigError(f"bench needs reps >= {BENCH_MIN_REPS}, got {reps}")
     warmup = 2
     x = Rng(0).tensor(input_shape, dtype=_block_dtype(block))
     for _ in range(warmup):

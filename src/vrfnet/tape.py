@@ -424,10 +424,14 @@ def fd_max_rel_err(loss, at: Tensor, grad: Tensor, h: float) -> float:
 
     ``loss`` maps a tensor shaped like ``at`` to a scalar. Probes step each
     element by +h and then by -2h, in ``at``'s own dtype (two ``loss`` calls
-    per element). The denominator is floored at 1e-8.
+    per element). The denominator is floored at 1e-8. A NaN or inf element
+    of ``grad`` makes the error NaN, which no tolerance passes, and then
+    no probe runs.
     """
     flat = at.data.reshape(-1)
     g = grad.data.reshape(-1)
+    if not np.isfinite(g).all():  # max() below would drop the NaN it gives
+        return float("nan")
     to_dtype = at.dtype.type  # exact from grad's dtype: no copy of the whole gradient
     step = to_dtype(h)
     worst = 0.0

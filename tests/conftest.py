@@ -4,6 +4,10 @@ import gc
 import tracemalloc
 from contextlib import contextmanager
 
+import vrfnet.blocks
+from vrfnet.tape import Tape
+from vrfnet.tensor import Tensor
+
 
 class TracedMemory:
     """Bytes the traced allocations hold relative to when tracing began."""
@@ -56,3 +60,25 @@ def no_cyclic_garbage():
             gc.enable()
     assert found == 0, f"{found} objects were left for the cycle collector"
     assert held < 16384, f"{held} B were still held after the body"
+
+
+def poison_tape_gradient(monkeypatch, leaf: str, value: float) -> None:
+    """Make ``block_gradient_errors``' tape return ``value`` as the first
+    element of the gradient of the leaf named ``leaf``; every other
+    gradient, and every other element of that one, is the tape's own."""
+
+    class PoisonedTape(Tape):
+        def leaf(self, tensor, name=None):
+            node = super().leaf(tensor, name)
+            if name == leaf:
+                self.poisoned = node.id
+            return node
+
+        def backward(self, loss):
+            grads = super().backward(loss)
+            a = grads[self.poisoned].data.copy()
+            a.flat[0] = value
+            grads[self.poisoned] = Tensor(a)
+            return grads
+
+    monkeypatch.setattr(vrfnet.blocks, "Tape", PoisonedTape)

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import vrfnet
-from conftest import traced_memory
+from conftest import poison_tape_gradient, traced_memory
 from vrfnet import (
     ConfigError,
     ConvLayer,
@@ -324,6 +324,21 @@ def test_train_gradient_check_rejects_dropout_and_leaves_the_block_as_it_was(kin
     assert max(block_gradient_errors(block, x, mode="eval").values()) < 1e-5
     # the same masks as the untouched twin's, so the dropout rngs did not move
     assert np.array_equal(block.forward(x, mode="train").data, twin.forward(x, mode="train").data)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("leaf", ["input", "mscf.scale1.w"])
+def test_a_non_finite_tape_gradient_gives_a_non_finite_error(monkeypatch, leaf, value):
+    # a max() over the elements' relative errors would drop the NaN one
+    # and score the gradient by its finite elements
+    block = GmcfBottleneck(GmcfConfig(c=4), Rng(40))
+    x = Rng(41).tensor((1, 4, 6, 6))
+    clean = block_gradient_errors(block, x)
+    poison_tape_gradient(monkeypatch, leaf, value)
+    errors = block_gradient_errors(block, x)
+    assert np.isnan(errors.pop(leaf))
+    # the same bits, also for the parameters probed after it
+    assert errors == {k: v for k, v in clean.items() if k != leaf}
 
 
 # ---------------------------------------------------------------- GMCF block (C2f wrapper)

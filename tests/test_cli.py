@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 import vrfnet
+import vrfnet.blocks
+import vrfnet.cli
+from conftest import poison_tape_gradient
 from vrfnet import Tensor, read_manifest, read_tensor, write_tensor
 from vrfnet.cli import COMMAND_DEFAULTS, main
 from vrfnet.config import RunConfig, block_config, load_run_config
@@ -48,6 +51,22 @@ def test_gradcheck_corrupted_adjoint_names_parameter(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "dw.w" in captured.err or "dw" in captured.err  # offending parameters named
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_gradcheck_fails_a_non_finite_tape_gradient(tmp_path, monkeypatch, capsys, value):
+    # its error is NaN: the status line, the JSON pass and the exit code
+    # all read one comparison, and all say it failed
+    poison_tape_gradient(monkeypatch, "gconv.restore.b", value)
+    assert main(["gradcheck", "--block", "gmcf", "--channels", "4", "--mode", "eval",
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "gradcheck FAILED for: gconv.restore.b (tol 1e-05)\n"
+    status = {line.split()[1]: line.split()[0] for line in captured.out.splitlines()}
+    reports = [json.loads(l) for l in (tmp_path / "gradcheck.jsonl").read_text().splitlines()]
+    assert {r["name"]: r["pass"] for r in reports} == {
+        name: s == "ok" for name, s in status.items()}
+    assert [r["name"] for r in reports if not r["pass"]] == ["gconv.restore.b"]
 
 
 def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
@@ -280,7 +299,7 @@ def test_failed_allocation_exits_2_with_one_line(monkeypatch, capsys):
 @pytest.mark.parametrize("reps", ["1", "2", "-1"])
 def test_profile_rejects_too_few_reps_as_a_config_error(capsys, reps):
     assert main(["profile", "--block", "gconv", "--channels", "6", "--reps", reps]) == 2
-    _one_line_config_error(capsys, "--reps", reps)
+    _one_line_config_error(capsys, "reps", reps)
 
 
 def test_profile_times_three_reps(capsys):
@@ -299,7 +318,12 @@ def test_train_gradcheck_needs_two_values_a_channel_for_batch_norm(capsys, block
     assert main(["gradcheck", "--block", block, "--channels", "8", "--input-shape", shape,
                  "--mode", "train"]) == rc
     if rc:
-        _one_line_config_error(capsys, "n*h*w >= 2", shape.replace(",", ", "))
+        # batch norm's own ShapeError names the shape it was given: a
+        # gmcf-block's bottlenecks run at c/2
+        seen = {"gmcf": "(1, 8, 1, 1)", "gmcf-block": "(1, 4, 1, 1)"}[block]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "n*h*w >= 2" in err and seen in err, err
 
 
 @pytest.mark.parametrize("module,key", [({"bn_eps": -2.0}, "bn_eps"),
@@ -326,7 +350,7 @@ def test_train_gradcheck_with_dropout_is_a_config_error(tmp_path, capsys, mode, 
                                "input_shape": [1, 8, 4, 4], "module": {"dropout": 0.5}}))
     assert main(["gradcheck", "--config", str(cfg), "--mode", mode]) == rc
     if rc:
-        _one_line_config_error(capsys, "dropout", "--mode eval")
+        _one_line_config_error(capsys, "dropout", "eval")
 
 
 @pytest.mark.parametrize("args,says", [
@@ -387,6 +411,41 @@ def test_each_block_kind_is_bounded_before_it_is_built_without_a_block(tmp_path,
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
     _one_line_config_error(capsys, "MscfBlock: conv scale0 (3x3, dilation", "bytes")
     assert not out.exists()
+
+
+def test_oracle_diff_fails_a_nan_in_a_fast_conv_output(monkeypatch, capsys):
+    # a NaN diff passed "diff > tol"; it fails "diff <= tol"
+    real = vrfnet.cli.conv2d
+
+    def one_nan(*args):
+        y = real(*args).data.copy()
+        y.flat[0] = np.nan
+        return Tensor(y)
+
+    monkeypatch.setattr(vrfnet.cli, "conv2d", one_nan)
+    assert main(["oracle-diff", "--specs", "3", "--skip-blocks"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 3 and err.startswith("DIVERGED conv2d"), err
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle-diff", "--specs", "0"],
+    ["gradcheck", "--channels", "4", "--mode", "eval"],
+    ["profile", "--channels", "4"],
+], ids=["oracle-diff", "gradcheck", "profile"])
+def test_a_forward_that_turns_finite_inputs_non_finite_fails_with_one_line(monkeypatch, capsys,
+                                                                           command):
+    real = vrfnet.blocks.select_scales
+
+    def one_nan(*args):
+        y = vrfnet.value_of(real(*args)).data.copy()
+        y.flat[0] = np.nan
+        return Tensor(y)
+
+    monkeypatch.setattr(vrfnet.blocks, "select_scales", one_nan)
+    assert main([*command, "--block", "mscf"]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAIL: MscfBlock produced non-finite values\n"
 
 
 def test_oracle_diff_zero_specs_still_compares_the_blocks(capsys):
@@ -610,6 +669,35 @@ def test_golden_verify_checks_input_against_meta(tmp_path, capsys, corrupt, says
     err = capsys.readouterr().err
     assert err.startswith("corrupt data") and err.count("\n") == 1
     assert "input.vrft" in err and says in err
+
+
+def _f64_output(case):
+    y = read_tensor(case / "output.vrft")
+    write_tensor(case / "output.vrft", Tensor(y.data.astype(np.float64)))
+
+
+@pytest.mark.parametrize("flags", [[], ["--use-oracle"]], ids=["bit-exact", "oracle"])
+@pytest.mark.parametrize("corrupt,says", [(_prefixed_output, "(2, 8, 8, 8)"),
+                                          (_f64_output, "float64")],
+                         ids=["longer-output", "f64-output"])
+def test_golden_verify_checks_output_against_meta_before_the_forward(tmp_path, monkeypatch,
+                                                                    capsys, corrupt, says,
+                                                                    flags):
+    out = tmp_path / "gold"
+    assert main(["golden", "generate", "--out", str(out), "--block", "gmcf",
+                 "--channels", "8", "--dtype", "f32"]) == 0
+    corrupt(out / "gmcf")
+    capsys.readouterr()
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(vrfnet.blocks.GmcfBottleneck, "forward", no_forward)
+    monkeypatch.setattr(vrfnet.cli, "oracle_block", no_forward)
+    assert main(["golden", "verify", "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt data") and err.count("\n") == 1
+    assert "output.vrft" in err and says in err
 
 
 @pytest.mark.parametrize("name", ["params.manifest", "buffers.manifest", "input.vrft",
