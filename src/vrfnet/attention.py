@@ -25,7 +25,6 @@ class SpatialAttention(ParamBlock):
     def __init__(self, mask_channels: int, kernel: int, rng: Rng | None = None,
                  dtype=np.float64):
         super().__init__()
-        self.mask_channels = mask_channels
         self._add_conv("conv", ConvSpec(2, mask_channels, kernel), rng, dtype)
 
     @debug_finite
@@ -41,8 +40,6 @@ class ChannelAttention(ParamBlock):
         super().__init__()
         if c % ratio:
             raise ConfigError(f"channel attention: {c} channels not divisible by ratio {ratio}")
-        self.c = c
-        self.ratio = ratio
         self._add_conv("reduce", ConvSpec(c, c // ratio, 1), rng, dtype)
         self._add_conv("expand", ConvSpec(c // ratio, c, 1), rng, dtype)
 

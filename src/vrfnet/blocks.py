@@ -55,9 +55,9 @@ class MscfBlock(ParamBlock):
         for i, d in enumerate(cfg.dilations):
             spec = ConvSpec(cfg.c, cfg.c, cfg.dw_kernel, dilation=d, groups=cfg.c)
             self._add_conv(f"scale{i}", spec, rng, dtype)
-        self._add_child("sa", SpatialAttention(cfg.n_scales, cfg.mask_kernel, rng, dtype))
+        self._children["sa"] = SpatialAttention(cfg.n_scales, cfg.mask_kernel, rng, dtype)
         if cfg.use_ca:
-            self._add_child("ca", ChannelAttention(cfg.c, cfg.ca_ratio, rng, dtype))
+            self._children["ca"] = ChannelAttention(cfg.c, cfg.ca_ratio, rng, dtype)
 
     @debug_finite
     def forward(self, x, params=None, mode: str = "eval"):
@@ -133,16 +133,15 @@ class GmcfBottleneck(ParamBlock):
                  dropout_rng: Rng | None = None):
         super().__init__()
         self.cfg = cfg
-        self._add_child("mscf", MscfBlock(cfg.mscf, rng, dtype))
+        self._children["mscf"] = MscfBlock(cfg.mscf, rng, dtype)
         # affine init: identity scale when randomly initialized, zero otherwise
         gamma0 = np.ones if rng is not None else np.zeros
-        self._add_param("bn.gamma", Tensor.wrap(gamma0((1, cfg.c, 1, 1), dtype=dtype)))
-        self._add_param("bn.beta", Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype)))
-        self._add_buffer("bn.running_mean", Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype)))
-        self._add_buffer("bn.running_var", Tensor.wrap(np.ones((1, cfg.c, 1, 1), dtype=dtype)))
-        self._add_child(
-            "gconv", GConvBlock(cfg.gconv, rng, dtype, _dropout_stream(dropout_rng, "gconv"))
-        )
+        self._params["bn.gamma"] = Tensor.wrap(gamma0((1, cfg.c, 1, 1), dtype=dtype))
+        self._params["bn.beta"] = Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype))
+        self._buffers["bn.running_mean"] = Tensor.wrap(np.zeros((1, cfg.c, 1, 1), dtype=dtype))
+        self._buffers["bn.running_var"] = Tensor.wrap(np.ones((1, cfg.c, 1, 1), dtype=dtype))
+        self._children["gconv"] = GConvBlock(cfg.gconv, rng, dtype,
+                                             _dropout_stream(dropout_rng, "gconv"))
         self._dropout = DropoutState(cfg.dropout, _dropout_stream(dropout_rng, "drop"))
 
     @debug_finite
@@ -174,9 +173,9 @@ class GmcfBlock(ParamBlock):
         self.ch = ch
         self._add_conv("cv1", ConvSpec(cfg.c, 2 * ch, 1), rng, dtype)
         for i in range(cfg.n_bottlenecks):
-            self._add_child(f"m{i}", GmcfBottleneck(
+            self._children[f"m{i}"] = GmcfBottleneck(
                 cfg.bottleneck, rng, dtype, _dropout_stream(dropout_rng, f"m{i}")
-            ))
+            )
         self._add_conv("cv2", ConvSpec((2 + cfg.n_bottlenecks) * ch, cfg.c, 1), rng, dtype)
 
     @debug_finite

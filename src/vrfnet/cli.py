@@ -1,21 +1,22 @@
-"""Command-line entry point: gradcheck, oracle-diff, profile, golden.
+"""Command-line entry point: gradcheck, oracle-diff, profile, golden
+generate and golden verify, each offering only the flags it reads.
 
 Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage or
-config error, each failure with a one-line message. No rule the library
-enforces is restated here: its error reaches ``main``, which maps it to
-an exit code; a forward that turns finite inputs into NaN or inf exits
-1. The VRF_THREADS cap is applied when the package is imported (see
-``vrfnet/__init__.py``).
+config error, each failure with a one-line message. No library rule is
+restated here: its error reaches ``main``, which maps it to an exit
+code; a forward that turns finite inputs into NaN or inf exits 1. A
+report writes a NaN or inf as null. VRF_THREADS is applied on import.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from contextlib import nullcontext
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +39,22 @@ from .vrft import (
     write_tensor,
 )
 
-GOLDEN_META = "meta.json"
+GOLDEN_META, GOLDEN_INPUT, GOLDEN_OUTPUT = "meta.json", "input.vrft", "output.vrft"
+GOLDEN_PARAMS, GOLDEN_BUFFERS = "params.manifest", "buffers.manifest"
 # Each command's defaults, for the keys that neither --config nor a flag
-# sets. gradcheck's tolerance bounds the max relative error of f64 finite
-# differences; oracle-diff's and golden --use-oracle's the max abs
-# difference of f32 outputs from the f64 oracle. A default input shape
-# leaves its channel dim (None) to the run's channels.
+# sets; a command offers --tol where it has a tolerance and the block
+# flags where it has an input shape. gradcheck's tolerance bounds the max
+# relative error of f64 finite differences; oracle-diff's and golden
+# verify --use-oracle's the max abs difference of f32 outputs from the
+# f64 oracle. A default input shape leaves its channel dim to channels.
 COMMAND_DEFAULTS = {
     "gradcheck": {"dtype": "f64", "tolerance": 1e-5, "input_shape": (1, None, 6, 6)},
     "oracle-diff": {"dtype": "f32", "tolerance": 1e-6, "input_shape": (2, None, 6, 6)},
     "profile": {"dtype": "f64", "input_shape": (1, None, 20, 20)},
-    "golden": {"dtype": "f64", "tolerance": 1e-6, "input_shape": (1, None, 8, 8)},
+    "golden generate": {"dtype": "f64", "input_shape": (1, None, 8, 8)},
+    "golden verify": {"tolerance": 1e-6},
 }
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,20 +64,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, help, parent=sub):
+        p = parent.add_parser(name.split()[-1], help=help)
+        p.set_defaults(command=name)
         own = COMMAND_DEFAULTS[name]
-        tol = f" (default {own['tolerance']:g})" if "tolerance" in own else ""
-        shape = ",".join("C" if d is None else str(d) for d in own["input_shape"])
+        builds = "input_shape" in own  # the blocks it builds come from the flags
         p.add_argument("--config", type=Path, help="JSON run config (strict keys)")
-        p.add_argument("--block", choices=BLOCK_KINDS)
-        p.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
-        p.add_argument("--dtype", choices=list(DTYPES), help=f"(default {own['dtype']})")
-        p.add_argument("--tol", type=float, help="tolerance override" + tol)
-        p.add_argument("--out", type=Path, help="output directory for reports/goldens")
-        p.add_argument("--channels", type=int,
-                       help=f"block channel count (default {RunConfig.channels})")
-        p.add_argument("--input-shape", type=str, help=f"n,c,h,w (default {shape})")
+        if builds:
+            p.add_argument("--block", choices=BLOCK_KINDS)
+            p.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
+            p.add_argument("--dtype", choices=list(DTYPES), help=f"(default {own['dtype']})")
+        if "tolerance" in own:
+            p.add_argument("--tol", dest="tolerance", metavar="TOL", type=float,
+                           help=f"tolerance override (default {own['tolerance']:g})")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", type=Path,
+                       help="output directory for reports/goldens")
+        if builds:
+            shape = ",".join("C" if d is None else str(d) for d in own["input_shape"])
+            p.add_argument("--channels", type=int,
+                           help=f"block channel count (default {RunConfig.channels})")
+            p.add_argument("--input-shape", type=str, help=f"n,c,h,w (default {shape})")
         return p
 
     g = command("gradcheck", "finite-difference check of every parameter and input")
@@ -87,20 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-ffn", action="store_true",
                    help="add a plain pointwise FFN (hidden 2c) comparison row")
 
-    gold = command("golden", "generate or verify golden input/params/output files")
-    gold.add_argument("direction", choices=["generate", "verify"])
-    gold.add_argument("--use-oracle", action="store_true",
-                      help="verify by recomputing through the oracle path (tolerance mode)")
+    gold = sub.add_parser("golden", help="generate or verify golden input/params/output files")
+    directions = gold.add_subparsers(dest="direction", required=True)
+    command("golden generate", "write one golden case per block kind", directions)
+    v = command("golden verify", "recompute each golden case from its meta.json", directions)
+    v.add_argument("--use-oracle", action="store_true",
+                   help="verify by recomputing through the oracle path (tolerance mode)")
     return parser
 
 
 def _run_config(args):
     """The --config file (or none) with the flags that were given on top,
     and the command's COMMAND_DEFAULTS for keys neither one sets."""
-    flags = {"block": args.block, "seed": args.seed, "dtype": args.dtype, "tolerance": args.tol,
-             "out_dir": args.out, "channels": args.channels,
-             "input_shape": parse_input_shape(args.input_shape) if args.input_shape else None}
-    flags = {k: v for k, v in flags.items() if v is not None}
+    flags = {k: v for k, v in vars(args).items() if k in _RUN_KEYS and v is not None}
+    if "input_shape" in flags:
+        flags["input_shape"] = parse_input_shape(flags["input_shape"])
     defaults = COMMAND_DEFAULTS[args.command]
     # the flags go on top of the file before the one validation
     if args.config:
@@ -123,6 +135,12 @@ def _make_block(cfg, rng):
     return block
 
 
+def _record(record: dict) -> str:
+    """One report line of strict JSON; a NaN or inf number is written as null."""
+    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in record.items()}, sort_keys=True, allow_nan=False)
+
+
 def _emit(out_dir, name: str, lines: "list[str]") -> None:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,8 +160,7 @@ def cmd_gradcheck(args) -> int:
     for name, err in errors.items():
         ok = err < tol  # False for a NaN error
         print(f"{'ok' if ok else 'FAIL':4s} {name:30s} max_rel_err={err:.3e}")
-        lines.append(json.dumps({"name": name, "max_rel_err": err, "tol": tol,
-                                 "pass": ok}, sort_keys=True))
+        lines.append(_record({"name": name, "max_rel_err": err, "tol": tol, "pass": ok}))
         if not ok:
             failures.append(name)
     _emit(cfg.out_dir, "gradcheck.jsonl", lines)
@@ -205,7 +222,7 @@ def cmd_oracle_diff(args) -> int:
     worst = 0.0
     failed = False
     for label, report in _oracle_reports(cfg, args.specs, () if args.skip_blocks else _cases(cfg)):
-        lines.append(json.dumps(asdict(report), sort_keys=True))
+        lines.append(_record(asdict(report)))
         worst = max(worst, report.max_abs_diff)
         if not report.max_abs_diff <= tol:  # a NaN diff fails
             failed = True
@@ -223,27 +240,18 @@ def cmd_oracle_diff(args) -> int:
 def cmd_profile(args) -> int:
     cfg = _run_config(args)
     block = _make_block(cfg, Rng(cfg.seed))
-    shape = cfg.input_shape
-    report = cost_report(block, shape, bench_reps=args.reps)
+    report = cost_report(block, cfg.input_shape, bench_reps=args.reps)
 
     # cross-check the analytic count against bytes on disk
     with (tempfile.TemporaryDirectory() if cfg.out_dir is None
           else nullcontext(cfg.out_dir / "params")) as manifest_dir:
         manifest = write_manifest(manifest_dir, "params.manifest", block.params())
         manifest_params = manifest_element_count(manifest)
-    payload = asdict(report)
-    payload["manifest_params"] = manifest_params
-
-    reports = [report]
-    if args.compare_ffn:
-        reports.append(ffn_cost(cfg.channels, shape))
-
-    print(format_table(reports))
-    print(json.dumps(payload, sort_keys=True))
-    if args.compare_ffn:
-        print(json.dumps(asdict(reports[1]), sort_keys=True))
-    _emit(cfg.out_dir, "profile.jsonl",
-          [json.dumps(asdict(r), sort_keys=True) for r in reports])
+    reports = [report, ffn_cost(cfg.channels, cfg.input_shape)] if args.compare_ffn else [report]
+    lines = [_record({**asdict(report), "manifest_params": manifest_params}),
+             *(_record(asdict(r)) for r in reports[1:])]
+    print(format_table(reports), *lines, sep="\n")
+    _emit(cfg.out_dir, "profile.jsonl", lines)
 
     if manifest_params != count_params(block):
         print(f"param count mismatch: analytic {count_params(block)} vs manifest "
@@ -252,47 +260,50 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_golden(args) -> int:
+def _golden_run(args):
+    """A golden command's run config, which must name --out."""
     cfg = _run_config(args)
-    out_dir = cfg.out_dir
-    if out_dir is None:
+    if cfg.out_dir is None:
         raise ConfigError("golden needs --out <dir>")
-    tol = cfg.tolerance
+    return cfg
 
-    if args.direction == "generate":
-        for i, case in enumerate(_cases(cfg)):
-            case = replace(case, seed=cfg.seed + i)
-            rng = Rng(case.seed)
-            block = _make_block(case, rng)
-            case_dir = out_dir / case.block
-            case_dir.mkdir(parents=True, exist_ok=True)
-            x = rng.tensor(case.input_shape, -1.0, 1.0, case.np_dtype)
-            y = block.forward(x, mode="eval")
-            write_tensor(case_dir / "input.vrft", x)
-            write_tensor(case_dir / "output.vrft", y)
-            write_manifest(case_dir, "params.manifest", block.params())
-            write_manifest(case_dir, "buffers.manifest", block.buffers())
-            write_golden_meta(case_dir / GOLDEN_META, case)
-            print(f"golden written: {case_dir}")
-        return 0
 
-    # verify
-    cases = sorted(d for d in out_dir.iterdir() if (d / GOLDEN_META).exists())
+def cmd_golden_generate(args) -> int:
+    cfg = _golden_run(args)
+    for i, case in enumerate(_cases(cfg)):
+        case = replace(case, seed=cfg.seed + i)
+        rng = Rng(case.seed)
+        block = _make_block(case, rng)
+        case_dir = cfg.out_dir / case.block
+        case_dir.mkdir(parents=True, exist_ok=True)
+        x = rng.tensor(case.input_shape, -1.0, 1.0, case.np_dtype)
+        y = block.forward(x, mode="eval")
+        write_tensor(case_dir / GOLDEN_INPUT, x)
+        write_tensor(case_dir / GOLDEN_OUTPUT, y)
+        write_manifest(case_dir, GOLDEN_PARAMS, block.params())
+        write_manifest(case_dir, GOLDEN_BUFFERS, block.buffers())
+        write_golden_meta(case_dir / GOLDEN_META, case)
+        print(f"golden written: {case_dir}")
+    return 0
+
+
+def cmd_golden_verify(args) -> int:
+    cfg = _golden_run(args)
+    cases = sorted(d for d in cfg.out_dir.iterdir() if (d / GOLDEN_META).exists())
     if not cases:
-        raise ConfigError(f"{out_dir} holds no golden case (a directory with {GOLDEN_META})")
+        raise ConfigError(f"{cfg.out_dir} holds no golden case (a directory with {GOLDEN_META})")
     failures = []
     for case_dir in cases:
         meta = read_golden_meta(case_dir / GOLDEN_META)
-        dtype = np.dtype(meta.np_dtype)
         try:
             block = _make_block(meta, None)
         except ConfigError as exc:  # sizes no array can index: the meta is corrupt
             raise FormatError(f"{case_dir}: {exc}") from None
         try:
-            block.set_params(dict(read_manifest(case_dir / "params.manifest")))
-            block.set_buffers(dict(read_manifest(case_dir / "buffers.manifest")))
-            x = read_tensor(case_dir / "input.vrft")
-            stored = read_tensor(case_dir / "output.vrft")
+            block.set_params(dict(read_manifest(case_dir / GOLDEN_PARAMS)))
+            block.set_buffers(dict(read_manifest(case_dir / GOLDEN_BUFFERS)))
+            x = read_tensor(case_dir / GOLDEN_INPUT)
+            stored = read_tensor(case_dir / GOLDEN_OUTPUT)
         except (KeyError, ShapeError) as exc:
             # KeyError's str() is the repr of its message; args[0] is the text
             raise FormatError(f"{case_dir}: {exc.args[0]}") from None
@@ -301,14 +312,14 @@ def cmd_golden(args) -> int:
             # directory stays a usage error (main)
             raise FormatError(f"{case_dir}: missing {Path(exc.filename).name}") from None
         # every block keeps its input's shape, so both files have meta's
-        declared = (meta.input_shape, dtype)
-        for name, t in (("input.vrft", x), ("output.vrft", stored)):
+        declared = (meta.input_shape, np.dtype(meta.np_dtype))
+        for name, t in ((GOLDEN_INPUT, x), (GOLDEN_OUTPUT, stored)):
             if (t.shape, t.dtype) != declared:
                 raise FormatError(f"{case_dir}: {name} is {t.shape} {t.dtype}, "
-                                  f"meta.json says {declared[0]} {declared[1]}")
+                                  f"{GOLDEN_META} says {declared[0]} {declared[1]}")
         # checked before the forward, whose debug_finite check would
         # otherwise blame a block for them
-        for name, t in {"input.vrft": x, **block.params(), **block.buffers()}.items():
+        for name, t in {GOLDEN_INPUT: x, **block.params(), **block.buffers()}.items():
             if not np.isfinite(t.data).all():
                 raise FormatError(f"{case_dir}: {name} has non-finite values")
             if name.endswith("running_var") and (t.data < 0).any():
@@ -329,9 +340,9 @@ def cmd_golden(args) -> int:
             continue
         if args.use_oracle:
             report = compare(meta.block, stored, ref, meta.seed)
-            ok = report.max_abs_diff <= tol
+            ok = report.max_abs_diff <= cfg.tolerance
             print(f"{'ok  ' if ok else 'FAIL'} {case_dir.name} (oracle path) "
-                  f"max_abs_diff={report.max_abs_diff:.3e} tol={tol:g}")
+                  f"max_abs_diff={report.max_abs_diff:.3e} tol={cfg.tolerance:g}")
             if not ok:
                 failures.append(case_dir.name)
             continue
@@ -354,7 +365,8 @@ _COMMANDS = {
     "gradcheck": cmd_gradcheck,
     "oracle-diff": cmd_oracle_diff,
     "profile": cmd_profile,
-    "golden": cmd_golden,
+    "golden generate": cmd_golden_generate,
+    "golden verify": cmd_golden_verify,
 }
 
 

@@ -70,15 +70,6 @@ class ParamBlock:
         if b is not None:
             self._params[name + ".b"] = b
 
-    def _add_param(self, name: str, t: Tensor) -> None:
-        self._params[name] = t
-
-    def _add_buffer(self, name: str, t: Tensor) -> None:
-        self._buffers[name] = t
-
-    def _add_child(self, name: str, child: "ParamBlock") -> None:
-        self._children[name] = child
-
     def _walk(self, registry: str, prefix: str = ""):
         """(flat name, owning dict, key) for every entry of ``registry``:
         this block's own entries first, then each child's, prefixed."""

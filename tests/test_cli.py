@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -67,6 +69,46 @@ def test_gradcheck_fails_a_non_finite_tape_gradient(tmp_path, monkeypatch, capsy
     assert {r["name"]: r["pass"] for r in reports} == {
         name: s == "ok" for name, s in status.items()}
     assert [r["name"] for r in reports if not r["pass"]] == ["gconv.restore.b"]
+
+
+def _strict_json(line):
+    """``line`` parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def _poison_grid_conv(monkeypatch, value):
+    """Make the first element of every grid conv's fast output ``value``."""
+    real = vrfnet.cli.conv2d
+
+    def one_bad(*args):
+        y = real(*args).data.copy()
+        y.flat[0] = value
+        return Tensor(y)
+
+    monkeypatch.setattr(vrfnet.cli, "conv2d", one_bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command,report,key,poison", [
+    (["gradcheck", "--block", "gconv", "--channels", "4", "--mode", "eval"], "gradcheck.jsonl",
+     "max_rel_err", functools.partial(poison_tape_gradient, leaf="restore.b")),
+    (["oracle-diff", "--specs", "3", "--skip-blocks"], "oracle_diff.jsonl", "max_abs_diff",
+     _poison_grid_conv),
+], ids=["gradcheck", "oracle-diff"])
+def test_a_non_finite_error_is_written_as_null_in_strict_json(tmp_path, monkeypatch, capsys,
+                                                             command, report, key, poison,
+                                                             value):
+    poison(monkeypatch, value=value)
+    assert main([*command, "--out", str(tmp_path)]) == 1
+    lines = (tmp_path / report).read_text().splitlines()
+    nulls = [r for r in map(_strict_json, lines) if r[key] is None]
+    assert nulls and all(r.get("pass", False) is False for r in nulls)
+    # oracle-diff prints the lines it writes; gradcheck prints a status line each
+    printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+    assert printed == (lines if command[0] == "oracle-diff" else [])
 
 
 def test_gradcheck_malformed_config_exits_2(tmp_path, capsys):
@@ -161,12 +203,12 @@ def test_a_null_in_the_config_file_leaves_the_key_to_the_commands_default(tmp_pa
     assert f"within {gradcheck['tolerance']:g}" in capsys.readouterr().out
     out = tmp_path / "gold"
     assert main(["golden", "generate", "--config", str(cfg), "--out", str(out)]) == 0
-    n, _, h, w = COMMAND_DEFAULTS["golden"]["input_shape"]
+    n, _, h, w = COMMAND_DEFAULTS["golden generate"]["input_shape"]
     assert read_golden_meta(out / run["block"] / "meta.json").input_shape == (n, 4, h, w)
     capsys.readouterr()
     assert main(["golden", "verify", "--config", str(cfg), "--out", str(out),
                  "--use-oracle"]) == 0
-    assert f"tol={COMMAND_DEFAULTS['golden']['tolerance']:g}" in capsys.readouterr().out
+    assert f"tol={COMMAND_DEFAULTS['golden verify']['tolerance']:g}" in capsys.readouterr().out
     assert main(["oracle-diff", "--config", str(cfg), "--specs", "0"]) == 0
     assert main(["profile", "--config", str(cfg)]) == 0
 
@@ -182,19 +224,79 @@ def test_usage_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, args, 
     _one_line_config_error(capsys, says)
 
 
-@pytest.mark.parametrize("command", list(COMMAND_DEFAULTS))
+BLOCK_FLAGS = {"--block", "--seed", "--dtype", "--channels", "--input-shape"}
+# the flags of each command beyond --config, --out, --tol and BLOCK_FLAGS
+OWN_FLAGS = {"gradcheck": {"--mode"}, "oracle-diff": {"--specs", "--skip-blocks"},
+             "profile": {"--reps", "--compare-ffn"}, "golden generate": set(),
+             "golden verify": {"--use-oracle"}}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_DEFAULTS), ids=lambda c: c.replace(" ", "-"))
 def test_each_commands_help_shows_its_own_defaults(capsys, command):
     with pytest.raises(SystemExit) as stop:
-        main([command, "--help"])
+        main([*command.split(), "--help"])
     assert stop.value.code == 0
     text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
     own = COMMAND_DEFAULTS[command]
+    tol = f"tolerance override (default {own['tolerance']:g})" if "tolerance" in own else None
+    assert (tol in text) if tol else "tolerance override (default" not in text
+    if "input_shape" not in own:  # golden verify rebuilds each case from its meta.json
+        assert not any(flag in text for flag in BLOCK_FLAGS), text
+        return
     n, _, h, w = own["input_shape"]
     assert f"--dtype {{f32,f64}} (default {own['dtype']})" in text
     assert f"n,c,h,w (default {n},C,{h},{w})" in text
-    tol = f"tolerance override (default {own['tolerance']:g})" if "tolerance" in own else None
-    assert (tol in text) if tol else "tolerance override (default" not in text
     assert f"(default {RunConfig.channels})" in text and f"(default {RunConfig.seed})" in text
+
+
+def _commands(parser, prefix=""):
+    """(name, parser) of each command under ``parser``, nested ones named
+    by their path (``golden verify``)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_each_command_offers_exactly_the_flags_its_defaults_entry_implies():
+    # --tol where the entry has a tolerance, the block flags where it has
+    # an input shape: no command accepts a flag it never reads
+    offered = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+               for name, p in _commands(vrfnet.cli._build_parser())}
+    assert set(offered) == set(COMMAND_DEFAULTS)
+    for name, own in COMMAND_DEFAULTS.items():
+        want = {"--config", "--out", *OWN_FLAGS[name]}
+        want |= {"--tol"} if "tolerance" in own else set()
+        want |= BLOCK_FLAGS if "input_shape" in own else set()
+        assert offered[name] - {"--help"} == want, name
+    assert {name: len(flags - {"--help"}) for name, flags in offered.items()} == {
+        "gradcheck": 9, "oracle-diff": 10, "profile": 9, "golden generate": 7,
+        "golden verify": 4}
+
+
+@pytest.mark.parametrize("command,unread", [
+    (["profile", "--block", "gconv"], ["--tol", "1"]),
+    (["golden", "generate", "--out", "g"], ["--tol", "1e-6"]),
+    (["golden", "generate", "--out", "g"], ["--use-oracle"]),
+    (["golden", "verify", "--out", "g"], ["--block", "gconv"]),
+    # once read as the config of a block verify never builds
+    (["golden", "verify", "--out", "g"], ["--block", "mscf", "--channels", "99"]),
+    (["golden", "verify", "--out", "g"], ["--block", "mscf", "--channels", "12", "--dtype",
+                                          "f32", "--seed", "5", "--input-shape", "3,12,2,2"]),
+], ids=["profile-tol", "generate-tol", "generate-use-oracle", "verify-block",
+        "verify-unbuildable-block", "verify-other-case"])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                           command, unread):
+    monkeypatch.chdir(tmp_path)
+    assert main(["golden", "generate", "--out", "g", "--block", "gconv"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main([*command, *unread])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(unread)}\n" in err, err
 
 
 def test_gradcheck_rejects_f32(capsys):
@@ -464,9 +566,11 @@ def test_profile_reports_and_manifest_cross_check(tmp_path, capsys):
                "--input-shape", "1,8,12,12", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    payload = json.loads([l for l in out.splitlines() if l.startswith("{")][0])
+    printed = [l for l in out.splitlines() if l.startswith("{")]
+    payload = json.loads(printed[0])
     assert payload["params"] == payload["manifest_params"] == 579
-    assert (tmp_path / "profile.jsonl").exists()
+    # it writes the records it prints
+    assert (tmp_path / "profile.jsonl").read_text().splitlines() == printed
 
 
 def test_profile_ffn_comparison_row(capsys):
@@ -729,11 +833,12 @@ def test_golden_verify_with_no_case_exits_2_naming_the_directory(tmp_path, capsy
         (out / "gconv").mkdir(exist_ok=True)
 
 
-@pytest.mark.parametrize("direction", ["generate", "verify"])
-def test_golden_out_is_a_file_exits_2(tmp_path, capsys, direction):
+@pytest.mark.parametrize("direction,flags", [("generate", ["--block", "gconv"]),
+                                             ("verify", [])], ids=["generate", "verify"])
+def test_golden_out_is_a_file_exits_2(tmp_path, capsys, direction, flags):
     out = tmp_path / "file"
     out.write_text("")
-    assert main(["golden", direction, "--out", str(out), "--block", "gconv"]) == 2
+    assert main(["golden", direction, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error") and err.count("\n") == 1
 
